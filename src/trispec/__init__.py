@@ -1,6 +1,7 @@
 """Dirichlet spectra of triangles: exact lattice spectra, FEM, verification."""
 
-from . import certify, cli, equilateral, fem, geometry, isosceles, reports, transplant
+# cli is left to load on demand, so that `python -m trispec.cli` runs it once.
+from . import certify, equilateral, fem, geometry, isosceles, reports, transplant
 
 __all__ = [
     "certify",

@@ -12,14 +12,16 @@ assembled alongside, since the transplantation conditions are driven by the
 fraction of Dirichlet energy carried by those derivatives.
 """
 
-import functools
+import collections
 import json
 import math
 
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh, splu
+# splu is not called here; perfbench/tracing.py still wraps trispec.fem.splu
+# by name, so the name stays.
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh, splu  # noqa: F401
 
 from .geometry import Triangle
 
@@ -44,6 +46,8 @@ ARPACK_MAXITER = 500
 DENSE_CUTOFF = 360
 # Relative gap under which two discrete eigenvalues count as one cluster.
 CLUSTER_RTOL = 1e-6
+# Entries of the solver cache, one per (triangle, level, Dirichlet edges).
+SOLVE_CACHE_SIZE = 1024
 
 
 class Mesh:
@@ -186,31 +190,31 @@ class EigenResult:
     """Lowest-k discrete eigenpairs of one mesh.
 
     values ascend; vectors are full-vertex coefficient columns (zero on the
-    constrained boundary), mass-orthonormal.  extrapolated is filled by
-    extrapolate() when a coarser companion run exists.
+    constrained boundary), mass-orthonormal.  residuals[j] bounds the
+    mass-inverse norm of K v_j - values[j] M v_j from above by twice its
+    lumped-mass dual norm (see solve_lowest).  energies[j] holds the
+    total, y-y and x-y stiffness energies of vectors[:, j].  Every array is
+    per mode, so the first k' < k modes are leading(k').
     """
 
-    def __init__(self, mesh, values, vectors, residuals, dirichlet_edges):
+    def __init__(self, mesh, values, vectors, residuals, energies,
+                 dirichlet_edges):
         self.mesh = mesh
         self.values = values
         self.vectors = vectors
         self.residuals = residuals
+        self.energies = energies
         self.dirichlet_edges = tuple(dirichlet_edges)
-        self.extrapolated = None
 
     @property
     def level(self):
         return self.mesh.level
 
-    def to_json(self):
-        out = {
-            "level": self.level,
-            "values": self.values.tolist(),
-            "residuals": self.residuals.tolist(),
-            "extrapolated": None if self.extrapolated is None
-                            else self.extrapolated.tolist(),
-        }
-        return json.dumps(out)
+    def leading(self, k):
+        """The first k modes, as views into this result's arrays."""
+        return EigenResult(self.mesh, self.values[:k], self.vectors[:, :k],
+                           self.residuals[:k], self.energies[:k],
+                           self.dirichlet_edges)
 
 
 def solve_lowest(mesh, k, dirichlet_edges=(0, 1, 2)):
@@ -219,6 +223,14 @@ def solve_lowest(mesh, k, dirichlet_edges=(0, 1, 2)):
     Edges listed in dirichlet_edges carry the zero condition; the rest are
     natural (Neumann).  Deterministic: fixed ARPACK start vector, ascending
     sort, M-orthonormalization, sign fixed by the largest component.
+
+    The reported residual of mode j is 2 ||r_j|| in the dual norm of the
+    lumped (row-sum) mass L, r_j = K v_j - lambda_j M v_j.  Each element
+    mass dominates a quarter of its lumped mass, so M >= L/4 and this is a
+    guaranteed upper bound on the mass-inverse norm sqrt(r^T M^-1 r); since
+    M <= L it is at most twice that norm.  No mass factorization is needed.
+    The per-mode stiffness energies (total, y-y, x-y) come from the forms
+    assembled here, so energy fractions need no second assembly.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -257,22 +269,22 @@ def solve_lowest(mesh, k, dirichlet_edges=(0, 1, 2)):
         if vecs[pivot, col] < 0:
             vecs[:, col] = -vecs[:, col]
 
-    resid = np.empty(k)
-    mlu = splu(mm)
-    for col in range(k):
-        r = kk @ vecs[:, col] - vals[col] * (mm @ vecs[:, col])
-        resid[col] = math.sqrt(abs(float(r @ mlu.solve(r))))
+    lumped = np.asarray(forms.mass.sum(axis=1)).ravel()[idx]
+    r = kk @ vecs - (mm @ vecs) * vals
+    resid = 2.0 * np.sqrt(np.sum(r * r / lumped[:, None], axis=0))
 
     full_vecs = np.zeros((mesh.num_vertices, k))
     full_vecs[idx] = vecs
-    return EigenResult(mesh, vals, full_vecs, resid, dirichlet_edges)
+    energies = np.column_stack([
+        np.sum(full_vecs * (form @ full_vecs), axis=0)
+        for form in (forms.stiffness, forms.stiffness_yy, forms.stiffness_xy)])
+    return EigenResult(mesh, vals, full_vecs, resid, energies, dirichlet_edges)
 
 
 def extrapolate(coarse, fine):
     """Richardson-extrapolate assuming O(h^2): fine + (fine - coarse)/3.
 
-    Requires the same triangle and fine.level = coarse.level + 1.  Also
-    stores the result on fine.extrapolated.
+    Requires the same triangle and fine.level = coarse.level + 1.
     """
     if fine.level != coarse.level + 1:
         raise ValueError("fine level must be coarse level + 1")
@@ -282,19 +294,36 @@ def extrapolate(coarse, fine):
     if fine.dirichlet_edges != coarse.dirichlet_edges:
         raise ValueError("extrapolation requires the same boundary conditions")
     k = min(len(fine.values), len(coarse.values))
-    out = fine.values[:k] + (fine.values[:k] - coarse.values[:k]) / 3.0
-    fine.extrapolated = out
-    return out
+    return fine.values[:k] + (fine.values[:k] - coarse.values[:k]) / 3.0
 
 
 def _tri_key(t):
     return tuple(map(float, t.vertices.ravel()))
 
 
-@functools.lru_cache(maxsize=1024)
+# (triangle key, level, Dirichlet edges) -> the largest-k EigenResult solved
+# so far, least recently used first.
+_SOLVE_CACHE = collections.OrderedDict()
+
+
 def _solve_cached(tri_key, level, k, dirichlet_edges):
-    t = Triangle(np.array(tri_key).reshape(3, 2))
-    return solve_lowest(mesh_triangle(t, level), k, dirichlet_edges)
+    """The lowest k modes, sliced from the cached solve of this problem.
+
+    Only a request for more modes than the entry holds solves again, and
+    its result replaces the entry.  Slicing changes nothing: the Cholesky
+    re-orthonormalization is triangular and signs are fixed per column, so
+    the leading columns do not depend on the trailing ones.
+    """
+    key = (tri_key, level, dirichlet_edges)
+    res = _SOLVE_CACHE.get(key)
+    if res is None or len(res.values) < k:
+        t = Triangle(np.array(tri_key).reshape(3, 2))
+        res = solve_lowest(mesh_triangle(t, level), k, dirichlet_edges)
+        _SOLVE_CACHE[key] = res
+    _SOLVE_CACHE.move_to_end(key)
+    if len(_SOLVE_CACHE) > SOLVE_CACHE_SIZE:
+        _SOLVE_CACHE.popitem(last=False)
+    return res if len(res.values) == k else res.leading(k)
 
 
 def solve_extrapolated(t, k, level, dirichlet_edges=(0, 1, 2)):
@@ -302,7 +331,11 @@ def solve_extrapolated(t, k, level, dirichlet_edges=(0, 1, 2)):
 
     Returns (values, err_estimate, fine_result); the error estimate is the
     extrapolation increment |fine - coarse|/3 per eigenvalue, the standard
-    proxy for the remaining discretization error.
+    proxy for the remaining discretization error.  Both levels come from the
+    solver cache, which keeps one solve per (triangle, level, Dirichlet
+    edges) and slices it to k modes; asking for the largest k first avoids
+    re-solving.  fine_result.residuals are the lumped-mass upper bounds of
+    solve_lowest.
     """
     if level < 1:
         raise ValueError("extrapolated solve needs level >= 1")
@@ -344,12 +377,8 @@ def _energy_fractions(t, n, level):
         raise ValueError(
             f"ranks {n} and {n + 1} form a degenerate cluster at level {level}; "
             "choose n so the cluster is not split")
-    forms = assemble(res.mesh)
-    vecs = res.vectors[:, :n]
-    denom = float(np.sum(vecs * (forms.stiffness @ vecs)))
-    gamma = float(np.sum(vecs * (forms.stiffness_yy @ vecs))) / denom
-    delta = float(np.sum(vecs * (forms.stiffness_xy @ vecs))) / denom
-    return gamma, delta
+    total, yy, xy = np.sum(res.energies[:n], axis=0)
+    return float(yy / total), float(xy / total)
 
 
 def rayleigh_data(f, n, level):

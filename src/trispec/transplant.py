@@ -165,6 +165,14 @@ def theorem1_verify(f, n, level=7):
         raise ValueError("n must be >= 1")
     b = f.b
     d2 = 1.0 + b * b
+    gamma = delta = None
+    # The n+1-mode solves behind the energy fractions go first, so the
+    # n-mode sum below is a slice of them rather than a solve of its own.
+    try:
+        rd = rayleigh_data(f, n, level)
+        gamma, delta = rd.gamma_n, rd.delta_n
+    except ValueError:
+        pass  # degenerate cluster at this rank; branch analysis not meaningful
     vals, errs, _ = solve_extrapolated(f.triangle, n, level)
     sum_fem = float(np.sum(vals[:n]))
     sum_err = float(np.sum(errs[:n]))
@@ -174,13 +182,7 @@ def theorem1_verify(f, n, level=7):
         sum_fem * d2, target, fem_err=sum_err * d2)]
 
     branch = None
-    gamma = delta = None
     factors = None
-    try:
-        rd = rayleigh_data(f, n, level)
-        gamma, delta = rd.gamma_n, rd.delta_n
-    except ValueError:
-        pass  # degenerate cluster at this rank; branch analysis not meaningful
     if gamma is not None and b > EQUILATERAL_APEX:
         branch = prop_unknown_branch(b, gamma)
         certificate, factors = _transplant_certificate(b, gamma, delta, n,

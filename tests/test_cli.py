@@ -1,10 +1,16 @@
 """End-to-end tests of the command-line surface."""
 
+import collections
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from trispec import fem
 from trispec.cli import dispatch
 from trispec.equilateral import enumerate_modes
 
@@ -93,6 +99,48 @@ def test_verify_exit_codes(capsys):
                          "--b", repr(SQRT3), "--n", "1", "--level", "6")
     assert code == 2
     assert json.loads(out)["verdict"] == "inconclusive"
+
+
+def test_theorem1_solves_each_problem_once(capsys, monkeypatch):
+    monkeypatch.setattr(fem, "_SOLVE_CACHE", collections.OrderedDict())
+    counts = {"solve_lowest": 0, "assemble": 0}
+
+    def counting(name):
+        original = getattr(fem, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(fem, name, counting(name))
+    code, out, err = run(capsys, "verify", "theorem1", "--b", "2.5",
+                         "--n", "3", "--level", "5")
+    assert code == 0
+    # one solve and one assembly per level, at the largest k requested
+    assert counts == {"solve_lowest": 2, "assemble": 2}
+    assert [case["n"] for case in json.loads(out)["checks"]] == [1, 2, 3]
+
+
+def test_module_entry_point():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "trispec.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+
+    proc = cli("lattice", "--n", "2")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("lam,count,lower,upper,")
+    assert proc.stderr == ""
+    proc = cli()
+    assert proc.returncode == 64
+    assert "usage" in proc.stderr
 
 
 def test_fem_equilateral(capsys):

@@ -1,9 +1,12 @@
+import collections
 import json
 import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
+from trispec import fem
 from trispec.equilateral import SIGMA_COEFF, sigma
 from trispec.fem import (
     MAX_LEVEL,
@@ -170,6 +173,55 @@ def test_orthonormality_and_residuals():
     assert np.all(res.vectors[mesh.dirichlet_mask()] == 0.0)
 
 
+def test_residuals_bound_the_mass_inverse_norm():
+    # the lumped-mass residual is a guaranteed upper bound, at most 2x off
+    mesh = mesh_triangle(FanTriangle(0.0, 2.5).triangle, 5)
+    res = solve_lowest(mesh, 4)
+    forms = assemble(mesh)
+    idx = np.flatnonzero(~mesh.dirichlet_mask())
+    kk = forms.stiffness[idx][:, idx].tocsc()
+    mm = forms.mass[idx][:, idx].tocsc()
+    mlu = splu(mm)
+    for j in range(4):
+        v = res.vectors[idx, j]
+        r = kk @ v - res.values[j] * (mm @ v)
+        exact = math.sqrt(float(r @ mlu.solve(r)))
+        assert exact <= res.residuals[j] <= 2.0 * exact
+
+
+def test_cache_slices_the_largest_solve(monkeypatch):
+    monkeypatch.setattr(fem, "_SOLVE_CACHE", collections.OrderedDict())
+    calls = []
+    original = fem.solve_lowest
+
+    def counted(mesh, k, dirichlet_edges=(0, 1, 2)):
+        calls.append(k)
+        return original(mesh, k, dirichlet_edges)
+
+    monkeypatch.setattr(fem, "solve_lowest", counted)
+    t = FanTriangle(0.0, 2.5).triangle
+    key = fem._tri_key(t)
+    big = fem._solve_cached(key, 5, 6, (0, 1, 2))
+    sliced = fem._solve_cached(key, 5, 2, (0, 1, 2))
+    assert calls == [6]
+    fresh = original(mesh_triangle(t, 5), 2)
+    np.testing.assert_allclose(sliced.values, fresh.values, rtol=1e-12)
+    assert sliced.vectors.shape[1] == len(sliced.residuals) == 2
+    assert sliced.energies.shape == (2, 3)
+    for n in (1, 2):
+        np.testing.assert_allclose(
+            sliced.energies[:n].sum(axis=0)[1:] / sliced.energies[:n, 0].sum(),
+            fresh.energies[:n].sum(axis=0)[1:] / fresh.energies[:n, 0].sum(),
+            rtol=1e-12, atol=1e-14)
+    np.testing.assert_array_equal(sliced.values, big.values[:2])
+    # only a request for more modes than the entry holds solves again
+    more = fem._solve_cached(key, 5, 7, (0, 1, 2))
+    assert calls == [6, 7]
+    assert fem._solve_cached(key, 5, 3, (0, 1, 2)).values.tolist() == \
+        more.values[:3].tolist()
+    assert calls == [6, 7]
+
+
 def test_solve_validation():
     mesh = mesh_triangle(unit_equilateral(), 2)
     with pytest.raises(ValueError):
@@ -215,9 +267,7 @@ def test_extrapolate_validation():
     r3 = solve_lowest(mesh_triangle(t, 3), 2)
     r4 = solve_lowest(mesh_triangle(t, 4), 2)
     r5 = solve_lowest(mesh_triangle(t, 5), 2)
-    vals = extrapolate(r3, r4)
-    assert r4.extrapolated is vals
-    assert json.loads(r4.to_json())["extrapolated"] == vals.tolist()
+    extrapolate(r3, r4)
     with pytest.raises(ValueError):
         extrapolate(r3, r5)
     other = solve_lowest(mesh_triangle(Triangle([(0, 0), (1, 0), (0, 1)]), 4), 2)
