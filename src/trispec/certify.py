@@ -13,7 +13,6 @@ verification pipeline needs.
 """
 
 import functools
-import json
 import math
 
 import numpy as np
@@ -264,16 +263,6 @@ class CertifiedInterval:
 
     def __contains__(self, value):
         return self.lower <= value <= self.upper
-
-    def to_json(self):
-        out = {
-            "lambda_bar": self.lambda_bar,
-            "epsilon": self.epsilon,
-            "lower": self.lower,
-            "upper": self.upper,
-            "provenance": self.provenance,
-        }
-        return json.dumps(out)
 
     def __repr__(self):
         return (f"CertifiedInterval(lambda_bar={self.lambda_bar!r}, "

@@ -35,9 +35,17 @@ from .equilateral import (
 )
 from .fem import rayleigh_data, solve_extrapolated
 from .geometry import FanTriangle, rectangle_minimizers, triangle_from_json
-from .isosceles import observation_crossing, sweep, verify_monotonicity
+from .isosceles import (
+    ALPHA_MAX,
+    ALPHA_MIN,
+    observation_crossing,
+    sweep,
+    verify_monotonicity,
+)
 from .reports import combine, make_report, to_json
 from .transplant import condCh_verify, theorem1_verify, theorem2_verify
+
+__all__ = ["dispatch", "main"]
 
 VERIFY_TARGETS = ("lemma-explicit", "compequilateral", "theorem1", "theorem2",
                   "condch", "monotonicity", "observation")
@@ -55,47 +63,37 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
-class RunConfig:
-    """Validated flag settings for one invocation."""
+def _validate(args):
+    """Reject out-of-range flag values; flags a subcommand lacks are skipped."""
+    n = getattr(args, "n", None)
+    level = getattr(args, "level", None)
+    steps = getattr(args, "steps", None)
+    b = getattr(args, "b", None)
+    tol = getattr(args, "tol", None)
+    alpha_min = getattr(args, "alpha_min", None)
+    alpha_max = getattr(args, "alpha_max", None)
+    if n is not None and n < 1:
+        raise ValueError("--n must be >= 1")
+    if level is not None and level < 2:
+        raise ValueError("--level must be >= 2")
+    if steps is not None and steps < 2:
+        raise ValueError("--alpha-steps must be >= 2")
+    if b is not None and not (b > 0):
+        raise ValueError("--b must be positive")
+    if tol is not None and tol < 0:
+        raise ValueError("--tol must be nonnegative")
+    if alpha_min is not None and alpha_max is not None \
+            and not (alpha_min < alpha_max):
+        raise ValueError("--alpha-min must lie below --alpha-max")
 
-    def __init__(self, args):
-        self.command = args.command
-        self.target = getattr(args, "target", None)
-        self.triangle = getattr(args, "triangle", None)
-        self.n = getattr(args, "n", None)
-        self.level = getattr(args, "level", None)
-        self.alpha_min = getattr(args, "alpha_min", None)
-        self.alpha_max = getattr(args, "alpha_max", None)
-        self.steps = getattr(args, "steps", None)
-        self.b = getattr(args, "b", None)
-        self.tol = getattr(args, "tol", None)
-        self.mode_class = getattr(args, "mode_class", "full")
-        self.scaling = getattr(args, "scaling", "side")
-        self.out = getattr(args, "out", None)
-        self.format = getattr(args, "format", None)
 
-    def validate(self):
-        if self.n is not None and self.n < 1:
-            raise ValueError("--n must be >= 1")
-        if self.level is not None and self.level < 2:
-            raise ValueError("--level must be >= 2")
-        if self.steps is not None and self.steps < 2:
-            raise ValueError("--alpha-steps must be >= 2")
-        if self.b is not None and not (self.b > 0):
-            raise ValueError("--b must be positive")
-        if self.tol is not None and self.tol < 0:
-            raise ValueError("--tol must be nonnegative")
-        if self.alpha_min is not None and self.alpha_max is not None \
-                and not (self.alpha_min < self.alpha_max):
-            raise ValueError("--alpha-min must lie below --alpha-max")
-        return self
-
-    def alpha_grid(self, lo, hi, steps):
-        """Uniform grid from the alpha flags, with the given defaults."""
-        lo = self.alpha_min if self.alpha_min is not None else lo
-        hi = self.alpha_max if self.alpha_max is not None else hi
-        n = self.steps if self.steps is not None else steps
-        return np.linspace(lo, hi, n)
+def _alpha_grid(args, steps):
+    """Uniform aperture grid from the verify flags; unset ones default to
+    the isosceles window and the given number of steps."""
+    lo = args.alpha_min if args.alpha_min is not None else ALPHA_MIN
+    hi = args.alpha_max if args.alpha_max is not None else ALPHA_MAX
+    n = args.steps if args.steps is not None else steps
+    return np.linspace(lo, hi, n)
 
 
 def _parser():
@@ -132,8 +130,8 @@ def _parser():
                     help="also cross-check against FEM at this level")
 
     sw = sub.add_parser("sweep", help="isosceles tone curves")
-    sw.add_argument("--alpha-min", type=float, default=math.pi / 6.0)
-    sw.add_argument("--alpha-max", type=float, default=2.0 * math.pi / 3.0)
+    sw.add_argument("--alpha-min", type=float, default=ALPHA_MIN)
+    sw.add_argument("--alpha-max", type=float, default=ALPHA_MAX)
     sw.add_argument("--alpha-steps", dest="steps", type=int, default=31)
     sw.add_argument("--level", type=int, default=6)
     sw.add_argument("--scaling", default="side",
@@ -155,17 +153,17 @@ def _parser():
     return p
 
 
-def _cmd_spectrum(cfg):
-    table = enumerate_modes(cfg.n, cfg.mode_class)
-    if cfg.format == "json":
+def _cmd_spectrum(args):
+    table = enumerate_modes(args.n, args.mode_class)
+    if args.format == "json":
         rows = [{"j": j, "m": m.m, "n": m.n, "q": m.q}
                 for j, m in enumerate(table.modes, start=1)]
-        return to_json({"class": cfg.mode_class, "modes": rows}) + "\n", 0
+        return to_json({"class": args.mode_class, "modes": rows}) + "\n", 0
     return table.to_csv(), 0
 
 
-def _cmd_lattice(cfg):
-    lams = np.geomspace(48.0 * math.pi**2, 1e6, cfg.n + 1)[1:]
+def _cmd_lattice(args):
+    lams = np.geomspace(48.0 * math.pi**2, 1e6, args.n + 1)[1:]
     lines = ["lam,count,lower,upper,count_antisym,upper_antisym,ok"]
     all_ok = True
     for lam in lams:
@@ -180,10 +178,10 @@ def _cmd_lattice(cfg):
     return "\n".join(lines) + "\n", 0 if all_ok else 1
 
 
-def _verify_theorem1(cfg):
-    bs = [cfg.b] if cfg.b is not None else list(THEOREM1_APEXES)
-    n_max = cfg.n if cfg.n is not None else 6
-    level = cfg.level if cfg.level is not None else 7
+def _verify_theorem1(args):
+    bs = [args.b] if args.b is not None else list(THEOREM1_APEXES)
+    n_max = args.n if args.n is not None else 6
+    level = args.level if args.level is not None else 7
     cases = []
     for b in bs:
         # Largest n first: every smaller n is then served from the solver
@@ -196,54 +194,53 @@ def _verify_theorem1(cfg):
         cases, apexes=bs, n_max=n_max, level=level)
 
 
-def _cmd_verify(cfg):
-    target = cfg.target
+def _cmd_verify(args):
+    target = args.target
     if target == "lemma-explicit":
         report = verify_lemma_explicit()
     elif target == "compequilateral":
-        report = verify_compequilateral(cfg.n if cfg.n is not None else 110)
+        report = verify_compequilateral(args.n if args.n is not None else 110)
     elif target == "theorem1":
-        report = _verify_theorem1(cfg)
+        report = _verify_theorem1(args)
     elif target == "theorem2":
-        report = theorem2_verify(cfg.b if cfg.b is not None else 2.5,
-                                 level=cfg.level if cfg.level else 7)
+        report = theorem2_verify(args.b if args.b is not None else 2.5,
+                                 level=args.level if args.level else 7)
     elif target == "condch":
-        report = condCh_verify(cfg.b if cfg.b is not None else 2.5)
+        report = condCh_verify(args.b if args.b is not None else 2.5)
     elif target == "monotonicity":
-        grid = cfg.alpha_grid(math.pi / 6.0, 2.0 * math.pi / 3.0, 80)
-        table = sweep(grid, "side", cfg.level if cfg.level else 6)
+        table = sweep(_alpha_grid(args, 80), "side",
+                      args.level if args.level else 6)
         report = verify_monotonicity(table)
     else:
         grid = None
-        if (cfg.alpha_min, cfg.alpha_max, cfg.steps) != (None, None, None):
+        if (args.alpha_min, args.alpha_max, args.steps) != (None, None, None):
             # 41 keeps pi/3 off the uniform grid, where the gap degenerates
-            grid = cfg.alpha_grid(math.pi / 6.0, 2.0 * math.pi / 3.0, 41)
+            grid = _alpha_grid(args, 41)
         report = observation_crossing(
-            grid=grid, level=cfg.level if cfg.level else 7)
+            grid=grid, level=args.level if args.level else 7)
     return to_json(report) + "\n", EXIT_BY_VERDICT[report["verdict"]]
 
 
-def _cmd_fem(cfg):
-    t = triangle_from_json(cfg.triangle)
-    level = cfg.level if cfg.level is not None else 6
-    vals, errs, _ = solve_extrapolated(t, cfg.n, level)
-    out = {"triangle": t.vertices.tolist(), "level": level,
+def _cmd_fem(args):
+    t = triangle_from_json(args.triangle)
+    vals, errs, _ = solve_extrapolated(t, args.n, args.level)
+    out = {"triangle": t.vertices.tolist(), "level": args.level,
            "values": list(vals), "errors": list(errs)}
     code = 0
-    if cfg.tol is not None and float(np.max(errs)) > cfg.tol:
+    if args.tol is not None and float(np.max(errs)) > args.tol:
         code = 2
     return to_json(out) + "\n", code
 
 
-def _cmd_certify(cfg):
-    report = lemma62_verify(fem_level=cfg.level)
+def _cmd_certify(args):
+    report = lemma62_verify(fem_level=args.level)
     return to_json(report) + "\n", EXIT_BY_VERDICT[report["verdict"]]
 
 
-def _cmd_sweep(cfg):
-    grid = cfg.alpha_grid(math.pi / 6.0, 2.0 * math.pi / 3.0, 31)
-    table = sweep(grid, cfg.scaling, cfg.level if cfg.level else 6)
-    if cfg.format == "json":
+def _cmd_sweep(args):
+    grid = np.linspace(args.alpha_min, args.alpha_max, args.steps)
+    table = sweep(grid, args.scaling, args.level)
+    if args.format == "json":
         payload = {"scaling": table.scaling,
                    "alpha": list(table.alpha),
                    "lambda1": list(table.lambda1),
@@ -253,13 +250,12 @@ def _cmd_sweep(cfg):
     return table.to_csv(), 0
 
 
-def _cmd_rectangle(cfg):
+def _cmd_rectangle(args):
     mins = rectangle_minimizers()
-    tol = cfg.tol or 0.0
     checks = [
         make_report(
             f"aspect angle minimizing {name} lies strictly below the square",
-            entry["phi"], math.pi / 4.0 - tol, mode="<", value=entry["value"])
+            entry["phi"], math.pi / 4.0 - args.tol, mode="<", value=entry["value"])
         for name, entry in sorted(mins.items())
     ]
     report = combine("the square is not the diameter-normalized minimizer",
@@ -267,9 +263,9 @@ def _cmd_rectangle(cfg):
     return to_json(report) + "\n", EXIT_BY_VERDICT[report["verdict"]]
 
 
-def _cmd_gamma(cfg):
-    data = rayleigh_data(FanTriangle(0.0, cfg.b), cfg.n, cfg.level)
-    out = {"b": cfg.b, "n": data.n, "level": cfg.level,
+def _cmd_gamma(args):
+    data = rayleigh_data(FanTriangle(0.0, args.b), args.n, args.level)
+    out = {"b": args.b, "n": data.n, "level": args.level,
            "gamma_n": data.gamma_n, "delta_n": data.delta_n}
     return to_json(out) + "\n", 0
 
@@ -300,16 +296,20 @@ def dispatch(argv):
         print(parser.format_usage(), file=sys.stderr)
         return 64
     try:
-        cfg = RunConfig(args).validate()
-        text, code = _HANDLERS[cfg.command](cfg)
+        _validate(args)
+        text, code = _HANDLERS[args.command](args)
     except ValueError as exc:
         print(f"trispec {args.command}: {exc}", file=sys.stderr)
         return 64
-    if cfg.out is not None:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
-    else:
+    if args.out is None:
         sys.stdout.write(text)
+        return code
+    try:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"trispec {args.command}: {exc}", file=sys.stderr)
+        return 64
     return code
 
 

@@ -13,7 +13,6 @@ fraction of Dirichlet energy carried by those derivatives.
 """
 
 import collections
-import json
 import math
 
 import numpy as np
@@ -36,7 +35,6 @@ __all__ = [
     "extrapolate",
     "solve_extrapolated",
     "rayleigh_data",
-    "classify_second_mode",
 ]
 
 MAX_LEVEL = 10
@@ -80,16 +78,6 @@ class Mesh:
         for e in dirichlet_edges:
             mask |= self.edge_flags[:, e]
         return mask
-
-    def to_text(self):
-        """Indexed-triangle text format: v lines then e lines."""
-        lines = [f"# mesh level {self.level}: "
-                 f"{self.num_vertices} vertices, {self.num_elements} elements"]
-        for x, y in self.vertices:
-            lines.append(f"v {x!r} {y!r}")
-        for a, b, c in self.elements:
-            lines.append(f"e {a} {b} {c}")
-        return "\n".join(lines) + "\n"
 
 
 def mesh_triangle(t, level):
@@ -187,34 +175,33 @@ def assemble(mesh):
 
 
 class EigenResult:
-    """Lowest-k discrete eigenpairs of one mesh.
+    """Lowest-k discrete eigenpairs of one triangle at one mesh level.
 
     values ascend; vectors are full-vertex coefficient columns (zero on the
     constrained boundary), mass-orthonormal.  residuals[j] bounds the
     mass-inverse norm of K v_j - values[j] M v_j from above by twice its
     lumped-mass dual norm (see solve_lowest).  energies[j] holds the
     total, y-y and x-y stiffness energies of vectors[:, j].  Every array is
-    per mode, so the first k' < k modes are leading(k').
+    per mode, so the first k' < k modes are leading(k').  Only the triangle
+    and level of the mesh are kept, so a cached result does not hold the
+    mesh alive.
     """
 
-    def __init__(self, mesh, values, vectors, residuals, energies,
+    def __init__(self, triangle, level, values, vectors, residuals, energies,
                  dirichlet_edges):
-        self.mesh = mesh
+        self.triangle = triangle
+        self.level = level
         self.values = values
         self.vectors = vectors
         self.residuals = residuals
         self.energies = energies
         self.dirichlet_edges = tuple(dirichlet_edges)
 
-    @property
-    def level(self):
-        return self.mesh.level
-
     def leading(self, k):
         """The first k modes, as views into this result's arrays."""
-        return EigenResult(self.mesh, self.values[:k], self.vectors[:, :k],
-                           self.residuals[:k], self.energies[:k],
-                           self.dirichlet_edges)
+        return EigenResult(self.triangle, self.level, self.values[:k],
+                           self.vectors[:, :k], self.residuals[:k],
+                           self.energies[:k], self.dirichlet_edges)
 
 
 def solve_lowest(mesh, k, dirichlet_edges=(0, 1, 2)):
@@ -278,7 +265,8 @@ def solve_lowest(mesh, k, dirichlet_edges=(0, 1, 2)):
     energies = np.column_stack([
         np.sum(full_vecs * (form @ full_vecs), axis=0)
         for form in (forms.stiffness, forms.stiffness_yy, forms.stiffness_xy)])
-    return EigenResult(mesh, vals, full_vecs, resid, energies, dirichlet_edges)
+    return EigenResult(mesh.triangle, mesh.level, vals, full_vecs, resid,
+                       energies, dirichlet_edges)
 
 
 def extrapolate(coarse, fine):
@@ -288,8 +276,8 @@ def extrapolate(coarse, fine):
     """
     if fine.level != coarse.level + 1:
         raise ValueError("fine level must be coarse level + 1")
-    if not np.allclose(fine.mesh.triangle.vertices,
-                       coarse.mesh.triangle.vertices, rtol=0, atol=1e-14):
+    if not np.allclose(fine.triangle.vertices, coarse.triangle.vertices,
+                       rtol=0, atol=1e-14):
         raise ValueError("extrapolation requires the same triangle")
     if fine.dirichlet_edges != coarse.dirichlet_edges:
         raise ValueError("extrapolation requires the same boundary conditions")
@@ -365,10 +353,6 @@ class RayleighData:
         self.delta_n = float(delta_n)
         self.n = int(n)
 
-    def to_json(self):
-        return json.dumps({"gamma_n": self.gamma_n, "delta_n": self.delta_n,
-                           "n": self.n})
-
 
 def _energy_fractions(t, n, level):
     res = _solve_cached(_tri_key(t), level, n + 1, (0, 1, 2))
@@ -395,24 +379,3 @@ def rayleigh_data(f, n, level):
     gamma = g_fine + (g_fine - g_coarse) / 3.0
     delta = d_fine + (d_fine - d_coarse) / 3.0
     return RayleighData(gamma, delta, n)
-
-
-def classify_second_mode(t, level, alpha_tol=1e-3):
-    """Symmetry class of the second mode of an isosceles triangle.
-
-    Solves the two half-triangle problems: full Dirichlet gives the lowest
-    antisymmetric tone, Neumann on the symmetry line gives the symmetric
-    tones (the first of which is the fundamental).  Near the equilateral
-    aperture the classes cross and the question is ill-posed; raises there.
-    """
-    if abs(t.alpha - math.pi / 3.0) < alpha_tol:
-        raise ValueError("aperture too close to pi/3: second mode is degenerate")
-    half = t.half_triangle
-    anti, anti_err, _ = solve_extrapolated(half, 1, level, (0, 1, 2))
-    sym, sym_err, _ = solve_extrapolated(half, 2, level, (1, 2))
-    lam_a = anti[0]
-    lam_s = sym[1]
-    err = anti_err[0] + sym_err[1]
-    if abs(lam_s - lam_a) < 3.0 * err:
-        raise ValueError("half-triangle tones too close to classify at this level")
-    return "symmetric" if lam_s < lam_a else "antisymmetric"

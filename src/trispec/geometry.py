@@ -1,10 +1,10 @@
-"""Planar triangles and the scale functionals used to normalize their spectra.
+"""Planar triangles and the closed-form facts about their spectra.
 
 Dirichlet eigenvalues scale like 1/length^2, so every inequality in this
 package is stated for a scale-invariant product: eigenvalue times squared
 diameter, squared perimeter, or area.  This module holds the triangle types,
-those functionals, and the closed-form facts (Polya-type bounds, rectangle
-spectra) that the verification routines compare against.
+which carry those functionals, and the closed-form facts (Polya-type bounds,
+rectangle spectra) that the verification routines compare against.
 """
 
 import json
@@ -17,18 +17,12 @@ __all__ = [
     "Triangle",
     "FanTriangle",
     "IsoscelesAperture",
-    "ScaleFunctionals",
-    "AffineMap",
     "EQUILATERAL_APEX",
-    "diameter",
-    "scale_functionals",
-    "tau_map",
     "subequilateral_hull",
     "polya_upper",
     "classical_lower",
     "rectangle_eigen",
     "rectangle_minimizers",
-    "triangle_to_json",
     "triangle_from_json",
 ]
 
@@ -48,7 +42,10 @@ class Triangle:
     """
 
     def __init__(self, vertices):
-        v = np.asarray(vertices, dtype=float)
+        try:
+            v = np.asarray(vertices, dtype=float)
+        except TypeError as err:
+            raise ValueError(f"vertices must be numbers: {err}") from err
         if v.shape != (3, 2):
             raise ValueError(f"expected three planar vertices, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
@@ -190,73 +187,6 @@ class IsoscelesAperture:
         s = self.l * math.sin(self.alpha / 2.0)
         return Triangle([(0.0, 0.0), (c, 0.0), (c, s)])
 
-    @property
-    def functionals(self):
-        a = self.alpha
-        area = 0.5 * self.l**2 * math.sin(a)
-        perim = 2.0 * self.l * (1.0 + math.sin(a / 2.0))
-        # The equal sides dominate up to aperture pi/3, the base beyond.
-        diam = self.l if a <= math.pi / 3.0 else 2.0 * self.l * math.sin(a / 2.0)
-        return ScaleFunctionals(area, perim, diam)
-
-
-class ScaleFunctionals:
-    """Area, perimeter and diameter of a domain, bundled."""
-
-    __slots__ = ("area", "perimeter", "diameter")
-
-    def __init__(self, area, perimeter, diameter):
-        self.area = float(area)
-        self.perimeter = float(perimeter)
-        self.diameter = float(diameter)
-
-    def __iter__(self):
-        return iter((self.area, self.perimeter, self.diameter))
-
-    def __repr__(self):
-        return (f"ScaleFunctionals(area={self.area!r}, "
-                f"perimeter={self.perimeter!r}, diameter={self.diameter!r})")
-
-
-def diameter(t):
-    """Diameter of a Triangle (largest pairwise vertex distance)."""
-    return t.diameter
-
-
-def scale_functionals(t):
-    """ScaleFunctionals(area, perimeter, diameter) of a Triangle."""
-    return ScaleFunctionals(t.area, t.perimeter, t.diameter)
-
-
-class AffineMap:
-    """Affine map x -> M x + shift acting on points or point arrays."""
-
-    def __init__(self, matrix, shift=(0.0, 0.0)):
-        self.matrix = np.asarray(matrix, dtype=float).reshape(2, 2)
-        self.shift = np.asarray(shift, dtype=float).reshape(2)
-        if abs(np.linalg.det(self.matrix)) < 1e-300:
-            raise ValueError("affine map must be invertible")
-
-    def __call__(self, points):
-        p = np.asarray(points, dtype=float)
-        return p @ self.matrix.T + self.shift
-
-    def inverse(self):
-        inv = np.linalg.inv(self.matrix)
-        return AffineMap(inv, -inv @ self.shift)
-
-
-def tau_map(a, b, c, d):
-    """Affine map fixing the base corners and sending apex (c, d) to (a, b).
-
-    This is the linear interpolation map between fan triangles: it carries
-    T(c, d) onto T(a, b) and is the change of variables behind the trial
-    function transplantation estimates.  Requires b > 0 and d > 0.
-    """
-    if not (b > 0 and d > 0):
-        raise ValueError("apex heights must be positive")
-    return AffineMap([[1.0, (a - c) / d], [0.0, b / d]])
-
 
 def subequilateral_hull(t):
     """Isosceles subequilateral triangle containing a congruent copy of t.
@@ -332,11 +262,6 @@ def rectangle_minimizers():
     return out
 
 
-def triangle_to_json(t):
-    """Serialize a Triangle as a JSON array of three [x, y] pairs."""
-    return json.dumps(t.vertices.tolist())
-
-
 def triangle_from_json(text):
-    """Inverse of triangle_to_json; validates shape and nondegeneracy."""
+    """Triangle from a JSON array of three [x, y] pairs, validated."""
     return Triangle(json.loads(text))

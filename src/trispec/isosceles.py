@@ -14,9 +14,8 @@ import math
 
 import numpy as np
 
-from .equilateral import sigma
 from .fem import solve_extrapolated
-from .geometry import IsoscelesAperture, Triangle
+from .geometry import IsoscelesAperture
 from .reports import combine, make_report
 
 __all__ = [
@@ -26,7 +25,6 @@ __all__ = [
     "default_grid",
     "find_min",
     "verify_monotonicity",
-    "verify_right_family",
     "observation_crossing",
 ]
 
@@ -42,16 +40,21 @@ MONOTONE_MAX_SPACING = 0.02
 
 
 def scale_factor(alpha, scaling, l=1.0):
-    """Normalization multiplying a raw eigenvalue at unit equal side."""
-    f = IsoscelesAperture(alpha, l).functionals
+    """Normalization multiplying a raw eigenvalue at unit equal side.
+
+    Squared side, squared diameter, squared perimeter or area of the
+    isosceles triangle with aperture alpha and equal sides l.
+    """
     if scaling == "side":
         return l * l
     if scaling == "diameter":
-        return f.diameter ** 2
+        # The equal sides dominate up to aperture pi/3, the base beyond.
+        diam = l if alpha <= math.pi / 3.0 else 2.0 * l * math.sin(alpha / 2.0)
+        return diam ** 2
     if scaling == "perimeter":
-        return f.perimeter ** 2
+        return (2.0 * l * (1.0 + math.sin(alpha / 2.0))) ** 2
     if scaling == "area":
-        return f.area
+        return 0.5 * l**2 * math.sin(alpha)
     raise ValueError(f"unknown scaling {scaling!r}")
 
 
@@ -279,64 +282,6 @@ def verify_monotonicity(table):
         "tones hold on the sweep grid",
         checks, scaling=table.scaling, points=len(table),
         spacing=float(np.max(np.diff(table.alpha))))
-
-
-def right_triangle(alpha, hypotenuse=1.0):
-    """Right triangle with smallest angle alpha and given hypotenuse."""
-    if not (0.0 < alpha <= math.pi / 4.0):
-        raise ValueError("smallest angle must lie in (0, pi/4]")
-    c = hypotenuse * math.cos(alpha)
-    s = hypotenuse * math.sin(alpha)
-    return Triangle([(0.0, 0.0), (c, 0.0), (c, s)])
-
-
-def verify_right_family(grid=None, level=6):
-    """Verify that the area-scaled fundamental tone of right triangles
-    falls as the smallest angle grows toward pi/4.
-
-    Endpoint cross-checks: at pi/4 the triangle is half a square, at pi/6
-    half an equilateral triangle, and both fundamentals are known exactly.
-    """
-    if grid is None:
-        grid = np.linspace(0.16, math.pi / 4.0, 13)
-    grid = np.asarray(grid, dtype=float)
-    if np.any(grid <= 0.15) or np.any(grid > math.pi / 4.0 + 1e-12):
-        raise ValueError("angles must lie in (0.15, pi/4]")
-    vals, errs = [], []
-    for a in grid:
-        lam, err, _ = solve_extrapolated(right_triangle(float(a)), 1, level)
-        area = 0.25 * math.sin(2.0 * float(a))
-        vals.append(float(lam[0]) * area)
-        errs.append(float(err[0]) * area)
-    vals = np.array(vals)
-    errs = np.array(errs)
-    diffs = np.diff(vals)
-    worst = int(np.argmax(diffs))
-    # same sign-of-differences reasoning as the aperture sweeps
-    checks = [make_report(
-        "area-scaled fundamental tone decreasing in the smallest angle",
-        float(diffs[worst]), 0.0, mode="<",
-        pair_error=float(errs[worst] + errs[worst + 1]),
-        worst_angle=float(grid[worst]))]
-
-    # half square: legs cos(pi/4), lowest mode (1, 2) of the square
-    lam, err, _ = solve_extrapolated(right_triangle(math.pi / 4.0), 1, level)
-    exact = 5.0 * math.pi ** 2 / math.cos(math.pi / 4.0) ** 2
-    checks.append(make_report(
-        "fundamental tone at pi/4 matches the half-square value",
-        float(lam[0]), exact, mode="==", tol=max(3.0 * float(err[0]),
-                                                 1e-9 * exact)))
-    # half equilateral: hypotenuse 1 means unit side
-    lam, err, _ = solve_extrapolated(right_triangle(math.pi / 6.0), 1, level)
-    exact = sigma(2, 1, sidelength=1.0)
-    checks.append(make_report(
-        "fundamental tone at pi/6 matches the half-equilateral value",
-        float(lam[0]), exact, mode="==", tol=max(3.0 * float(err[0]),
-                                                 1e-9 * exact)))
-    return combine(
-        "area-scaled fundamental tone of right triangles decreases toward "
-        "the isosceles end",
-        checks, points=int(grid.size), level=level)
 
 
 def observation_crossing(grid=None, level=7):

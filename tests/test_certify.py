@@ -1,6 +1,5 @@
 """Tests for Bessel utilities and the certified eigenvalue enclosure."""
 
-import json
 import math
 
 import numpy as np
@@ -206,14 +205,6 @@ def test_interval_arithmetic():
         CertifiedInterval(100.0, 1.0)
     with pytest.raises(ValueError, match="lambda_bar"):
         CertifiedInterval(-1.0, 0.5)
-
-
-def test_interval_json():
-    iv = CertifiedInterval(50.0, 0.1, provenance={"heuristic": True})
-    data = json.loads(iv.to_json())
-    assert data["lower"] == pytest.approx(50.0 / 1.1)
-    assert data["upper"] == pytest.approx(50.0 / 0.9)
-    assert data["provenance"]["heuristic"] is True
 
 
 def test_moler_payne():

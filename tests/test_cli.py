@@ -44,9 +44,38 @@ def test_help_exits_zero(capsys):
 
 
 def test_bad_flag_value(capsys):
-    code, out, err = run(capsys, "spectrum", "--n", "0")
+    tri = "[[0, 0], [1, 0], [0, 1]]"
+    cases = [
+        (("spectrum", "--n", "0"), "--n"),
+        (("fem", tri, "--level", "1"), "--level"),
+        (("sweep", "--alpha-steps", "1"), "--alpha-steps"),
+        (("gamma", "--b", "-1"), "--b"),
+        (("rectangle", "--tol", "-1"), "--tol"),
+        (("sweep", "--alpha-min", "2", "--alpha-max", "1"), "--alpha-min"),
+    ]
+    for argv, flag in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 64, argv
+        assert flag in err, argv
+        assert out == ""
+
+
+def test_non_numeric_triangle_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "fem", '{"a": 1}')
     assert code == 64
-    assert "--n" in err
+    assert out == ""
+    assert err.startswith("trispec fem: ")
+    assert err.count("\n") == 1
+
+
+def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, "lattice", "--n", "2", "--out", str(path))
+    assert code == 64
+    assert out == ""
+    assert err.startswith("trispec lattice: ")
+    assert str(path) in err
+    assert not path.exists()
 
 
 def test_deep_validation_error(capsys):

@@ -1,5 +1,4 @@
 import collections
-import json
 import math
 
 import numpy as np
@@ -10,7 +9,6 @@ from trispec import fem
 from trispec.equilateral import SIGMA_COEFF, sigma
 from trispec.fem import (
     MAX_LEVEL,
-    classify_second_mode,
     extrapolate,
     mesh_triangle,
     assemble,
@@ -18,7 +16,7 @@ from trispec.fem import (
     solve_extrapolated,
     solve_lowest,
 )
-from trispec.geometry import EQUILATERAL_APEX, FanTriangle, IsoscelesAperture, Triangle
+from trispec.geometry import EQUILATERAL_APEX, FanTriangle, Triangle
 
 
 def unit_equilateral():
@@ -68,16 +66,6 @@ def test_dirichlet_mask():
     one = mesh.dirichlet_mask((0,))
     assert int(one.sum()) == 2 ** 3 + 1
     assert int(mesh.dirichlet_mask(()).sum()) == 0
-
-
-def test_mesh_to_text():
-    mesh = mesh_triangle(unit_equilateral(), 1)
-    text = mesh.to_text()
-    lines = text.strip().split("\n")
-    assert lines[0].startswith("# mesh level 1")
-    assert sum(1 for l in lines if l.startswith("v ")) == 6
-    assert sum(1 for l in lines if l.startswith("e ")) == 4
-    assert text == mesh_triangle(unit_equilateral(), 1).to_text()
 
 
 def test_assemble_single_element():
@@ -222,6 +210,17 @@ def test_cache_slices_the_largest_solve(monkeypatch):
     assert calls == [6, 7]
 
 
+def test_cached_results_do_not_hold_meshes(monkeypatch):
+    monkeypatch.setattr(fem, "_SOLVE_CACHE", collections.OrderedDict())
+    t = FanTriangle(0.0, 2.5).triangle
+    solve_extrapolated(t, 3, 5)
+    assert len(fem._SOLVE_CACHE) == 2
+    for (_, level, _), res in fem._SOLVE_CACHE.items():
+        assert not any(isinstance(v, fem.Mesh) for v in vars(res).values())
+        assert res.level == level
+        np.testing.assert_array_equal(res.triangle.vertices, t.vertices)
+
+
 def test_solve_validation():
     mesh = mesh_triangle(unit_equilateral(), 2)
     with pytest.raises(ValueError):
@@ -300,8 +299,6 @@ def test_rayleigh_subequilateral():
     rd = rayleigh_data(FanTriangle(0.0, 2.5), 2, 5)
     assert 0.0 < rd.gamma_n < 1.0
     assert abs(rd.delta_n) < 1e-7  # mirror-symmetric triangle and mesh
-    d = json.loads(rd.to_json())
-    assert set(d) == {"gamma_n", "delta_n", "n"}
 
 
 def test_rayleigh_refuses_cluster():
@@ -309,10 +306,3 @@ def test_rayleigh_refuses_cluster():
         rayleigh_data(FanTriangle(0.0, EQUILATERAL_APEX), 2, 4)
     with pytest.raises(ValueError):
         rayleigh_data(FanTriangle(0.0, 2.5), 0, 4)
-
-
-def test_classify_second_mode():
-    assert classify_second_mode(IsoscelesAperture(math.pi / 4), 5) == "symmetric"
-    assert classify_second_mode(IsoscelesAperture(math.pi / 2), 5) == "antisymmetric"
-    with pytest.raises(ValueError):
-        classify_second_mode(IsoscelesAperture(math.pi / 3 + 1e-4), 5)

@@ -6,21 +6,17 @@ import pytest
 
 from trispec.geometry import (
     EQUILATERAL_APEX,
-    AffineMap,
     FanTriangle,
     IsoscelesAperture,
     Triangle,
     classical_lower,
-    diameter,
     polya_upper,
     rectangle_eigen,
     rectangle_minimizers,
-    scale_functionals,
     subequilateral_hull,
-    tau_map,
     triangle_from_json,
-    triangle_to_json,
 )
+from trispec.isosceles import scale_factor
 
 
 def unit_equilateral():
@@ -41,7 +37,6 @@ def test_basic_functionals():
     assert t.area == pytest.approx(0.5)
     assert t.perimeter == pytest.approx(2 + math.sqrt(2))
     assert t.diameter == pytest.approx(math.sqrt(2))
-    assert diameter(t) == t.diameter
     # side i is opposite vertex i
     np.testing.assert_allclose(t.side_lengths, [math.sqrt(2), 1.0, 1.0])
     assert np.sum(t.angles) == pytest.approx(math.pi, rel=1e-12)
@@ -112,19 +107,19 @@ def test_isosceles_aperture():
     iso = IsoscelesAperture(math.pi / 3)
     t = iso.triangle
     assert t.side_lengths == pytest.approx([1, 1, 1], rel=1e-12)
-    a, l, d = iso.functionals
-    assert a == pytest.approx(math.sqrt(3) / 4, rel=1e-12)
-    assert l == pytest.approx(3.0, rel=1e-12)
-    assert d == pytest.approx(1.0)
-    # functionals agree with direct triangle computation
+    a = math.pi / 3
+    assert scale_factor(a, "area") == pytest.approx(math.sqrt(3) / 4, rel=1e-12)
+    assert scale_factor(a, "perimeter") == pytest.approx(9.0, rel=1e-12)
+    assert scale_factor(a, "diameter") == pytest.approx(1.0)
+    # sweep scale factors agree with direct triangle computation
     rng = np.random.default_rng(3)
     for alpha in rng.uniform(0.2, math.pi - 0.2, size=12):
-        iso = IsoscelesAperture(alpha, l=1.7)
-        t = iso.triangle
-        f = iso.functionals
-        assert f.area == pytest.approx(t.area, rel=1e-12)
-        assert f.perimeter == pytest.approx(t.perimeter, rel=1e-12)
-        assert f.diameter == pytest.approx(t.diameter, rel=1e-12)
+        t = IsoscelesAperture(alpha, l=1.7).triangle
+        assert scale_factor(alpha, "area", 1.7) == pytest.approx(t.area, rel=1e-12)
+        assert scale_factor(alpha, "perimeter", 1.7) == pytest.approx(
+            t.perimeter ** 2, rel=1e-12)
+        assert scale_factor(alpha, "diameter", 1.7) == pytest.approx(
+            t.diameter ** 2, rel=1e-12)
     half = IsoscelesAperture(math.pi / 2, l=1.0).half_triangle
     assert half.area == pytest.approx(0.25, rel=1e-12)
     with pytest.raises(ValueError):
@@ -133,38 +128,6 @@ def test_isosceles_aperture():
         IsoscelesAperture(math.pi)
     with pytest.raises(ValueError):
         IsoscelesAperture(1.0, l=-1)
-
-
-def test_scale_functionals_function():
-    t = unit_equilateral()
-    f = scale_functionals(t)
-    assert tuple(f) == pytest.approx((math.sqrt(3) / 4, 3.0, 1.0), rel=1e-12)
-
-
-def test_tau_map_examples():
-    tau = tau_map(0.0, 3.0, 1.0, 2 * math.sqrt(3))
-    np.testing.assert_allclose(tau((1.0, 2 * math.sqrt(3))), (0.0, 3.0), atol=1e-14)
-    np.testing.assert_allclose(tau((1.0, 0.0)), (1.0, 0.0), atol=1e-15)
-    np.testing.assert_allclose(tau((-1.0, 0.0)), (-1.0, 0.0), atol=1e-15)
-
-
-def test_tau_map_roundtrip_and_validation():
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        a, c = rng.uniform(-2, 2, size=2)
-        b, d = rng.uniform(0.3, 4, size=2)
-        tau = tau_map(a, b, c, d)
-        pts = rng.uniform(-3, 3, size=(20, 2))
-        np.testing.assert_allclose(tau.inverse()(tau(pts)), pts, atol=1e-12)
-        # carries the source fan triangle onto the target one
-        np.testing.assert_allclose(tau(FanTriangle(c, d).triangle.vertices),
-                                   FanTriangle(a, b).triangle.vertices, atol=1e-12)
-    with pytest.raises(ValueError):
-        tau_map(0.0, 1.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        tau_map(0.0, -1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        AffineMap([[1.0, 0.0], [2.0, 0.0]])
 
 
 def test_hull_known_cases():
@@ -258,8 +221,7 @@ def test_rectangle_minimizers_closed_form():
 
 def test_triangle_json_roundtrip():
     t = Triangle([(0, 0), (1.25, 0), (0.3, 2.0)])
-    s = triangle_to_json(t)
-    assert json.loads(s) == t.vertices.tolist()
+    s = json.dumps(t.vertices.tolist())
     t2 = triangle_from_json(s)
     np.testing.assert_array_equal(t2.vertices, t.vertices)
     with pytest.raises(ValueError):

@@ -12,11 +12,9 @@ from trispec.isosceles import (
     default_grid,
     find_min,
     observation_crossing,
-    right_triangle,
     scale_factor,
     sweep,
     verify_monotonicity,
-    verify_right_family,
 )
 
 PI = math.pi
@@ -190,17 +188,6 @@ def test_corner_at_equilateral_aperture():
     err = (abs(vals[2] - 2 * vals[1] + vals[0])
            + abs(vals[5] - 2 * vals[4] + vals[3])) / h
     assert abs(right - left) > 10.0 * err
-
-
-def test_right_family():
-    r = verify_right_family()
-    assert r["verdict"] == "pass"
-    for c in r["checks"]:
-        assert c["verdict"] == "pass", c["claim"]
-    with pytest.raises(ValueError, match="angles"):
-        verify_right_family(grid=[0.1, 0.2])
-    with pytest.raises(ValueError, match="smallest angle"):
-        right_triangle(1.0)
 
 
 def test_observation_crossing_default():
