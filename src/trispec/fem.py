@@ -1,26 +1,41 @@
-"""P1 finite elements on uniformly refined triangles.
+"""P1 finite elements on uniformly refined triangles, built from lattice stencils.
 
-Meshes are the barycentric lattice of a single triangle (4^level congruent
-elements), assembly uses the exact stiffness and mass formulas for linear
-elements (no quadrature error), and the generalized symmetric pencil on the
-interior degrees of freedom is solved by shift-invert Lanczos at shift 0.
-Discrete eigenvalues are upper bounds for the true ones (conforming
-subspace) and converge at O(h^2), which Richardson extrapolation removes.
+A mesh of level L is the barycentric lattice of one triangle with 2^L
+subdivisions per side: 4^L congruent elements, the up triangles translates
+of one element and the down triangles its point reflections.  Every lattice
+edge is parallel to one of the three sides, and what an element adds to a
+gradient form with constant coefficients depends only on the direction of
+the edge it couples.  So the stiffness (cotangent weights) and its y-y and
+symmetrized x-y parts are each sum_d w_d(T) L_d over three edge-direction
+lattice Laplacians L_d, which give each edge weight 1 on the boundary and 2
+inside (the number of elements sharing it); the mass is
+(area / 4^L) sum_d |L_d| / 12.  These are the exact formulas for linear
+elements (no quadrature error).
 
-Directional stiffness forms (the y-y and symmetrized x-y energies) are
-assembled alongside, since the transplantation conditions are driven by the
-fraction of Dirichlet energy carried by those derivatives.
+The L_d, restricted to the vertices off the Dirichlet edges, come from
+index arithmetic on the lattice and are cached per (level, Dirichlet
+edges), so assembling a triangle means computing nine weights and one
+matrix-vector product per form.  The generalized symmetric pencil on those
+vertices is solved by shift-invert Lanczos at shift 0; the stiffness is
+factored once per solve by a symmetric-mode sparse LU (minimum-degree
+ordering of K + K^T, no pivoting, since K is positive definite).  Discrete
+eigenvalues are upper bounds for the true ones (conforming subspace) and
+converge at O(h^2), which Richardson extrapolation removes.
+
+The transplantation conditions are driven by the fraction of Dirichlet
+energy carried by the y-y and x-y derivatives, so each solve also records
+the per-mode energies (v^T L_d v) combined by the weights of those forms.
 """
 
 import collections
+import functools
 import math
 
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh
-# splu is not called here; perfbench/tracing.py still wraps trispec.fem.splu
-# by name, so the name stays.
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh, splu  # noqa: F401
+from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
+                                 splu)
 
 from .geometry import Triangle
 
@@ -44,40 +59,85 @@ ARPACK_MAXITER = 500
 DENSE_CUTOFF = 360
 # Relative gap under which two discrete eigenvalues count as one cluster.
 CLUSTER_RTOL = 1e-6
-# Entries of the solver cache, one per (triangle, level, Dirichlet edges).
-SOLVE_CACHE_SIZE = 1024
+# Bytes of eigenvectors the solver cache may hold; one level-9 solve with
+# seven modes is 7.4 MB.
+SOLVE_CACHE_BYTES = 256 << 20
+# Stencils kept, one per (level, Dirichlet edges); a pipeline uses at most
+# two levels and two boundary sets.
+STENCIL_CACHE_SIZE = 16
+
+
+def _lattice(level):
+    """n = 2^level and the lattice coordinates (i, j) of every vertex.
+
+    Vertex (i, j), i + j <= n, sits at v0 + (i/n)(v1 - v0) + (j/n)(v2 - v0).
+    Vertices are numbered row-major by j: row j has n + 1 - j vertices, so
+    vertex (i, j + 1) is vertex (i, j) plus n + 1 - j.
+    """
+    n = 1 << level
+    j = np.repeat(np.arange(n + 1), np.arange(n + 1, 0, -1))
+    i = np.arange(j.size) - (j * (n + 1) - j * (j - 1) // 2)
+    return n, i, j
+
+
+def _on_edges(n, i, j):
+    """(vertices, 3) flags: on input edge e, which joins vertices e and e+1."""
+    return np.column_stack((j == 0, i + j == n, i == 0))
 
 
 class Mesh:
     """Uniform refinement of a triangle into 4^level congruent elements.
 
-    edge_flags[v, e] marks vertex v as lying on input edge e, where edge e
-    joins input vertices e and (e+1) mod 3.  Boundary conditions are
-    imposed per input edge, so a mixed problem just drops some edges from
-    the Dirichlet set.
+    Only the triangle and the level are stored; vertices, elements and edge
+    flags follow from the lattice and are computed when asked for (the
+    solver needs none of them).  edge_flags[v, e] marks vertex v as lying
+    on input edge e, where edge e joins input vertices e and (e+1) mod 3.
+    Boundary conditions are imposed per input edge, so a mixed problem just
+    drops some edges from the Dirichlet set.
     """
 
-    def __init__(self, triangle, vertices, elements, edge_flags, level):
+    def __init__(self, triangle, level):
         self.triangle = triangle
-        self.vertices = vertices
-        self.elements = elements
-        self.edge_flags = edge_flags
         self.level = level
 
     @property
     def num_vertices(self):
-        return self.vertices.shape[0]
+        n = 1 << self.level
+        return (n + 1) * (n + 2) // 2
 
     @property
     def num_elements(self):
-        return self.elements.shape[0]
+        return 4 ** self.level
+
+    @property
+    def vertices(self):
+        n, i, j = _lattice(self.level)
+        v0, v1, v2 = self.triangle.vertices
+        return v0 + np.outer(i / n, v1 - v0) + np.outer(j / n, v2 - v0)
+
+    @property
+    def elements(self):
+        """Vertex triples of the up, then the down elements, all CCW."""
+        n, i, j = _lattice(self.level)
+        row = n + 1 - j
+        up = np.flatnonzero(i + j < n)
+        down = np.flatnonzero(i + j < n - 1)
+        elements = np.vstack((
+            np.column_stack((up, up + 1, up + row[up])),
+            np.column_stack((down + 1, down + 1 + row[down],
+                             down + row[down]))))
+        if self.triangle.signed_area < 0:
+            # Parent is clockwise; swap two local vertices so every element is CCW.
+            elements = elements[:, [0, 2, 1]]
+        return elements
+
+    @property
+    def edge_flags(self):
+        return _on_edges(*_lattice(self.level))
 
     def dirichlet_mask(self, dirichlet_edges=(0, 1, 2)):
         """Boolean mask of vertices constrained by the given edge set."""
-        mask = np.zeros(self.num_vertices, dtype=bool)
-        for e in dirichlet_edges:
-            mask |= self.edge_flags[:, e]
-        return mask
+        return self.edge_flags[:, list(dirichlet_edges)].any(axis=1)
 
 
 def mesh_triangle(t, level):
@@ -88,90 +148,133 @@ def mesh_triangle(t, level):
     """
     if not (0 <= level <= MAX_LEVEL):
         raise ValueError(f"level must be in [0, {MAX_LEVEL}]")
-    v0, v1, v2 = t.vertices
-    n = 1 << level
-    # Vertex (i, j) sits at v0 + (i/n)(v1 - v0) + (j/n)(v2 - v0), i + j <= n,
-    # indexed row-major by j.
-    offsets = np.zeros(n + 2, dtype=np.int64)
-    for j in range(n + 1):
-        offsets[j + 1] = offsets[j] + (n + 1 - j)
-    num_vertices = int(offsets[n + 1])
-    vertices = np.empty((num_vertices, 2))
-    edge_flags = np.zeros((num_vertices, 3), dtype=bool)
-    for j in range(n + 1):
-        i = np.arange(n + 1 - j)
-        idx = offsets[j] + i
-        s = i / n
-        u = j / n
-        vertices[idx] = v0 + np.outer(s, v1 - v0) + np.outer(u, v2 - v0)
-        edge_flags[idx, 0] = j == 0            # edge v0-v1
-        edge_flags[idx[i + j == n], 1] = True  # edge v1-v2
-        edge_flags[offsets[j], 2] = True       # edge v2-v0
+    return Mesh(t, level)
 
-    up = []
-    down = []
-    for j in range(n):
-        i = np.arange(n - j)
-        a = offsets[j] + i
-        b = a + 1
-        c = offsets[j + 1] + i
-        up.append(np.column_stack((a, b, c)))
-        if n - j - 1 > 0:
-            i2 = np.arange(n - j - 1)
-            down.append(np.column_stack((offsets[j] + i2 + 1,
-                                         offsets[j + 1] + i2 + 1,
-                                         offsets[j + 1] + i2)))
-    elements = np.vstack(up + down).astype(np.int64)
-    if t.signed_area < 0:
-        # Parent is clockwise; swap two local vertices so every element is CCW.
-        elements = elements[:, [0, 2, 1]]
-    return Mesh(t, vertices, elements, edge_flags, level)
+
+# Free vertices of one (level, Dirichlet edges) and, in one CSC pattern over
+# them (indptr, indices), the entries of the direction Laplacians
+# (laplacians[d], shape (3, nnz)) and of sum_d |L_d| / 12 (mass); lumped
+# holds the full-mesh row sums of that mass at the free vertices.  Masses
+# are for elements of unit area.
+_Stencil = collections.namedtuple(
+    "_Stencil", "free indptr indices laplacians mass lumped")
+
+# Neighbour slots of lattice vertex (i, j), in ascending vertex order:
+# (i, j-1), (i+1, j-1), (i-1, j), itself, (i+1, j), (i-1, j+1), (i, j+1).
+# The edge to slot s is parallel to input edge _SLOT_EDGES[s]; -1 marks the
+# diagonal.
+_SLOT_EDGES = (2, 1, 0, -1, 0, 1, 2)
+
+
+@functools.lru_cache(maxsize=STENCIL_CACHE_SIZE)
+def _stencil(level, dirichlet_edges):
+    """The _Stencil of one level on the vertices off the Dirichlet edges."""
+    n, i, j = _lattice(level)
+    v = np.arange(i.size)
+    row = (n + 1 - j)[:, None]
+    on_edge = _on_edges(n, i, j)
+    free = ~on_edge[:, list(dirichlet_edges)].any(axis=1)
+    neighbours = v[:, None] + np.array([-1, -1, 0, 0, 0, 1, 1]) * row \
+        + np.array([-1, 0, -1, 0, 1, -1, 0])
+    present = np.column_stack((j > 0, j > 0, i > 0, np.ones_like(free),
+                               i + j < n, i > 0, i + j < n))
+    # A vertex's edges parallel to input edge d lie on that edge exactly
+    # when the vertex does: weight 1 there, 2 inside.
+    mult = np.where(on_edge, 1, 2).astype(np.int8)
+    lap = np.zeros((3, v.size, len(_SLOT_EDGES)), dtype=np.int8)
+    for s, d in enumerate(_SLOT_EDGES):
+        if d >= 0:
+            lap[d, :, s] = -mult[:, d] * present[:, s]
+            lap[d, :, 3] -= lap[d, :, s]
+    keep = present & free[:, None] \
+        & free[np.where(present, neighbours, v[:, None])]
+    renumber = np.cumsum(free) - 1
+    laplacians = lap[:, keep].astype(float)
+    stencil = _Stencil(
+        free=np.flatnonzero(free),
+        indptr=np.concatenate(([0], np.cumsum(keep.sum(axis=1)[free]))
+                              ).astype(np.int32),
+        indices=renumber[neighbours[keep]].astype(np.int32),
+        laplacians=laplacians,
+        mass=np.abs(laplacians).sum(axis=0) / 12.0,
+        lumped=lap[:, free, 3].sum(axis=0) / 6.0)
+    for array in stencil:
+        array.flags.writeable = False
+    return stencil
+
+
+def _csc(stencil, data):
+    n = stencil.free.size
+    return sparse.csc_matrix((data, stencil.indices, stencil.indptr),
+                             shape=(n, n))
+
+
+def _weights(t):
+    """Weights of the direction Laplacians in the stiffness forms, (3, 3).
+
+    Row f is the total (f = 0), y-y (1) or symmetrized x-y (2) form with
+    constant coefficient C; column d is the direction of input edge d,
+    which joins vertices d and d+1.  An element couples the ends a, b of
+    its direction-d edge by area * g_a^T C g_b, g the barycentric
+    gradients, and that is the same on every element of every level:
+    gradients scale as 2^level and areas as 4^-level.
+    """
+    p = t.vertices
+    # grad phi_i = perp(p_{i+2} - p_{i+1}) / (2A), perp(x, y) = (-y, x).
+    edges = p[[2, 0, 1]] - p[[1, 2, 0]]
+    a = np.column_stack((-edges[:, 1], edges[:, 0])) / (2.0 * t.signed_area)
+    b = a[[1, 2, 0]]
+    return -t.area * np.array([
+        a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1],
+        a[:, 1] * b[:, 1],
+        0.5 * (a[:, 0] * b[:, 1] + a[:, 1] * b[:, 0])])
 
 
 class FemForms:
-    """Assembled global matrices on the full vertex set (CSR)."""
+    """P1 forms of one triangle on the free vertices of one boundary set.
 
-    def __init__(self, stiffness, mass, stiffness_yy, stiffness_xy):
-        self.stiffness = stiffness
-        self.mass = mass
-        self.stiffness_yy = stiffness_yy
-        self.stiffness_xy = stiffness_xy
+    free lists the free vertices; stiffness and mass (CSC) are the pencil
+    on them, lumped_mass the full-mesh row sums of the mass there.  Each
+    stiffness form is a weighted sum of the stencil's direction
+    Laplacians, row f of weights for the total (0), y-y (1) and
+    symmetrized x-y (2) form; the y-y and x-y matrices are built only when
+    asked for, since energies needs none of them.
+    """
+
+    def __init__(self, stencil, weights, element_area):
+        self._stencil = stencil
+        self.free = stencil.free
+        self.weights = weights
+        self.stiffness = self._form(0)
+        self.mass = _csc(stencil, element_area * stencil.mass)
+        self.lumped_mass = element_area * stencil.lumped
+
+    def _form(self, f):
+        return _csc(self._stencil, self.weights[f] @ self._stencil.laplacians)
+
+    @property
+    def stiffness_yy(self):
+        return self._form(1)
+
+    @property
+    def stiffness_xy(self):
+        return self._form(2)
+
+    def energies(self, vecs):
+        """Total, y-y and x-y energies of each column of vecs, shape (k, 3)."""
+        quad = [np.sum(vecs * (_csc(self._stencil, lap) @ vecs), axis=0)
+                for lap in self._stencil.laplacians]
+        return np.column_stack(quad) @ self.weights.T
 
 
-def assemble(mesh):
-    """Exact P1 stiffness, mass, and directional stiffness matrices."""
-    v = mesh.vertices
-    e = mesh.elements
-    p = v[e]                                   # (ne, 3, 2)
-    # grad phi_i = perp(p_{i+2} - p_{i+1}) / (2A), perp(x, y) = (-y, x).
-    edges = p[:, [2, 0, 1], :] - p[:, [1, 2, 0], :]
-    e01 = p[:, 1] - p[:, 0]
-    e02 = p[:, 2] - p[:, 0]
-    area2 = e01[:, 0] * e02[:, 1] - e01[:, 1] * e02[:, 0]
-    grads = np.empty_like(edges)
-    grads[:, :, 0] = -edges[:, :, 1]
-    grads[:, :, 1] = edges[:, :, 0]
-    grads /= area2[:, None, None]
-    area = 0.5 * area2
+def assemble(mesh, dirichlet_edges=()):
+    """Exact P1 forms of the mesh on the vertices off the Dirichlet edges.
 
-    gx = grads[:, :, 0]
-    gy = grads[:, :, 1]
-    k_full = area[:, None, None] * (np.einsum("eid,ejd->eij", grads, grads))
-    k_yy = area[:, None, None] * (gy[:, :, None] * gy[:, None, :])
-    k_xy = area[:, None, None] * 0.5 * (gx[:, :, None] * gy[:, None, :]
-                                        + gy[:, :, None] * gx[:, None, :])
-    m_local = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    m_full = area[:, None, None] * m_local[None, :, :]
-
-    rows = np.repeat(e, 3, axis=1).ravel()
-    cols = np.tile(e, (1, 3)).ravel()
-    nv = mesh.num_vertices
-
-    def build(local):
-        mat = sparse.coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv))
-        return mat.tocsr()
-
-    return FemForms(build(k_full), build(m_full), build(k_yy), build(k_xy))
+    With no Dirichlet edges (the default) the forms cover every vertex.
+    """
+    stencil = _stencil(mesh.level, tuple(sorted(dirichlet_edges)))
+    return FemForms(stencil, _weights(mesh.triangle),
+                    mesh.triangle.area / 4 ** mesh.level)
 
 
 class EigenResult:
@@ -221,23 +324,29 @@ def solve_lowest(mesh, k, dirichlet_edges=(0, 1, 2)):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    forms = assemble(mesh)
-    free = ~mesh.dirichlet_mask(dirichlet_edges)
-    idx = np.flatnonzero(free)
-    nfree = idx.size
+    forms = assemble(mesh, dirichlet_edges)
+    nfree = forms.free.size
     if k >= nfree:
         raise ValueError(f"k={k} too large for {nfree} free vertices")
-    kk = forms.stiffness[idx][:, idx].tocsc()
-    mm = forms.mass[idx][:, idx].tocsc()
+    kk = forms.stiffness
+    mm = forms.mass
 
     if nfree <= DENSE_CUTOFF or k >= nfree - 1:
         vals, vecs = eigh(kk.toarray(), mm.toarray(),
                           subset_by_index=(0, k - 1))
     else:
+        # K is symmetric positive definite, so a symmetric ordering with
+        # diagonal pivots factors it with the least fill; the factor
+        # serves every shift-invert step at shift 0.
+        lu = splu(kk, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
         v0 = np.full(nfree, 1.0 / math.sqrt(nfree))
         try:
-            vals, vecs = eigsh(kk, k=k, M=mm, sigma=0.0, which="LM",
-                               v0=v0, maxiter=ARPACK_MAXITER)
+            vals, vecs = eigsh(
+                kk, k=k, M=mm, sigma=0.0, which="LM", v0=v0,
+                maxiter=ARPACK_MAXITER,
+                OPinv=LinearOperator(kk.shape, matvec=lu.solve,
+                                     dtype=kk.dtype))
         except ArpackNoConvergence as err:
             raise RuntimeError(
                 f"eigensolver did not converge within {ARPACK_MAXITER} "
@@ -256,17 +365,13 @@ def solve_lowest(mesh, k, dirichlet_edges=(0, 1, 2)):
         if vecs[pivot, col] < 0:
             vecs[:, col] = -vecs[:, col]
 
-    lumped = np.asarray(forms.mass.sum(axis=1)).ravel()[idx]
     r = kk @ vecs - (mm @ vecs) * vals
-    resid = 2.0 * np.sqrt(np.sum(r * r / lumped[:, None], axis=0))
+    resid = 2.0 * np.sqrt(np.sum(r * r / forms.lumped_mass[:, None], axis=0))
 
     full_vecs = np.zeros((mesh.num_vertices, k))
-    full_vecs[idx] = vecs
-    energies = np.column_stack([
-        np.sum(full_vecs * (form @ full_vecs), axis=0)
-        for form in (forms.stiffness, forms.stiffness_yy, forms.stiffness_xy)])
+    full_vecs[forms.free] = vecs
     return EigenResult(mesh.triangle, mesh.level, vals, full_vecs, resid,
-                       energies, dirichlet_edges)
+                       forms.energies(vecs), dirichlet_edges)
 
 
 def extrapolate(coarse, fine):
@@ -290,7 +395,8 @@ def _tri_key(t):
 
 
 # (triangle key, level, Dirichlet edges) -> the largest-k EigenResult solved
-# so far, least recently used first.
+# so far, least recently used first; entries leave from the front once their
+# vectors hold more than SOLVE_CACHE_BYTES.
 _SOLVE_CACHE = collections.OrderedDict()
 
 
@@ -298,19 +404,25 @@ def _solve_cached(tri_key, level, k, dirichlet_edges):
     """The lowest k modes, sliced from the cached solve of this problem.
 
     Only a request for more modes than the entry holds solves again, and
-    its result replaces the entry.  Slicing changes nothing: the Cholesky
+    its result replaces the entry.  Inserting evicts the least recently
+    used entries until the cached vectors fit in SOLVE_CACHE_BYTES; a
+    result larger than that on its own is returned but not kept.  Slicing changes nothing: the Cholesky
     re-orthonormalization is triangular and signs are fixed per column, so
     the leading columns do not depend on the trailing ones.
     """
     key = (tri_key, level, dirichlet_edges)
     res = _SOLVE_CACHE.get(key)
-    if res is None or len(res.values) < k:
+    if res is not None and len(res.values) >= k:
+        _SOLVE_CACHE.move_to_end(key)
+    else:
         t = Triangle(np.array(tri_key).reshape(3, 2))
         res = solve_lowest(mesh_triangle(t, level), k, dirichlet_edges)
-        _SOLVE_CACHE[key] = res
-    _SOLVE_CACHE.move_to_end(key)
-    if len(_SOLVE_CACHE) > SOLVE_CACHE_SIZE:
-        _SOLVE_CACHE.popitem(last=False)
+        _SOLVE_CACHE.pop(key, None)
+        if res.vectors.nbytes <= SOLVE_CACHE_BYTES:
+            _SOLVE_CACHE[key] = res
+            held = sum(r.vectors.nbytes for r in _SOLVE_CACHE.values())
+            while held > SOLVE_CACHE_BYTES:
+                held -= _SOLVE_CACHE.popitem(last=False)[1].vectors.nbytes
     return res if len(res.values) == k else res.leading(k)
 
 

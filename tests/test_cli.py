@@ -144,11 +144,14 @@ def test_theorem1_solves_each_problem_once(capsys, monkeypatch):
 
     for name in counts:
         monkeypatch.setattr(fem, name, counting(name))
+    fem._stencil.cache_clear()
     code, out, err = run(capsys, "verify", "theorem1", "--b", "2.5",
                          "--n", "3", "--level", "5")
     assert code == 0
     # one solve and one assembly per level, at the largest k requested
     assert counts == {"solve_lowest": 2, "assemble": 2}
+    # one stencil build per (level, Dirichlet edges)
+    assert fem._stencil.cache_info().misses == 2
     assert [case["n"] for case in json.loads(out)["checks"]] == [1, 2, 3]
 
 

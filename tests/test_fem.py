@@ -1,8 +1,10 @@
 import collections
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 from scipy.sparse.linalg import splu
 
 from trispec import fem
@@ -16,7 +18,8 @@ from trispec.fem import (
     solve_extrapolated,
     solve_lowest,
 )
-from trispec.geometry import EQUILATERAL_APEX, FanTriangle, Triangle
+from trispec.geometry import (EQUILATERAL_APEX, FanTriangle,
+                              IsoscelesAperture, Triangle)
 
 
 def unit_equilateral():
@@ -102,6 +105,109 @@ def test_assemble_invariants():
         u @ (forms.stiffness @ u), rel=1e-12)
     assert u @ (kxx @ u) >= 0
     assert u @ (forms.stiffness_yy @ u) >= 0
+
+
+def element_forms(mesh):
+    """Reference P1 forms on every vertex, summed element by element."""
+    p = mesh.vertices[mesh.elements]           # (ne, 3, 2)
+    # grad phi_i = perp(p_{i+2} - p_{i+1}) / (2A), perp(x, y) = (-y, x).
+    edges = p[:, [2, 0, 1], :] - p[:, [1, 2, 0], :]
+    e01 = p[:, 1] - p[:, 0]
+    e02 = p[:, 2] - p[:, 0]
+    area2 = e01[:, 0] * e02[:, 1] - e01[:, 1] * e02[:, 0]
+    grads = np.empty_like(edges)
+    grads[:, :, 0] = -edges[:, :, 1]
+    grads[:, :, 1] = edges[:, :, 0]
+    grads /= area2[:, None, None]
+    area = 0.5 * area2
+    gx = grads[:, :, 0]
+    gy = grads[:, :, 1]
+    local = {
+        "stiffness": np.einsum("eid,ejd->eij", grads, grads),
+        "stiffness_yy": gy[:, :, None] * gy[:, None, :],
+        "stiffness_xy": 0.5 * (gx[:, :, None] * gy[:, None, :]
+                               + gy[:, :, None] * gx[:, None, :]),
+        "mass": np.broadcast_to((np.ones((3, 3)) + np.eye(3)) / 12.0,
+                                (len(area), 3, 3)),
+    }
+    nv = mesh.num_vertices
+    forms = {}
+    for name, mats in local.items():
+        full = np.zeros((nv, nv))
+        for a in range(3):
+            for b in range(3):
+                np.add.at(full, (mesh.elements[:, a], mesh.elements[:, b]),
+                          area * mats[:, a, b])
+        forms[name] = full
+    return forms
+
+
+@pytest.mark.parametrize("orientation", [1, -1])
+def test_stencil_forms_match_element_assembly(orientation):
+    t = Triangle(np.array([(0.1, 0.2), (1.9, -0.1), (0.4, 1.5)])[::orientation])
+    mesh = mesh_triangle(t, 3)
+    ref = element_forms(mesh)
+    # every Dirichlet subset, including (0, 1, 2) and (1, 2) used by the
+    # pipelines and () for the full vertex set
+    for r in range(4):
+        for edges in itertools.combinations(range(3), r):
+            forms = assemble(mesh, edges)
+            idx = np.flatnonzero(~mesh.dirichlet_mask(edges))
+            np.testing.assert_array_equal(forms.free, idx)
+            for name, full in ref.items():
+                want = full[np.ix_(idx, idx)]
+                got = getattr(forms, name)
+                assert got.format == "csc"
+                np.testing.assert_allclose(
+                    got.toarray(), want, rtol=1e-13,
+                    atol=1e-13 * np.abs(full).max(), err_msg=name)
+            np.testing.assert_allclose(forms.lumped_mass,
+                                       ref["mass"].sum(axis=1)[idx],
+                                       rtol=1e-13)
+            u = np.random.default_rng(r).normal(size=(idx.size, 2))
+            energies = forms.energies(u)
+            for f, name in enumerate(("stiffness", "stiffness_yy",
+                                      "stiffness_xy")):
+                want = np.sum(u * (ref[name][np.ix_(idx, idx)] @ u), axis=0)
+                np.testing.assert_allclose(energies[:, f], want, rtol=1e-12,
+                                           atol=1e-13)
+
+
+def test_reversed_vertex_order_keeps_eigenvalues():
+    t = Triangle([(0.1, 0.2), (1.9, -0.1), (0.4, 1.5)])
+    rev = Triangle(t.vertices[::-1])
+    # reversing maps input edges 0, 1, 2 to 1, 0, 2
+    for edges, rev_edges in (((0, 1, 2), (0, 1, 2)), ((1, 2), (0, 2))):
+        a = solve_lowest(mesh_triangle(t, 5), 4, edges)
+        b = solve_lowest(mesh_triangle(rev, 5), 4, rev_edges)
+        np.testing.assert_allclose(b.values, a.values, rtol=1e-12)
+
+
+def test_eigsh_path_matches_dense():
+    half = IsoscelesAperture(1.2, 1.0).half_triangle
+    mesh = mesh_triangle(half, 5)
+    res = solve_lowest(mesh, 5, (1, 2))
+    forms = assemble(mesh, (1, 2))
+    assert forms.free.size > fem.DENSE_CUTOFF
+    dense = eigh(forms.stiffness.toarray(), forms.mass.toarray(),
+                 eigvals_only=True, subset_by_index=(0, 4))
+    np.testing.assert_allclose(res.values, dense, rtol=1e-10)
+    assert np.all(res.residuals < 1e-10)
+
+
+def test_solve_cache_bounded_by_vector_bytes(monkeypatch):
+    monkeypatch.setattr(fem, "_SOLVE_CACHE", collections.OrderedDict())
+    # a level-3 solve with one mode holds 45 vertices x 8 bytes
+    monkeypatch.setattr(fem, "SOLVE_CACHE_BYTES", 2 * 45 * 8)
+    keys = [fem._tri_key(FanTriangle(0.0, b).triangle) for b in (2.0, 2.5, 3.0)]
+    fem._solve_cached(keys[0], 3, 1, (0, 1, 2))
+    fem._solve_cached(keys[1], 3, 1, (0, 1, 2))
+    fem._solve_cached(keys[0], 3, 1, (0, 1, 2))  # keys[1] is now the LRU
+    fem._solve_cached(keys[2], 3, 1, (0, 1, 2))
+    assert [key[0] for key in fem._SOLVE_CACHE] == [keys[0], keys[2]]
+    # a result over the budget on its own is not kept and evicts nothing
+    assert len(fem._solve_cached(keys[1], 3, 3, (0, 1, 2)).values) == 3
+    assert [key[0] for key in fem._SOLVE_CACHE] == [keys[0], keys[2]]
 
 
 def test_right_isosceles_tones():
