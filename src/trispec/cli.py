@@ -33,7 +33,7 @@ from .equilateral import (
     verify_compequilateral,
     verify_lemma_explicit,
 )
-from .fem import rayleigh_data, solve_extrapolated
+from .fem import rayleigh_data, solve_extrapolated, solve_pair
 from .geometry import FanTriangle, rectangle_minimizers, triangle_from_json
 from .isosceles import (
     ALPHA_MAX,
@@ -184,11 +184,7 @@ def _verify_theorem1(args):
     level = args.level if args.level is not None else 7
     cases = []
     for b in bs:
-        # Largest n first: every smaller n is then served from the solver
-        # cache by slicing.  The report still lists n in ascending order.
-        descending = [theorem1_verify(FanTriangle(0.0, b), n, level=level)
-                      for n in range(n_max, 0, -1)]
-        cases.extend(reversed(descending))
+        cases.extend(theorem1_verify(FanTriangle(0.0, b), n_max, level=level))
     return combine(
         "low-sum comparison against the equilateral across apex heights",
         cases, apexes=bs, n_max=n_max, level=level)
@@ -264,7 +260,8 @@ def _cmd_rectangle(args):
 
 
 def _cmd_gamma(args):
-    data = rayleigh_data(FanTriangle(0.0, args.b), args.n, args.level)
+    t = FanTriangle(0.0, args.b).triangle
+    data = rayleigh_data(*solve_pair(t, args.n + 1, args.level), args.n)
     out = {"b": args.b, "n": data.n, "level": args.level,
            "gamma_n": data.gamma_n, "delta_n": data.delta_n}
     return to_json(out) + "\n", 0

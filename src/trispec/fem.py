@@ -37,8 +37,6 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
                                  splu)
 
-from .geometry import Triangle
-
 __all__ = [
     "Mesh",
     "FemForms",
@@ -47,6 +45,7 @@ __all__ = [
     "mesh_triangle",
     "assemble",
     "solve_lowest",
+    "solve_pair",
     "extrapolate",
     "solve_extrapolated",
     "rayleigh_data",
@@ -59,9 +58,6 @@ ARPACK_MAXITER = 500
 DENSE_CUTOFF = 360
 # Relative gap under which two discrete eigenvalues count as one cluster.
 CLUSTER_RTOL = 1e-6
-# Bytes of eigenvectors the solver cache may hold; one level-9 solve with
-# seven modes is 7.4 MB.
-SOLVE_CACHE_BYTES = 256 << 20
 # Stencils kept, one per (level, Dirichlet edges); a pipeline uses at most
 # two levels and two boundary sets.
 STENCIL_CACHE_SIZE = 16
@@ -285,9 +281,10 @@ class EigenResult:
     mass-inverse norm of K v_j - values[j] M v_j from above by twice its
     lumped-mass dual norm (see solve_lowest).  energies[j] holds the
     total, y-y and x-y stiffness energies of vectors[:, j].  Every array is
-    per mode, so the first k' < k modes are leading(k').  Only the triangle
-    and level of the mesh are kept, so a cached result does not hold the
-    mesh alive.
+    per mode, and the leading modes do not depend on how many trailing ones
+    were solved with them (the Cholesky re-orthonormalization is triangular
+    and signs are fixed per column), so one k-mode solve serves every
+    k' < k.  Only the triangle and level of the mesh are kept.
     """
 
     def __init__(self, triangle, level, values, vectors, residuals, energies,
@@ -299,12 +296,6 @@ class EigenResult:
         self.residuals = residuals
         self.energies = energies
         self.dirichlet_edges = tuple(dirichlet_edges)
-
-    def leading(self, k):
-        """The first k modes, as views into this result's arrays."""
-        return EigenResult(self.triangle, self.level, self.values[:k],
-                           self.vectors[:, :k], self.residuals[:k],
-                           self.energies[:k], self.dirichlet_edges)
 
 
 def solve_lowest(mesh, k, dirichlet_edges=(0, 1, 2)):
@@ -374,10 +365,21 @@ def solve_lowest(mesh, k, dirichlet_edges=(0, 1, 2)):
                        forms.energies(vecs), dirichlet_edges)
 
 
+def solve_pair(t, k, level, dirichlet_edges=(0, 1, 2)):
+    """The lowest k modes of t at level-1 and at level, as (coarse, fine)."""
+    if level < 1:
+        raise ValueError("extrapolated solve needs level >= 1")
+    return tuple(solve_lowest(mesh_triangle(t, lev), k, dirichlet_edges)
+                 for lev in (level - 1, level))
+
+
 def extrapolate(coarse, fine):
     """Richardson-extrapolate assuming O(h^2): fine + (fine - coarse)/3.
 
-    Requires the same triangle and fine.level = coarse.level + 1.
+    Returns (values, err) over the modes both solves hold; err is the
+    extrapolation increment |fine - coarse|/3 per eigenvalue, the standard
+    proxy for the remaining discretization error.  Requires the same
+    triangle and fine.level = coarse.level + 1.
     """
     if fine.level != coarse.level + 1:
         raise ValueError("fine level must be coarse level + 1")
@@ -387,64 +389,18 @@ def extrapolate(coarse, fine):
     if fine.dirichlet_edges != coarse.dirichlet_edges:
         raise ValueError("extrapolation requires the same boundary conditions")
     k = min(len(fine.values), len(coarse.values))
-    return fine.values[:k] + (fine.values[:k] - coarse.values[:k]) / 3.0
-
-
-def _tri_key(t):
-    return tuple(map(float, t.vertices.ravel()))
-
-
-# (triangle key, level, Dirichlet edges) -> the largest-k EigenResult solved
-# so far, least recently used first; entries leave from the front once their
-# vectors hold more than SOLVE_CACHE_BYTES.
-_SOLVE_CACHE = collections.OrderedDict()
-
-
-def _solve_cached(tri_key, level, k, dirichlet_edges):
-    """The lowest k modes, sliced from the cached solve of this problem.
-
-    Only a request for more modes than the entry holds solves again, and
-    its result replaces the entry.  Inserting evicts the least recently
-    used entries until the cached vectors fit in SOLVE_CACHE_BYTES; a
-    result larger than that on its own is returned but not kept.  Slicing changes nothing: the Cholesky
-    re-orthonormalization is triangular and signs are fixed per column, so
-    the leading columns do not depend on the trailing ones.
-    """
-    key = (tri_key, level, dirichlet_edges)
-    res = _SOLVE_CACHE.get(key)
-    if res is not None and len(res.values) >= k:
-        _SOLVE_CACHE.move_to_end(key)
-    else:
-        t = Triangle(np.array(tri_key).reshape(3, 2))
-        res = solve_lowest(mesh_triangle(t, level), k, dirichlet_edges)
-        _SOLVE_CACHE.pop(key, None)
-        if res.vectors.nbytes <= SOLVE_CACHE_BYTES:
-            _SOLVE_CACHE[key] = res
-            held = sum(r.vectors.nbytes for r in _SOLVE_CACHE.values())
-            while held > SOLVE_CACHE_BYTES:
-                held -= _SOLVE_CACHE.popitem(last=False)[1].vectors.nbytes
-    return res if len(res.values) == k else res.leading(k)
+    diff = fine.values[:k] - coarse.values[:k]
+    return fine.values[:k] + diff / 3.0, np.abs(diff) / 3.0
 
 
 def solve_extrapolated(t, k, level, dirichlet_edges=(0, 1, 2)):
-    """Solve at level-1 and level, extrapolate.
+    """Solve k modes at level-1 and level, extrapolate.
 
-    Returns (values, err_estimate, fine_result); the error estimate is the
-    extrapolation increment |fine - coarse|/3 per eigenvalue, the standard
-    proxy for the remaining discretization error.  Both levels come from the
-    solver cache, which keeps one solve per (triangle, level, Dirichlet
-    edges) and slices it to k modes; asking for the largest k first avoids
-    re-solving.  fine_result.residuals are the lumped-mass upper bounds of
-    solve_lowest.
+    Returns (values, err_estimate, fine_result) as extrapolate gives them;
+    fine_result.residuals are the lumped-mass upper bounds of solve_lowest.
     """
-    if level < 1:
-        raise ValueError("extrapolated solve needs level >= 1")
-    key = _tri_key(t)
-    edges = tuple(sorted(dirichlet_edges))
-    coarse = _solve_cached(key, level - 1, k, edges)
-    fine = _solve_cached(key, level, k, edges)
-    values = extrapolate(coarse, fine)
-    err = np.abs(fine.values[:k] - coarse.values[:k]) / 3.0
+    coarse, fine = solve_pair(t, k, level, dirichlet_edges)
+    values, err = extrapolate(coarse, fine)
     return values, err, fine
 
 
@@ -466,28 +422,27 @@ class RayleighData:
         self.n = int(n)
 
 
-def _energy_fractions(t, n, level):
-    res = _solve_cached(_tri_key(t), level, n + 1, (0, 1, 2))
+def _energy_fractions(res, n):
     gap = (res.values[n] - res.values[n - 1]) / res.values[n]
     if gap < CLUSTER_RTOL:
         raise ValueError(
-            f"ranks {n} and {n + 1} form a degenerate cluster at level {level}; "
-            "choose n so the cluster is not split")
+            f"ranks {n} and {n + 1} form a degenerate cluster at level "
+            f"{res.level}; choose n so the cluster is not split")
     total, yy, xy = np.sum(res.energies[:n], axis=0)
     return float(yy / total), float(xy / total)
 
 
-def rayleigh_data(f, n, level):
-    """Extrapolated gamma_n, delta_n for the fan triangle T(a, b).
+def rayleigh_data(coarse, fine, n):
+    """Extrapolated gamma_n, delta_n from a solve_pair of at least n+1 modes.
 
-    Solves n+1 modes at level-1 and level; refuses to split a degenerate
-    cluster (the fractions are basis-dependent inside one).
+    The fractions read the first n modes of each level; mode n+1 shows
+    whether they split a degenerate cluster, which is refused (the
+    fractions are basis-dependent inside one).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    t = f.triangle
-    g_coarse, d_coarse = _energy_fractions(t, n, level - 1)
-    g_fine, d_fine = _energy_fractions(t, n, level)
+    g_coarse, d_coarse = _energy_fractions(coarse, n)
+    g_fine, d_fine = _energy_fractions(fine, n)
     gamma = g_fine + (g_fine - g_coarse) / 3.0
     delta = d_fine + (d_fine - d_coarse) / 3.0
     return RayleighData(gamma, delta, n)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .certify import SectorSpec, lemma62_verify, sector_eigenvalue
 from .equilateral import SIGMA_COEFF, exact_sum_q
-from .fem import rayleigh_data, solve_extrapolated
+from .fem import extrapolate, rayleigh_data, solve_extrapolated, solve_pair
 from .geometry import EQUILATERAL_APEX, FanTriangle, polya_upper
 from .reports import combine, make_report
 
@@ -149,11 +149,15 @@ def _transplant_certificate(b, gamma, delta, n, branch):
     return check, info
 
 
-def theorem1_verify(f, n, level=7):
-    """Verify that the first-n eigenvalue sum times squared diameter for the
-    isosceles fan triangle T(0, b) exceeds the exact equilateral value.
+def theorem1_verify(f, n_max, level=7):
+    """Verify, for n = 1..n_max, that the first-n eigenvalue sum times
+    squared diameter for the isosceles fan triangle T(0, b) exceeds the
+    exact equilateral value; one report per n, in ascending order.
 
-    Reports the FEM comparison under the 3x-error policy, the branch the
+    Every n reads the same n_max+1 lowest modes, solved once per level:
+    the sums are partial sums of them, and mode n+1 guards the energy
+    fractions of the first n against splitting a cluster.  Each report
+    holds the FEM comparison under the 3x-error policy, the branch the
     computed energy fractions land in, and the transplant condition for
     the selected target (the other targets' factors ride along as data).
     At b = sqrt(3) the comparison is an equality, so the verdict is
@@ -161,19 +165,22 @@ def theorem1_verify(f, n, level=7):
     """
     if f.a != 0.0 or not (f.b >= EQUILATERAL_APEX):
         raise ValueError("requires an isosceles fan triangle with b >= sqrt(3)")
-    if n < 1:
+    if n_max < 1:
         raise ValueError("n must be >= 1")
-    b = f.b
+    coarse, fine = solve_pair(f.triangle, n_max + 1, level)
+    vals, errs = extrapolate(coarse, fine)
+    return [_theorem1_case(f.b, n, coarse, fine, vals, errs)
+            for n in range(1, n_max + 1)]
+
+
+def _theorem1_case(b, n, coarse, fine, vals, errs):
     d2 = 1.0 + b * b
     gamma = delta = None
-    # The n+1-mode solves behind the energy fractions go first, so the
-    # n-mode sum below is a slice of them rather than a solve of its own.
     try:
-        rd = rayleigh_data(f, n, level)
+        rd = rayleigh_data(coarse, fine, n)
         gamma, delta = rd.gamma_n, rd.delta_n
     except ValueError:
         pass  # degenerate cluster at this rank; branch analysis not meaningful
-    vals, errs, _ = solve_extrapolated(f.triangle, n, level)
     sum_fem = float(np.sum(vals[:n]))
     sum_err = float(np.sum(errs[:n]))
     target = SIGMA_COEFF * exact_sum_q(n)

@@ -107,9 +107,7 @@ def test_criterion_5_fem_calibration():
 def test_criterion_6_low_sum_sweep():
     ok = True
     for b in (1.8, 2.0, 2.5, 3.0, 4.0):
-        fan = FanTriangle(0.0, b)
-        for n in range(1, 7):
-            report = theorem1_verify(fan, n)
+        for report in theorem1_verify(FanTriangle(0.0, b), 6):
             lead = report["checks"][0]
             ok = ok and report["verdict"] == "pass"
             ok = ok and lead["margin"] >= 3.0 * lead["fem_error"] > 0.0

@@ -1,6 +1,5 @@
 """End-to-end tests of the command-line surface."""
 
-import collections
 import json
 import math
 import os
@@ -131,7 +130,6 @@ def test_verify_exit_codes(capsys):
 
 
 def test_theorem1_solves_each_problem_once(capsys, monkeypatch):
-    monkeypatch.setattr(fem, "_SOLVE_CACHE", collections.OrderedDict())
     counts = {"solve_lowest": 0, "assemble": 0}
 
     def counting(name):
@@ -148,11 +146,31 @@ def test_theorem1_solves_each_problem_once(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "theorem1", "--b", "2.5",
                          "--n", "3", "--level", "5")
     assert code == 0
-    # one solve and one assembly per level, at the largest k requested
+    # one solve and one assembly per level, of n_max + 1 modes
     assert counts == {"solve_lowest": 2, "assemble": 2}
     # one stencil build per (level, Dirichlet edges)
     assert fem._stencil.cache_info().misses == 2
     assert [case["n"] for case in json.loads(out)["checks"]] == [1, 2, 3]
+
+
+def test_theorem1_solve_failure_is_a_usage_error(capsys):
+    # level 2 has 3 free vertices, too few for the n_max + 1 = 3 modes
+    code, out, err = run(capsys, "verify", "theorem1", "--b", "2.5",
+                         "--n", "2", "--level", "3")
+    assert code == 64
+    assert out == ""
+    assert "k=3 too large for 3 free vertices" in err
+
+
+def test_output_does_not_depend_on_earlier_runs(capsys):
+    for argv, before in (
+            (("verify", "theorem2", "--level", "5"),
+             ("verify", "theorem1", "--b", "2.5", "--n", "3", "--level", "5")),
+            (("gamma", "--n", "2", "--level", "5"),
+             ("verify", "theorem1", "--b", "2.5", "--n", "4", "--level", "5"))):
+        first = run(capsys, *argv)
+        run(capsys, *before)
+        assert run(capsys, *argv) == first, argv
 
 
 def test_module_entry_point():

@@ -1,4 +1,3 @@
-import collections
 import itertools
 import math
 
@@ -17,6 +16,7 @@ from trispec.fem import (
     rayleigh_data,
     solve_extrapolated,
     solve_lowest,
+    solve_pair,
 )
 from trispec.geometry import (EQUILATERAL_APEX, FanTriangle,
                               IsoscelesAperture, Triangle)
@@ -195,21 +195,6 @@ def test_eigsh_path_matches_dense():
     assert np.all(res.residuals < 1e-10)
 
 
-def test_solve_cache_bounded_by_vector_bytes(monkeypatch):
-    monkeypatch.setattr(fem, "_SOLVE_CACHE", collections.OrderedDict())
-    # a level-3 solve with one mode holds 45 vertices x 8 bytes
-    monkeypatch.setattr(fem, "SOLVE_CACHE_BYTES", 2 * 45 * 8)
-    keys = [fem._tri_key(FanTriangle(0.0, b).triangle) for b in (2.0, 2.5, 3.0)]
-    fem._solve_cached(keys[0], 3, 1, (0, 1, 2))
-    fem._solve_cached(keys[1], 3, 1, (0, 1, 2))
-    fem._solve_cached(keys[0], 3, 1, (0, 1, 2))  # keys[1] is now the LRU
-    fem._solve_cached(keys[2], 3, 1, (0, 1, 2))
-    assert [key[0] for key in fem._SOLVE_CACHE] == [keys[0], keys[2]]
-    # a result over the budget on its own is not kept and evicts nothing
-    assert len(fem._solve_cached(keys[1], 3, 3, (0, 1, 2)).values) == 3
-    assert [key[0] for key in fem._SOLVE_CACHE] == [keys[0], keys[2]]
-
-
 def test_right_isosceles_tones():
     # half of the unit square: exact tones pi^2 (p^2 + q^2), p != q
     t = Triangle([(0, 0), (1, 0), (0, 1)])
@@ -283,50 +268,6 @@ def test_residuals_bound_the_mass_inverse_norm():
         assert exact <= res.residuals[j] <= 2.0 * exact
 
 
-def test_cache_slices_the_largest_solve(monkeypatch):
-    monkeypatch.setattr(fem, "_SOLVE_CACHE", collections.OrderedDict())
-    calls = []
-    original = fem.solve_lowest
-
-    def counted(mesh, k, dirichlet_edges=(0, 1, 2)):
-        calls.append(k)
-        return original(mesh, k, dirichlet_edges)
-
-    monkeypatch.setattr(fem, "solve_lowest", counted)
-    t = FanTriangle(0.0, 2.5).triangle
-    key = fem._tri_key(t)
-    big = fem._solve_cached(key, 5, 6, (0, 1, 2))
-    sliced = fem._solve_cached(key, 5, 2, (0, 1, 2))
-    assert calls == [6]
-    fresh = original(mesh_triangle(t, 5), 2)
-    np.testing.assert_allclose(sliced.values, fresh.values, rtol=1e-12)
-    assert sliced.vectors.shape[1] == len(sliced.residuals) == 2
-    assert sliced.energies.shape == (2, 3)
-    for n in (1, 2):
-        np.testing.assert_allclose(
-            sliced.energies[:n].sum(axis=0)[1:] / sliced.energies[:n, 0].sum(),
-            fresh.energies[:n].sum(axis=0)[1:] / fresh.energies[:n, 0].sum(),
-            rtol=1e-12, atol=1e-14)
-    np.testing.assert_array_equal(sliced.values, big.values[:2])
-    # only a request for more modes than the entry holds solves again
-    more = fem._solve_cached(key, 5, 7, (0, 1, 2))
-    assert calls == [6, 7]
-    assert fem._solve_cached(key, 5, 3, (0, 1, 2)).values.tolist() == \
-        more.values[:3].tolist()
-    assert calls == [6, 7]
-
-
-def test_cached_results_do_not_hold_meshes(monkeypatch):
-    monkeypatch.setattr(fem, "_SOLVE_CACHE", collections.OrderedDict())
-    t = FanTriangle(0.0, 2.5).triangle
-    solve_extrapolated(t, 3, 5)
-    assert len(fem._SOLVE_CACHE) == 2
-    for (_, level, _), res in fem._SOLVE_CACHE.items():
-        assert not any(isinstance(v, fem.Mesh) for v in vars(res).values())
-        assert res.level == level
-        np.testing.assert_array_equal(res.triangle.vertices, t.vertices)
-
-
 def test_solve_validation():
     mesh = mesh_triangle(unit_equilateral(), 2)
     with pytest.raises(ValueError):
@@ -395,20 +336,20 @@ def test_solve_extrapolated_deterministic():
 
 def test_rayleigh_equilateral():
     # 3-fold symmetry makes the ground state's energy tensor isotropic
-    rd = rayleigh_data(FanTriangle(0.0, EQUILATERAL_APEX), 1, 5)
+    rd = rayleigh_data(*solve_pair(fan_equilateral(), 2, 5), 1)
     assert rd.gamma_n == pytest.approx(0.5, abs=1e-6)
     assert abs(rd.delta_n) < 1e-7
     assert rd.n == 1
 
 
 def test_rayleigh_subequilateral():
-    rd = rayleigh_data(FanTriangle(0.0, 2.5), 2, 5)
+    rd = rayleigh_data(*solve_pair(FanTriangle(0.0, 2.5).triangle, 3, 5), 2)
     assert 0.0 < rd.gamma_n < 1.0
     assert abs(rd.delta_n) < 1e-7  # mirror-symmetric triangle and mesh
 
 
 def test_rayleigh_refuses_cluster():
     with pytest.raises(ValueError, match="cluster"):
-        rayleigh_data(FanTriangle(0.0, EQUILATERAL_APEX), 2, 4)
+        rayleigh_data(*solve_pair(fan_equilateral(), 3, 4), 2)
     with pytest.raises(ValueError):
-        rayleigh_data(FanTriangle(0.0, 2.5), 0, 4)
+        rayleigh_data(*solve_pair(FanTriangle(0.0, 2.5).triangle, 3, 4), 0)

@@ -202,7 +202,7 @@ def test_theorem1_validation():
 
 
 def test_theorem1_single_case():
-    r = theorem1_verify(FanTriangle(0.0, 2.5), 1, level=6)
+    r = theorem1_verify(FanTriangle(0.0, 2.5), 1, level=6)[-1]
     assert r["verdict"] == "pass"
     assert r["branch"] == "equilateral"
     assert r["fem_sum"] * r["diameter_squared"] > 3.0 * SIGMA_COEFF
@@ -216,7 +216,7 @@ def test_theorem1_equilateral_endpoint():
     # At b = sqrt(3) the statement is an equality; the FEM value must sit
     # within half a percent of the exact two-tone sum and the verdict must
     # not be an outright fail.
-    r = theorem1_verify(FanTriangle(0.0, SQ3), 2, level=6)
+    r = theorem1_verify(FanTriangle(0.0, SQ3), 2, level=6)[-1]
     exact = SIGMA_COEFF * exact_sum_q(2)
     assert abs(r["fem_sum"] * r["diameter_squared"] - exact) < 0.005 * exact
     assert r["verdict"] in ("pass", "inconclusive")
@@ -225,10 +225,30 @@ def test_theorem1_equilateral_endpoint():
 def test_theorem1_sweep():
     for b in (2.0, 4.0):
         for n in (1, 2, 3, 6):
-            r = theorem1_verify(FanTriangle(0.0, b), n, level=6)
+            r = theorem1_verify(FanTriangle(0.0, b), n, level=6)[-1]
             assert r["verdict"] == "pass", (b, n, r)
             for chk in r["checks"]:
                 assert chk["verdict"] == "pass"
+
+
+def test_theorem1_every_n_reads_one_solve():
+    # the cases of one n_max = 6 run match separate runs that stop at n
+    for b in (2.0, 4.0):
+        fan = FanTriangle(0.0, b)
+        cases = theorem1_verify(fan, 6, level=5)
+        assert [c["n"] for c in cases] == [1, 2, 3, 4, 5, 6]
+        for n in range(1, 6):
+            alone = theorem1_verify(fan, n, level=5)[-1]
+            case = cases[n - 1]
+            for key in ("fem_sum", "gamma_n"):
+                assert case[key] == pytest.approx(alone[key], rel=1e-12)
+            assert case["delta_n"] == pytest.approx(alone["delta_n"],
+                                                    abs=1e-12)
+            assert case["fem_err"] == pytest.approx(alone["fem_err"],
+                                                    rel=1e-9)
+            assert case["verdict"] == alone["verdict"]
+            assert [c["verdict"] for c in case["checks"]] == \
+                [c["verdict"] for c in alone["checks"]]
 
 
 def test_theorem1_min_target_invariant():
@@ -239,7 +259,7 @@ def test_theorem1_min_target_invariant():
     for _ in range(3):
         b = float(rng.uniform(1.8, 5.0))
         n = int(rng.integers(1, 5))
-        r = theorem1_verify(FanTriangle(0.0, b), n, level=5)
+        r = theorem1_verify(FanTriangle(0.0, b), n, level=5)[-1]
         eq_target = SIGMA_COEFF * exact_sum_q(n)
         anti = enumerate_modes(n, mode_class="antisym", sidelength=4.0)
         right_target = (6.0 / 11.0) * 16.0 * sum(
