@@ -219,7 +219,7 @@ def _cmd_verify(args):
 
 def _cmd_fem(args):
     t = triangle_from_json(args.triangle)
-    vals, errs, _ = solve_extrapolated(t, args.n, args.level)
+    vals, errs = solve_extrapolated(t, args.n, args.level)
     out = {"triangle": t.vertices.tolist(), "level": args.level,
            "values": list(vals), "errors": list(errs)}
     code = 0

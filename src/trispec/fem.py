@@ -396,12 +396,10 @@ def extrapolate(coarse, fine):
 def solve_extrapolated(t, k, level, dirichlet_edges=(0, 1, 2)):
     """Solve k modes at level-1 and level, extrapolate.
 
-    Returns (values, err_estimate, fine_result) as extrapolate gives them;
-    fine_result.residuals are the lumped-mass upper bounds of solve_lowest.
+    Returns (values, err_estimate) as extrapolate gives them; callers that
+    need the discrete solves themselves use solve_pair.
     """
-    coarse, fine = solve_pair(t, k, level, dirichlet_edges)
-    values, err = extrapolate(coarse, fine)
-    return values, err, fine
+    return extrapolate(*solve_pair(t, k, level, dirichlet_edges))
 
 
 class RayleighData:

@@ -4,10 +4,11 @@ The three quantities tracked against the aperture angle are the
 fundamental tone, the lowest antisymmetric tone, and the lowest symmetric
 tone above the fundamental.  Each can be normalized by squared side,
 squared diameter, squared perimeter, or area, and the minimizers and
-monotonicity patterns differ by scaling.  The symmetry classes come from
+monotonicity patterns differ by scaling.  All three come from two
 half-triangle solves: full Dirichlet data on the half gives the
 antisymmetric tones of the whole, a free condition on the symmetry line
-gives the symmetric ones.
+gives the symmetric ones.  The fundamental tone is symmetric, so it is the
+lowest tone of the free-axis half and needs no solve on the whole triangle.
 """
 
 import math
@@ -116,13 +117,16 @@ class SweepTable:
 
 
 def _tones(alpha, level):
-    """Raw (lambda1, lambda_a, lambda_s) and their error estimates at l = 1."""
-    t = IsoscelesAperture(alpha)
-    full, full_err, _ = solve_extrapolated(t.triangle, 1, level)
-    anti, anti_err, _ = solve_extrapolated(t.half_triangle, 1, level, (0, 1, 2))
-    sym, sym_err, _ = solve_extrapolated(t.half_triangle, 2, level, (1, 2))
-    vals = (float(full[0]), float(anti[0]), float(sym[1]))
-    errs = (float(full_err[0]), float(anti_err[0]), float(sym_err[1]))
+    """Raw (lambda1, lambda_a, lambda_s) and their error estimates at l = 1.
+
+    The fundamental is the lowest tone of the free-axis half, lambda_s the
+    next one; lambda_a is the lowest tone of the Dirichlet half.
+    """
+    half = IsoscelesAperture(alpha).half_triangle
+    anti, anti_err = solve_extrapolated(half, 1, level, (0, 1, 2))
+    sym, sym_err = solve_extrapolated(half, 2, level, (1, 2))
+    vals = (float(sym[0]), float(anti[0]), float(sym[1]))
+    errs = (float(sym_err[0]), float(anti_err[0]), float(sym_err[1]))
     return vals, errs
 
 
@@ -225,7 +229,8 @@ def _monotone_check(table, quantity, scaling, lo, hi, direction, strict):
              f"{'strictly ' if strict else ''}{word} "
              f"on [{lo:.4g}, {hi:.4g}]")
     if vals.size < 3:
-        return make_report(claim, 0.0, 1.0, mode="<",
+        # too few points to judge the claim: neither held nor broken
+        return make_report(claim, 0.0, 0.0, mode="<=", fem_err=1.0,
                            points=int(vals.size), note="grid misses interval")
     diffs = np.diff(vals)
     if direction == "inc":

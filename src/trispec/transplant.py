@@ -282,7 +282,7 @@ def theorem2_verify(b, level=7):
         raise ValueError("requires b >= sqrt(3)")
     d2 = 1.0 + b * b
     target = 7.0 * SIGMA_COEFF  # second tone times squared diameter, equilateral
-    vals, errs, _ = solve_extrapolated(FanTriangle(0.0, b).triangle, 2, level)
+    vals, errs = solve_extrapolated(FanTriangle(0.0, b).triangle, 2, level)
     checks = [make_report(
         "FEM second tone times squared diameter exceeds the equilateral value",
         float(vals[1]) * d2, target, fem_err=float(errs[1]) * d2)]

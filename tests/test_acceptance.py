@@ -96,7 +96,7 @@ def test_criterion_4_tail_ratio():
 
 def test_criterion_5_fem_calibration():
     t = Triangle([(0.0, 0.0), (1.0, 0.0), (0.5, SQRT3 / 2.0)])
-    vals, _, _ = solve_extrapolated(t, 3, 8)
+    vals, _ = solve_extrapolated(t, 3, 8)
     ok = abs(vals[0] - LAM1_EQ) < 0.005 * LAM1_EQ
     ok = ok and abs(vals[1] - LAM2_EQ) < 0.005 * LAM2_EQ
     ok = ok and abs(vals[2] - LAM2_EQ) < 0.005 * LAM2_EQ
@@ -121,11 +121,11 @@ def test_criterion_7_second_tone_grid():
     for b in B_GRID:
         b = float(b)
         d2 = 1.0 + b * b
-        vals, errs, _ = solve_extrapolated(FanTriangle(0.0, b).triangle, 2, 6)
+        vals, errs = solve_extrapolated(FanTriangle(0.0, b).triangle, 2, 6)
         margin = vals[1] * d2 - LAM2_EQ
         worst = min(worst, margin)
         ok = ok and margin > 3.0 * errs[1] * d2 and vals[1] * d2 > 122.84
-    vals, _, _ = solve_extrapolated(FanTriangle(0.0, SQRT3).triangle, 2, 6)
+    vals, _ = solve_extrapolated(FanTriangle(0.0, SQRT3).triangle, 2, 6)
     ok = ok and abs(vals[1] * 4.0 - LAM2_EQ) < 0.01 * LAM2_EQ
     criterion(7, f"second tone beats the equilateral value on the grid "
                  f"(worst margin {worst:.3f}), equality at sqrt(3)", ok)

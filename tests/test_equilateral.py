@@ -214,8 +214,11 @@ def test_verify_compequilateral():
     assert out["verdict"] == "pass"
     exact, tail = out["checks"]
     assert exact["verdict"] == "pass" and tail["verdict"] == "pass"
-    assert exact["lhs"] == 6 * 23888 and exact["rhs"] == 11 * 11730
-    assert exact["worst_margin"] > 0
+    assert exact_sum_q(110, "antisym") == 23888 and exact_sum_q(110) == 11730
+    # the rank-1 sums have the least margin, and they are the ones compared
+    assert exact["worst_rank"] == 1
+    assert exact["lhs"] == 6 * 7 and exact["rhs"] == 11 * 3
+    assert exact["margin"] == exact["worst_margin"] == 9
     assert tail["lhs"] > 11 / 6
     short = verify_compequilateral(n_max=1)
     assert short["verdict"] == "pass"

@@ -198,14 +198,15 @@ def test_eigsh_path_matches_dense():
 def test_right_isosceles_tones():
     # half of the unit square: exact tones pi^2 (p^2 + q^2), p != q
     t = Triangle([(0, 0), (1, 0), (0, 1)])
-    vals, err, _ = solve_extrapolated(t, 2, 6)
+    vals, err = solve_extrapolated(t, 2, 6)
     assert vals[0] == pytest.approx(5 * math.pi**2, rel=1e-5)
     assert vals[1] == pytest.approx(10 * math.pi**2, rel=1e-5)
     assert np.all(err > 0)
 
 
 def test_equilateral_tones():
-    vals, err, fine = solve_extrapolated(unit_equilateral(), 3, 6)
+    coarse, fine = solve_pair(unit_equilateral(), 3, 6)
+    vals, err = extrapolate(coarse, fine)
     assert vals[0] == pytest.approx(sigma(1, 1), rel=1e-5)
     assert vals[1] == pytest.approx(sigma(1, 2), rel=1e-5)
     assert vals[2] == pytest.approx(sigma(1, 2), rel=1e-5)
@@ -328,8 +329,8 @@ def test_extrapolate_validation():
 
 def test_solve_extrapolated_deterministic():
     t = unit_equilateral()
-    v1, e1, _ = solve_extrapolated(t, 2, 5)
-    v2, e2, _ = solve_extrapolated(t, 2, 5)
+    v1, e1 = solve_extrapolated(t, 2, 5)
+    v2, e2 = solve_extrapolated(t, 2, 5)
     np.testing.assert_array_equal(v1, v2)
     np.testing.assert_array_equal(e1, e2)
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from trispec import fem
 from trispec.fem import solve_extrapolated
 from trispec.geometry import IsoscelesAperture
 from trispec.isosceles import (
@@ -51,6 +52,35 @@ def test_table_invariants():
         SweepTable([1.0, 1.1], [2, 2], [1, 1], [3, 3], "side")
     with pytest.raises(ValueError, match="scaling"):
         SweepTable([1.0, 1.1], [1, 1], [2, 2], [3, 3], "volume")
+
+
+def test_sweep_solves_two_half_problems_per_aperture(monkeypatch):
+    solved = []
+    original = fem.solve_lowest
+
+    def recording(mesh, k, dirichlet_edges=(0, 1, 2)):
+        solved.append(mesh.triangle.vertices)
+        return original(mesh, k, dirichlet_edges)
+
+    monkeypatch.setattr(fem, "solve_lowest", recording)
+    sweep([0.8, 1.0], "side", 6)
+    # Dirichlet and free-axis half, each at two levels
+    assert len(solved) == 8
+    halves = [IsoscelesAperture(a).half_triangle.vertices for a in (0.8, 1.0)]
+    for i, vertices in enumerate(solved):
+        np.testing.assert_array_equal(vertices, halves[i // 4])
+
+
+def test_fundamental_is_the_lowest_free_axis_half_tone():
+    # the symmetric half reproduces the whole triangle's fundamental well
+    # inside the two extrapolation error bars
+    grid = [0.7, 1.4, 2.0 * PI / 3.0]
+    tab = sweep(grid, "side", 6)
+    for i, a in enumerate(grid):
+        full, full_err = solve_extrapolated(IsoscelesAperture(a).triangle,
+                                            1, 6)
+        bar = float(full_err[0]) + tab.errors[i, 0]
+        assert abs(tab.lambda1[i] - full[0]) < 0.1 * bar
 
 
 def test_sweep_matches_figure_side():
@@ -168,6 +198,22 @@ def test_monotonicity_report(fine_table):
     assert mirror["lhs"] < 5e-4
 
 
+def test_monotone_claim_the_grid_misses_is_inconclusive():
+    # tones with every claimed trend on [1.4, 1.8], built under area
+    # scaling; no aperture lies in [0, pi/3]
+    alpha = np.linspace(1.4, 1.8, 25)
+    tab = SweepTable(alpha, 30.0 + 10.0 * alpha,
+                     100.0 + 50.0 * (alpha - PI / 2.0) ** 2,
+                     np.full(alpha.size, 200.0), "area")
+    r = verify_monotonicity(tab)
+    missed = [c for c in r["checks"] if c.get("points") == 0]
+    assert len(missed) == 5
+    assert all(c["verdict"] == "inconclusive" for c in missed)
+    assert all(c["verdict"] == "pass" for c in r["checks"]
+               if c not in missed)
+    assert r["verdict"] == "inconclusive"
+
+
 def test_monotonicity_spacing_guard():
     tab = sweep(np.linspace(0.7, 1.0, 4), "side", 6)
     with pytest.raises(ValueError, match="spacing"):
@@ -181,7 +227,7 @@ def test_corner_at_equilateral_aperture():
     alphas = [PI / 3.0 + k * h for k in (-3, -2, -1, 1, 2, 3)]
     vals = []
     for a in alphas:
-        lam, _, _ = solve_extrapolated(IsoscelesAperture(a).triangle, 1, 6)
+        lam, _ = solve_extrapolated(IsoscelesAperture(a).triangle, 1, 6)
         vals.append(float(lam[0]) * scale_factor(a, "diameter"))
     left = (vals[2] - vals[1]) / h
     right = (vals[4] - vals[3]) / h
