@@ -22,6 +22,14 @@ ordering of K + K^T, no pivoting, since K is positive definite).  Discrete
 eigenvalues are upper bounds for the true ones (conforming subspace) and
 converge at O(h^2), which Richardson extrapolation removes.
 
+Triangles without an obtuse angle have nonnegative weights w_d, so a family
+of them on one lattice (the half triangles of an aperture sweep) is solved
+at once by solve_family: a Rayleigh-Ritz projection onto the eigenvectors
+of direct solves at a few members.  Its values are upper bounds on the P1
+values, as a direct solve's are.  That no mode was skipped is proven by
+Sylvester inertia counts of K - sigma M (inertia), carried from member to
+member by the Loewner order of their stiffnesses.
+
 The transplantation conditions are driven by the fraction of Dirichlet
 energy carried by the y-y and x-y derivatives, so each solve also records
 the per-mode energies (v^T L_d v) combined by the weights of those forms.
@@ -46,6 +54,9 @@ __all__ = [
     "assemble",
     "solve_lowest",
     "solve_pair",
+    "inertia",
+    "solve_family",
+    "richardson",
     "extrapolate",
     "solve_extrapolated",
     "rayleigh_data",
@@ -61,6 +72,17 @@ CLUSTER_RTOL = 1e-6
 # Stencils kept, one per (level, Dirichlet edges); a pipeline uses at most
 # two levels and two boundary sets.
 STENCIL_CACHE_SIZE = 16
+# Direct solves a family basis starts from, Chebyshev-spaced over the
+# members; a shorter family solves every member.
+FAMILY_SNAPSHOTS = 8
+# Largest residual / Ritz value the family basis may leave on any member.
+FAMILY_RTOL = 1e-5
+# Mass norm below which a unit snapshot direction counts as in the basis.
+BASIS_DROP = 1e-8
+# Where an inertia count puts its shift, as a fraction of the way from the
+# top claimed eigenvalue to the next Ritz value: far enough to carry the
+# count over many members, short of the next eigenvalue.
+ANCHOR_SHIFT = 0.9
 
 
 def _lattice(level):
@@ -365,6 +387,163 @@ def solve_lowest(mesh, k, dirichlet_edges=(0, 1, 2)):
                        forms.energies(vecs), dirichlet_edges)
 
 
+def inertia(K, M, sigma):
+    """Number of eigenvalues of the pencil (K, M) below sigma.
+
+    Sylvester's law of inertia on the symmetric-mode sparse LU of
+    K - sigma M (the options of solve_lowest): with diagonal pivots the
+    factorization is P (K - sigma M) P^T = L D L^T with U = D L^T, so the
+    count is the number of negative entries of U's diagonal.  Refused when
+    SuperLU left the diagonal (perm_r != perm_c), since U then carries no
+    inertia.
+    """
+    lu = splu(sparse.csc_matrix(K - sigma * M), permc_spec="MMD_AT_PLUS_A",
+              diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise RuntimeError("the factorization pivoted off the diagonal; "
+                           "inertia unknown")
+    return int(np.count_nonzero(lu.U.diagonal() < 0))
+
+
+def _family_weights(meshes):
+    """Stiffness weights (members, 3) of a family; refuses negative ones."""
+    weights = np.array([_weights(mesh.triangle)[0] for mesh in meshes])
+    if np.any(weights < 0):
+        raise ValueError("a family solve needs triangles without obtuse "
+                         "angles (every stiffness weight >= 0)")
+    return weights
+
+
+def _first_unproven(meshes, dirichlet_edges, k, top, above):
+    """First member where the k lowest eigenvalues are not proven < top.
+
+    top[i] bounds the k claimed eigenvalues of member i from above and
+    above[i] > top[i] is where its next one is expected.  Member i is
+    proven when lambda_{k+1}(i) > top[i].  An inertia count k at an anchor
+    a with shift s (ANCHOR_SHIFT of the way from top[a] to above[a])
+    proves lambda_{k+1}(a) >= s.  Since K(i) >= m K(a) in the Loewner
+    order, m the least ratio w_d(i) / w_d(a) over the weights w_d(a) > 0,
+    and the masses scale by the element areas e,
+    lambda_{k+1}(i) >= m e(a) / e(i) s.  A member that this transported
+    bound does not clear gets its own count and becomes the anchor.
+    Returns None when every member is proven.
+    """
+    weights = _family_weights(meshes)
+    scale = np.array([mesh.triangle.area for mesh in meshes])
+    anchor = None
+    for i, mesh in enumerate(meshes):
+        if anchor is not None:
+            a, shift = anchor
+            used = weights[a] > 0
+            m = np.min(weights[i, used] / weights[a, used])
+            if m * scale[a] / scale[i] * shift > top[i]:
+                continue
+        if not above[i] > top[i]:
+            return i
+        shift = top[i] + ANCHOR_SHIFT * (above[i] - top[i])
+        forms = assemble(mesh, dirichlet_edges)
+        if inertia(forms.stiffness, forms.mass, shift) != k:
+            return i
+        anchor = (i, shift)
+    return None
+
+
+def _chebyshev_members(count, most):
+    """Up to `most` distinct Chebyshev-Lobatto indices into range(count)."""
+    if count <= most:
+        return list(range(count))
+    nodes = (1.0 - np.cos(np.pi * np.arange(most) / (most - 1))) / 2.0
+    return sorted(set(np.rint((count - 1) * nodes).astype(int).tolist()))
+
+
+def _orthonormal_extension(basis, vecs, mass):
+    """basis with the new directions of vecs, all mass-orthonormal columns.
+
+    Twice: block Gram-Schmidt against the basis, then an eigen-decomposition
+    of the remainder's Gram matrix; the first round drops directions whose
+    mass norm fell below BASIS_DROP of the (unit) input, since the basis
+    already holds them.
+    """
+    for _ in range(2):
+        vecs = vecs - basis @ (basis.T @ (mass @ vecs))
+        norms, dirs = np.linalg.eigh(vecs.T @ (mass @ vecs))
+        keep = norms > BASIS_DROP ** 2
+        vecs = vecs @ (dirs[:, keep] / np.sqrt(norms[keep]))
+    return np.hstack((basis, vecs))
+
+
+def solve_family(triangles, k, level, dirichlet_edges=(0, 1, 2)):
+    """Lowest k P1 eigenvalues of every triangle, from one reduced basis.
+
+    Every triangle of one level and boundary set has its pencil on the same
+    lattice: K = sum_d w_d L_d and M = e M_ref, e the element area.  The
+    triangles must have no obtuse angle (w_d >= 0).  The basis starts from
+    direct solve_lowest solves of k+1 modes at up to FAMILY_SNAPSHOTS
+    Chebyshev-spaced members (all of them in a shorter family); then the
+    member whose worst Ritz pair has the largest residual / value joins it
+    until none exceeds FAMILY_RTOL.  The Ritz values are upper bounds on
+    the P1 values (the basis is a subspace of the P1 space).  Residuals are
+    the lumped-mass bound of solve_lowest, computed from each Ritz vector
+    by the member's stencil forms (no Gram expansion).
+
+    No mode may be skipped: _first_unproven certifies every member with
+    inertia counts transported in the Loewner order.  A member it refutes
+    becomes a snapshot; a snapshot it refutes raises RuntimeError.
+    Returns the values as an array (len(triangles), k).
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    edges = tuple(sorted(dirichlet_edges))
+    meshes = [mesh_triangle(t, level) for t in triangles]
+    weights = _family_weights(meshes)
+    scale = np.array([mesh.triangle.area for mesh in meshes]) / 4 ** level
+    stencil = _stencil(level, edges)
+    laplacians = [_csc(stencil, lap) for lap in stencil.laplacians]
+    mass = _csc(stencil, stencil.mass)
+    basis = np.zeros((stencil.free.size, 0))
+    values = np.empty((len(meshes), k + 1))
+    resid = np.empty((len(meshes), k))
+    taken = []
+    todo = _chebyshev_members(len(meshes), FAMILY_SNAPSHOTS)
+    while True:
+        for i in todo:
+            res = solve_lowest(meshes[i], k + 1, edges)
+            basis = _orthonormal_extension(
+                basis, res.vectors[stencil.free] * math.sqrt(scale[i]), mass)
+        taken.extend(todo)
+        dim = basis.shape[1]
+        reduced = np.array([basis.T @ (lap @ basis) for lap in laplacians])
+        reduced = reduced.reshape(3, dim * dim)
+        for i in range(len(meshes)):
+            # Ritz pairs of (K, M_ref); the values of (K, M) are mu / e.
+            mu, y = np.linalg.eigh((weights[i] @ reduced).reshape(dim, dim))
+            u = basis @ y[:, :k]
+            r = sum(w * (lap @ u) for w, lap in zip(weights[i], laplacians))
+            r -= (mass @ u) * mu[:k]
+            values[i] = mu[:k + 1] / scale[i]
+            resid[i] = 2.0 / scale[i] * np.sqrt(
+                np.sum(r * r / stencil.lumped[:, None], axis=0))
+        rel = np.max(resid / values[:, :k], axis=1)
+        worst = int(np.argmax(rel))
+        if rel[worst] > FAMILY_RTOL:
+            if worst in taken:
+                raise RuntimeError(
+                    f"reduced basis stalled at family member {worst} at "
+                    f"level {level}")
+            todo = [worst]
+            continue
+        bad = _first_unproven(meshes, edges, k,
+                              np.max(values[:, :k] + resid, axis=1),
+                              values[:, k])
+        if bad is None:
+            return values[:, :k].copy()
+        if bad in taken:
+            raise RuntimeError(
+                f"mode completeness not proven for family member {bad} at "
+                f"level {level}")
+        todo = [bad]
+
+
 def solve_pair(t, k, level, dirichlet_edges=(0, 1, 2)):
     """The lowest k modes of t at level-1 and at level, as (coarse, fine)."""
     if level < 1:
@@ -373,13 +552,21 @@ def solve_pair(t, k, level, dirichlet_edges=(0, 1, 2)):
                  for lev in (level - 1, level))
 
 
-def extrapolate(coarse, fine):
-    """Richardson-extrapolate assuming O(h^2): fine + (fine - coarse)/3.
+def richardson(coarse, fine):
+    """Richardson-extrapolate values at consecutive levels, assuming O(h^2).
 
-    Returns (values, err) over the modes both solves hold; err is the
-    extrapolation increment |fine - coarse|/3 per eigenvalue, the standard
-    proxy for the remaining discretization error.  Requires the same
-    triangle and fine.level = coarse.level + 1.
+    Returns (fine + (fine - coarse)/3, err); err is the extrapolation
+    increment |fine - coarse|/3 per eigenvalue, the standard proxy for the
+    remaining discretization error.
+    """
+    diff = fine - coarse
+    return fine + diff / 3.0, np.abs(diff) / 3.0
+
+
+def extrapolate(coarse, fine):
+    """richardson over the modes two solves of one problem both hold.
+
+    Requires the same triangle and fine.level = coarse.level + 1.
     """
     if fine.level != coarse.level + 1:
         raise ValueError("fine level must be coarse level + 1")
@@ -389,8 +576,7 @@ def extrapolate(coarse, fine):
     if fine.dirichlet_edges != coarse.dirichlet_edges:
         raise ValueError("extrapolation requires the same boundary conditions")
     k = min(len(fine.values), len(coarse.values))
-    diff = fine.values[:k] - coarse.values[:k]
-    return fine.values[:k] + diff / 3.0, np.abs(diff) / 3.0
+    return richardson(coarse.values[:k], fine.values[:k])
 
 
 def solve_extrapolated(t, k, level, dirichlet_edges=(0, 1, 2)):

@@ -4,18 +4,21 @@ The three quantities tracked against the aperture angle are the
 fundamental tone, the lowest antisymmetric tone, and the lowest symmetric
 tone above the fundamental.  Each can be normalized by squared side,
 squared diameter, squared perimeter, or area, and the minimizers and
-monotonicity patterns differ by scaling.  All three come from two
-half-triangle solves: full Dirichlet data on the half gives the
-antisymmetric tones of the whole, a free condition on the symmetry line
-gives the symmetric ones.  The fundamental tone is symmetric, so it is the
-lowest tone of the free-axis half and needs no solve on the whole triangle.
+monotonicity patterns differ by scaling.  All three come from the half
+triangle: full Dirichlet data on the half gives the antisymmetric tones of
+the whole, a free condition on the symmetry line gives the symmetric ones.
+The fundamental tone is symmetric, so it is the lowest tone of the
+free-axis half and needs no solve on the whole triangle.  The half
+triangles of a grid are right triangles on one lattice, so each boundary
+set at each level is one fem.solve_family: a sweep makes four of them, from
+a few direct snapshot solves each, whatever the grid size.
 """
 
 import math
 
 import numpy as np
 
-from .fem import solve_extrapolated
+from .fem import richardson, solve_family
 from .geometry import IsoscelesAperture
 from .reports import combine, make_report
 
@@ -34,6 +37,10 @@ SCALINGS = ("side", "diameter", "perimeter", "area")
 # Aperture window used by the default grid; degenerate slivers excluded.
 ALPHA_MIN = math.pi / 6.0
 ALPHA_MAX = 2.0 * math.pi / 3.0
+
+# (k, Dirichlet edges) of the half-triangle solves: the free-axis half
+# gives the fundamental and lambda_s, the Dirichlet half lambda_a.
+HALF_PROBLEMS = ((2, (1, 2)), (1, (0, 1, 2)))
 
 # Spacing required before successive differences are trusted to resolve
 # the claimed monotone intervals.
@@ -106,9 +113,11 @@ class SweepTable:
     def to_csv(self):
         lines = [f"# scaling: {self.scaling}",
                  "alpha,lambda1,lambda_a,lambda_s"]
-        for a, l1, la, ls in zip(self.alpha, self.lambda1,
-                                 self.lambda_a, self.lambda_s):
-            lines.append(f"{a!r},{l1!r},{la!r},{ls!r}")
+        # repr of a Python float is the shortest string that parses back
+        # to the same double; numpy 2 scalars would print np.float64(...).
+        for row in zip(self.alpha, self.lambda1, self.lambda_a,
+                       self.lambda_s):
+            lines.append(",".join(repr(float(x)) for x in row))
         return "\n".join(lines) + "\n"
 
     def __repr__(self):
@@ -116,22 +125,14 @@ class SweepTable:
                 f"level={self.level!r})")
 
 
-def _tones(alpha, level):
-    """Raw (lambda1, lambda_a, lambda_s) and their error estimates at l = 1.
+def sweep(alpha_grid, scaling="side", level=6):
+    """SweepTable of the three tones over the aperture grid.
 
     The fundamental is the lowest tone of the free-axis half, lambda_s the
-    next one; lambda_a is the lowest tone of the Dirichlet half.
+    next one; lambda_a is the lowest tone of the Dirichlet half.  Each half
+    is one solve_family over the grid at level-1 and at level, and the two
+    are Richardson-extrapolated.
     """
-    half = IsoscelesAperture(alpha).half_triangle
-    anti, anti_err = solve_extrapolated(half, 1, level, (0, 1, 2))
-    sym, sym_err = solve_extrapolated(half, 2, level, (1, 2))
-    vals = (float(sym[0]), float(anti[0]), float(sym[1]))
-    errs = (float(sym_err[0]), float(anti_err[0]), float(sym_err[1]))
-    return vals, errs
-
-
-def sweep(alpha_grid, scaling="side", level=6):
-    """SweepTable of the three tones over the aperture grid."""
     grid = np.asarray(alpha_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("grid must be a 1-d array with at least two points")
@@ -139,16 +140,18 @@ def sweep(alpha_grid, scaling="side", level=6):
         raise ValueError("apertures must lie strictly inside (0, pi)")
     if level < 6:
         raise ValueError("level must be at least 6")
-    lam1, lam_a, lam_s, errors = [], [], [], []
-    for a in grid:
-        vals, errs = _tones(float(a), level)
-        fac = scale_factor(float(a), scaling)
-        lam1.append(vals[0] * fac)
-        lam_a.append(vals[1] * fac)
-        lam_s.append(vals[2] * fac)
-        errors.append([e * fac for e in errs])
-    return SweepTable(grid, lam1, lam_a, lam_s, scaling,
-                      errors=errors, level=level)
+    halves = [IsoscelesAperture(float(a)).half_triangle for a in grid]
+    # The fine level first: its solves set the peak memory, and the heap
+    # they leave behind serves the coarse ones.
+    fine, coarse = ([solve_family(halves, k, lev, edges)
+                     for k, edges in HALF_PROBLEMS]
+                    for lev in (level, level - 1))
+    (sym, sym_err), (anti, anti_err) = map(richardson, coarse, fine)
+    fac = np.array([scale_factor(float(a), scaling) for a in grid])
+    errors = np.column_stack((sym_err[:, 0], anti_err[:, 0], sym_err[:, 1]))
+    return SweepTable(grid, sym[:, 0] * fac, anti[:, 0] * fac,
+                      sym[:, 1] * fac, scaling,
+                      errors=errors * fac[:, None], level=level)
 
 
 def default_grid(steps=61):

@@ -11,10 +11,12 @@ from trispec.equilateral import SIGMA_COEFF, sigma
 from trispec.fem import (
     MAX_LEVEL,
     extrapolate,
+    inertia,
     mesh_triangle,
     assemble,
     rayleigh_data,
     solve_extrapolated,
+    solve_family,
     solve_lowest,
     solve_pair,
 )
@@ -354,3 +356,106 @@ def test_rayleigh_refuses_cluster():
         rayleigh_data(*solve_pair(fan_equilateral(), 3, 4), 2)
     with pytest.raises(ValueError):
         rayleigh_data(*solve_pair(FanTriangle(0.0, 2.5).triangle, 3, 4), 0)
+
+
+# Half triangles of an aperture grid: the Dirichlet half carries the
+# antisymmetric tones (k = 1), the free-axis half the symmetric ones (k = 2).
+HALF_PROBLEMS = (((0, 1, 2), 1), ((1, 2), 2))
+
+
+def halves(alphas):
+    return [IsoscelesAperture(a).half_triangle for a in alphas]
+
+
+@pytest.mark.parametrize("level", [5, 6])
+def test_inertia_counts_eigenvalues_below_the_shift(level):
+    problems = ((FanTriangle(0.0, 2.5).triangle, (0, 1, 2)),
+                (IsoscelesAperture(1.0).half_triangle, (1, 2)))
+    for t, edges in problems:
+        mesh = mesh_triangle(t, level)
+        vals = solve_lowest(mesh, 6, edges).values
+        forms = assemble(mesh, edges)
+        for j in range(1, 6):
+            assert vals[j] - vals[j - 1] > 1e-6 * vals[j]
+            shift = 0.5 * (vals[j - 1] + vals[j])
+            assert inertia(forms.stiffness, forms.mass, shift) == j
+
+
+def test_loewner_transport_bounds_neighbouring_apertures():
+    # K(a) >= m K(b) with m the least weight ratio, and M scales by the
+    # element area, so lambda_j(a) >= m e(b) / e(a) lambda_j(b)
+    alphas = np.linspace(0.6, 2.0, 8)
+    for edges, k in HALF_PROBLEMS:
+        solved = [(t, solve_lowest(mesh_triangle(t, 5), k + 1, edges).values)
+                  for t in halves(alphas)]
+        for (ta, va), (tb, vb) in itertools.permutations(solved, 2):
+            wa, wb = fem._weights(ta)[0], fem._weights(tb)[0]
+            used = wb > 0
+            m = np.min(wa[used] / wb[used])
+            assert np.all(va >= m * tb.area / ta.area * vb * (1 - 1e-12))
+
+
+@pytest.mark.parametrize("level", [5, 6])
+def test_solve_family_matches_direct_solves(level):
+    family = halves(np.linspace(math.pi / 6.0, 2.0 * math.pi / 3.0, 21))
+    for edges, k in HALF_PROBLEMS:
+        values = solve_family(family, k, level, edges)
+        direct = np.array([solve_lowest(mesh_triangle(t, level), k,
+                                        edges).values for t in family])
+        np.testing.assert_allclose(values, direct, rtol=1e-10)
+
+
+def test_gate_refuses_ritz_values_that_skip_the_fundamental():
+    meshes = [mesh_triangle(t, 5) for t in halves([0.8, 1.0, 1.2])]
+    for edges, k in HALF_PROBLEMS:
+        solved = [solve_lowest(mesh, k + 2, edges) for mesh in meshes]
+
+        def claims(first_skipping):
+            # from this member on, modes 2..k+1 pose as the k lowest
+            top, above = [], []
+            for i, res in enumerate(solved):
+                j = int(i >= first_skipping)
+                top.append(np.max(res.values[j:j + k]
+                                  + res.residuals[j:j + k]))
+                above.append(res.values[j + k])
+            return np.array(top), np.array(above)
+
+        assert fem._first_unproven(meshes, edges, k, *claims(3)) is None
+        # refused where the skip starts, also past an anchor whose count
+        # is carried over
+        for first in (0, 2):
+            assert fem._first_unproven(meshes, edges, k,
+                                       *claims(first)) == first
+
+
+def test_refuted_member_becomes_a_snapshot(monkeypatch):
+    family = halves(np.linspace(0.6, 2.0, 21))
+    solved, gated = [], []
+    original_solve, original_gate = fem.solve_lowest, fem._first_unproven
+
+    def solve(mesh, k, dirichlet_edges=(0, 1, 2)):
+        solved.append(mesh.triangle)
+        return original_solve(mesh, k, dirichlet_edges)
+
+    def gate(*args):
+        # member 10 is neither a Chebyshev nor a greedy snapshot here
+        gated.append(args)
+        return 10 if len(gated) == 1 else original_gate(*args)
+
+    monkeypatch.setattr(fem, "solve_lowest", solve)
+    monkeypatch.setattr(fem, "_first_unproven", gate)
+    values = solve_family(family, 1, 5)
+    assert solved.count(family[10]) == 1 and len(gated) == 2
+    direct = [original_solve(mesh_triangle(t, 5), 1).values for t in family]
+    np.testing.assert_allclose(values, direct, rtol=1e-10)
+    # a snapshot the gate refutes is not solved again
+    monkeypatch.setattr(fem, "_first_unproven", lambda *args: 0)
+    with pytest.raises(RuntimeError, match="not proven"):
+        solve_family(family, 1, 5)
+
+
+def test_solve_family_validation():
+    with pytest.raises(ValueError, match="obtuse"):
+        solve_family([Triangle([(0, 0), (1, 0), (-0.2, 0.5)])], 1, 4)
+    with pytest.raises(ValueError, match="k must"):
+        solve_family(halves([1.0]), 0, 4)
