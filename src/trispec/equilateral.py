@@ -5,8 +5,8 @@ Every Dirichlet eigenvalue of the unit-sidelength equilateral triangle is
 counting and summing eigenvalues reduce to exact integer arithmetic on the
 quadratic form q = m^2 + mn + n^2.  Antisymmetric modes (odd across the
 axis of symmetry) are carried by the strict half m > n; the diagonal m = n
-is symmetric.  This module provides the exact enumeration, a brute-force
-counting oracle, the closed-form counting and eigenvalue bounds, and the
+is symmetric.  This module provides the exact enumeration, an exact
+counting function, the closed-form counting and eigenvalue bounds, and the
 integer verifications the eigenvalue-sum comparisons reduce to.
 """
 
@@ -170,9 +170,11 @@ def enumerate_modes(n_max, mode_class="full", sidelength=1.0):
 def counting_exact(lam, mode_class="full"):
     """Number of eigenvalues of the class strictly below lam, at sidelength 1.
 
-    Brute-force oracle: loops over the lattice quadrant and applies the
-    exact integer test q < 9 lam / (16 pi^2), shrunk by COUNTING_GUARD so
-    boundary values resolve to strict exclusion.
+    Exact lattice count, one row m at a time: the row holds the n >= 1 with
+    q = m^2 + mn + n^2 < 9 lam / (16 pi^2), the threshold shrunk by
+    COUNTING_GUARD so boundary values resolve to strict exclusion.  The
+    last such n starts from the quadratic formula in floats and is then
+    stepped by the exact comparison; antisymmetric modes keep n < m.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -182,11 +184,12 @@ def counting_exact(lam, mode_class="full"):
     count = 0
     m = 1
     while m * m + m + 1 < r2:
-        n = 1
-        while m * m + m * n + n * n < r2:
-            if mode_class == "full" or m > n:
-                count += 1
+        n = int((math.sqrt(4.0 * r2 - 3.0 * m * m) - m) / 2.0)
+        while m * m + m * n + n * n >= r2:
+            n -= 1
+        while m * m + m * (n + 1) + (n + 1) * (n + 1) < r2:
             n += 1
+        count += n if mode_class == "full" else min(n, m - 1)
         m += 1
     return count
 

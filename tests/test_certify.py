@@ -5,14 +5,21 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import jvp
 
+from trispec import certify
 from trispec.certify import (
     CERT_APEX,
     CERT_COEFFS,
     CERT_KAPPA,
+    SUP_GRID,
     CertifiedInterval,
     SectorSpec,
     TrialFunction,
+    _bessel_bounds,
+    _second_derivative_terms,
+    _sector_ranked_eigenvalue,
+    _sup_cells,
     bessel_j,
     bessel_zero,
     boundary_sup,
@@ -103,6 +110,16 @@ def test_sector_eigenvalue_scaling():
         sector_eigenvalue(s1, 0, 1)
 
 
+def test_sector_ranked_eigenvalue_sorts_families():
+    s = SectorSpec(math.sqrt(1.0 + CERT_APEX ** 2), 2.0 * math.atan(0.4))
+    table = sorted(sector_eigenvalue(s, k, j)
+                   for k in range(1, 5) for j in range(1, 5))
+    for rank in range(1, 7):
+        assert _sector_ranked_eigenvalue(s, rank) == table[rank - 1]
+    # family (2, 1) is the third value here, between (1, 2) and (1, 3)
+    assert _sector_ranked_eigenvalue(s, 3) == sector_eigenvalue(s, 2, 1)
+
+
 def test_trial_validation():
     nu = 4.0
     with pytest.raises(ValueError, match="odd"):
@@ -179,17 +196,107 @@ def test_l2_quadrature_converged():
     assert a > 0.25
 
 
-def test_boundary_sup_behavior():
+def boundary_values(tf, theta, h=CERT_APEX):
+    return trial_eval(tf, h / np.cos(theta), theta)
+
+
+def test_boundary_sup_bounds_dense_samples():
     tf = cert_trial()
-    s1 = boundary_sup(tf, CERT_APEX)
-    s2 = boundary_sup(tf, CERT_APEX, num=2 * 200001)
-    # denser sampling may only tighten the safeguarded estimate a little
-    assert abs(s2 - s1) < 0.05 * s1
-    assert s1 < 0.0013
-    with pytest.raises(ValueError, match="samples"):
-        boundary_sup(tf, CERT_APEX, num=1000)
+    bound, evals = boundary_sup(tf, CERT_APEX)
+    half = tf.aperture / 2.0
+    theta = np.linspace(-half, half, 2000001)
+    assert bound >= np.max(np.abs(boundary_values(tf, theta)))
+    assert bound < 0.0013
+    assert evals < 1000
+
+
+def test_boundary_trace_is_even():
+    tf = cert_trial()
+    theta = np.linspace(0.0, tf.aperture / 2.0, 1001)
+    np.testing.assert_allclose(boundary_values(tf, -theta),
+                               boundary_values(tf, theta), rtol=0, atol=1e-15)
+
+
+def test_bessel_bounds_hold_on_intervals():
+    # each bound covers J, J' and J'' on a fine sub-grid of its interval
+    for mu in (1.05, 1.5, 2.0, 4.13, 12.4, 20.6, 35.0):
+        edges = np.geomspace(0.01, 95.0, 400)
+        xa, xb = edges[:-1], edges[1:]
+        j0, j1, j2 = _bessel_bounds(mu, xa, xb)
+        x = xa[:, None] + (xb - xa)[:, None] * np.linspace(0.0, 1.0, 9)
+        for order, env in ((0, j0), (1, j1), (2, j2)):
+            assert np.all(np.abs(jvp(mu, x, order)) <= env[:, None] * (1 + 1e-12))
+
+
+def second_derivative_parts(tf, theta, h):
+    """|c| |part_i| of the second derivative, summed over terms."""
+    r = h / np.cos(theta)
+    r1 = r * np.tan(theta)
+    r2 = r * (1.0 + 2.0 * np.tan(theta) ** 2)
+    x = tf.kappa * r
+    parts = np.zeros((4,) + theta.shape)
+    for coeff, k, nu in tf.terms:
+        mu = k * nu
+        c, s = np.cos(mu * theta), np.sin(mu * theta)
+        j0, j1, j2 = (jvp(mu, x, n) for n in (0, 1, 2))
+        parts += np.abs(coeff * np.array([
+            tf.kappa * r2 * j1 * c, (tf.kappa * r1) ** 2 * j2 * c,
+            2.0 * mu * tf.kappa * r1 * j1 * s, mu * mu * j0 * c]))
+    return parts
+
+
+# The certified trial and single terms where the second-derivative bound
+# is nearly attained (small Bessel arguments) or its parts trade places.
+SUP_CASES = [
+    (None, CERT_APEX),
+    (((1.0, 5, 9.55),), 0.55, 0.42),
+    (((1.0, 1, 10.0),), 0.5, 1.0),
+    (((1.0, 1, 1.2),), 20.0, 0.5),
+    (((1.0, 3, 1.1),), 0.5, 1.0),
+    (((1.0, 1, 1.05),), 0.3, 0.2),
+    (((1.0, 1, 2.0),), 3.0, 1.0),
+]
+
+
+def sup_case(case):
+    if case[0] is None:
+        return cert_trial(), case[1]
+    terms, kappa, h = case
+    return TrialFunction(terms, kappa), h
+
+
+@pytest.mark.parametrize("case", SUP_CASES)
+def test_second_derivative_bound_on_final_cells(case):
+    tf, h = sup_case(case)
+    (a, b, m2, bound), _ = _sup_cells(tf, h, SUP_GRID)
+    assert np.all(a < b) and a.min() == 0.0
+    assert b.max() == pytest.approx(tf.aperture / 2.0, rel=1e-15)
+    # second differences on a sub-grid of every cell, reflected at 0
+    step = (b - a) / 16.0
+    t = a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, 17)
+    d = step[:, None]
+    f2 = (boundary_values(tf, t + d, h) - 2.0 * boundary_values(tf, t, h)
+          + boundary_values(tf, np.abs(t - d), h)) / d ** 2
+    assert np.all(m2 >= np.max(np.abs(f2), axis=1))
+    # and each of the four parts of M2 bounds its own part of f''
+    terms = _second_derivative_terms(tf, h, a, b)
+    parts = second_derivative_parts(tf, t, h)
+    assert np.all(terms[:, :, None] >= parts * (1 - 1e-12))
+    np.testing.assert_allclose(terms.sum(axis=0), m2, rtol=1e-15)
+
+
+def test_boundary_sup_budget_and_validation(monkeypatch):
+    tf = cert_trial()
     with pytest.raises(ValueError, match="apex height"):
         boundary_sup(tf, -1.0)
+    with pytest.raises(ValueError, match="grid points"):
+        boundary_sup(tf, CERT_APEX, num=1)
+    with pytest.raises(RuntimeError, match="evaluations"):
+        boundary_sup(tf, CERT_APEX, num=200002)
+    # the certified trial needs 537 evaluations from the default grid
+    monkeypatch.setattr(certify, "SUP_MAX_EVALS", 520)
+    with pytest.raises(RuntimeError, match="evaluations"):
+        boundary_sup(tf, CERT_APEX)
 
 
 def test_interval_arithmetic():
@@ -223,6 +330,7 @@ def test_certified_enclosure_numbers():
     assert 19.65 < iv.lower < iv.upper < 20.03
     assert iv.provenance["l2_lower"] > 0.25
     assert iv.provenance["boundary_sup"] < 0.0013
+    assert iv.provenance["boundary_evaluations"] < 1000
     assert iv.provenance["heuristic"] is True
 
 

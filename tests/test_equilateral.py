@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from trispec.equilateral import (
+    COUNTING_GUARD,
     SIGMA_COEFF,
     ModeIndex,
     antisym_bounds,
@@ -132,6 +133,30 @@ def test_counting_matches_enumeration():
         for j, lam in zip(range(1, 111), lams):
             assert counting_exact(lam, cls) < j
             assert counting_exact(lam * (1 + 1e-12), cls) >= j
+
+
+def reference_count(lam, mode_class="full"):
+    """Lattice count by visiting every point below the threshold."""
+    r2 = lam * (1.0 - COUNTING_GUARD) / SIGMA_COEFF
+    count = 0
+    m = 1
+    while m * m + m + 1 < r2:
+        n = 1
+        while m * m + m * n + n * n < r2:
+            if mode_class == "full" or m > n:
+                count += 1
+            n += 1
+        m += 1
+    return count
+
+
+def test_counting_matches_point_by_point_reference():
+    lams = [float(lam) for lam in np.geomspace(48.0 * math.pi**2, 1e6, 201)[1:]]
+    for cls in ("full", "antisym"):
+        eigs = enumerate_modes(110, cls).eigenvalues
+        near = [lam * (1 + s) for lam in eigs for s in (-1e-12, 0.0, 1e-12)]
+        for lam in lams + near:
+            assert counting_exact(lam, cls) == reference_count(lam, cls)
 
 
 def test_counting_partition():
