@@ -15,7 +15,6 @@ verification pipeline needs.  The enclosure stays flagged heuristic: the
 L2 lower bound and the Bessel values themselves are unverified floats.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -374,9 +373,6 @@ class CertifiedInterval:
         self.upper = self.lambda_bar / (1.0 - self.epsilon)
         self.provenance = dict(provenance) if provenance else {}
 
-    def __contains__(self, value):
-        return self.lower <= value <= self.upper
-
     def __repr__(self):
         return (f"CertifiedInterval(lambda_bar={self.lambda_bar!r}, "
                 f"epsilon={self.epsilon!r})")
@@ -396,7 +392,6 @@ def moler_payne(lambda_bar, sup_bound, l2_bound, area):
     return CertifiedInterval(lambda_bar, eps)
 
 
-@functools.lru_cache(maxsize=32)
 def certify_second_eigenvalue(kappa=CERT_KAPPA, coeffs=CERT_COEFFS,
                               h=CERT_APEX, num=SUP_GRID):
     """Certified enclosure near kappa^2 on the aperture-2*arctan(1/h) triangle.

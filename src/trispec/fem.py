@@ -20,7 +20,9 @@ vertices is solved by shift-invert Lanczos at shift 0; the stiffness is
 factored once per solve by a symmetric-mode sparse LU (minimum-degree
 ordering of K + K^T, no pivoting, since K is positive definite).  Discrete
 eigenvalues are upper bounds for the true ones (conforming subspace) and
-converge at O(h^2), which Richardson extrapolation removes.
+converge at O(h^2), which richardson removes from a solve_pair of
+consecutive levels; it is the one extrapolation here.  Eigenvectors are
+kept on the free vertices only, in the order of the forms.
 
 Triangles without an obtuse angle have nonnegative weights w_d, so a family
 of them on one lattice (the half triangles of an aperture sweep) is solved
@@ -57,7 +59,6 @@ __all__ = [
     "inertia",
     "solve_family",
     "richardson",
-    "extrapolate",
     "solve_extrapolated",
     "rayleigh_data",
 ]
@@ -103,59 +104,12 @@ def _on_edges(n, i, j):
     return np.column_stack((j == 0, i + j == n, i == 0))
 
 
-class Mesh:
-    """Uniform refinement of a triangle into 4^level congruent elements.
-
-    Only the triangle and the level are stored; vertices, elements and edge
-    flags follow from the lattice and are computed when asked for (the
-    solver needs none of them).  edge_flags[v, e] marks vertex v as lying
-    on input edge e, where edge e joins input vertices e and (e+1) mod 3.
-    Boundary conditions are imposed per input edge, so a mixed problem just
-    drops some edges from the Dirichlet set.
-    """
-
-    def __init__(self, triangle, level):
-        self.triangle = triangle
-        self.level = level
-
-    @property
-    def num_vertices(self):
-        n = 1 << self.level
-        return (n + 1) * (n + 2) // 2
-
-    @property
-    def num_elements(self):
-        return 4 ** self.level
-
-    @property
-    def vertices(self):
-        n, i, j = _lattice(self.level)
-        v0, v1, v2 = self.triangle.vertices
-        return v0 + np.outer(i / n, v1 - v0) + np.outer(j / n, v2 - v0)
-
-    @property
-    def elements(self):
-        """Vertex triples of the up, then the down elements, all CCW."""
-        n, i, j = _lattice(self.level)
-        row = n + 1 - j
-        up = np.flatnonzero(i + j < n)
-        down = np.flatnonzero(i + j < n - 1)
-        elements = np.vstack((
-            np.column_stack((up, up + 1, up + row[up])),
-            np.column_stack((down + 1, down + 1 + row[down],
-                             down + row[down]))))
-        if self.triangle.signed_area < 0:
-            # Parent is clockwise; swap two local vertices so every element is CCW.
-            elements = elements[:, [0, 2, 1]]
-        return elements
-
-    @property
-    def edge_flags(self):
-        return _on_edges(*_lattice(self.level))
-
-    def dirichlet_mask(self, dirichlet_edges=(0, 1, 2)):
-        """Boolean mask of vertices constrained by the given edge set."""
-        return self.edge_flags[:, list(dirichlet_edges)].any(axis=1)
+# Uniform refinement of a triangle into 4^level congruent elements.  Only
+# the triangle and the level are stored; every lattice quantity follows from
+# the level.  Boundary conditions are imposed per input edge e, which joins
+# input vertices e and (e+1) mod 3, so a mixed problem just drops some edges
+# from the Dirichlet set.
+Mesh = collections.namedtuple("Mesh", "triangle level")
 
 
 def mesh_triangle(t, level):
@@ -255,28 +209,17 @@ class FemForms:
     on them, lumped_mass the full-mesh row sums of the mass there.  Each
     stiffness form is a weighted sum of the stencil's direction
     Laplacians, row f of weights for the total (0), y-y (1) and
-    symmetrized x-y (2) form; the y-y and x-y matrices are built only when
-    asked for, since energies needs none of them.
+    symmetrized x-y (2) form; only the total is built as a matrix, the
+    others are read through energies.
     """
 
     def __init__(self, stencil, weights, element_area):
         self._stencil = stencil
         self.free = stencil.free
         self.weights = weights
-        self.stiffness = self._form(0)
+        self.stiffness = _csc(stencil, weights[0] @ stencil.laplacians)
         self.mass = _csc(stencil, element_area * stencil.mass)
         self.lumped_mass = element_area * stencil.lumped
-
-    def _form(self, f):
-        return _csc(self._stencil, self.weights[f] @ self._stencil.laplacians)
-
-    @property
-    def stiffness_yy(self):
-        return self._form(1)
-
-    @property
-    def stiffness_xy(self):
-        return self._form(2)
 
     def energies(self, vecs):
         """Total, y-y and x-y energies of each column of vecs, shape (k, 3)."""
@@ -295,29 +238,23 @@ def assemble(mesh, dirichlet_edges=()):
                     mesh.triangle.area / 4 ** mesh.level)
 
 
-class EigenResult:
-    """Lowest-k discrete eigenpairs of one triangle at one mesh level.
+# Lowest-k discrete eigenpairs of one problem at one mesh level.  values
+# ascend; vectors are coefficient columns on the free vertices (assemble's
+# forms.free), mass-orthonormal.  residuals[j] bounds the mass-inverse norm
+# of K v_j - values[j] M v_j from above by twice its lumped-mass dual norm
+# (see solve_lowest).  energies[j] holds the total, y-y and x-y stiffness
+# energies of vectors[:, j].  Every array is per mode, and the leading modes
+# do not depend on how many trailing ones were solved with them (the
+# Cholesky re-orthonormalization is triangular and signs are fixed per
+# column), so one k-mode solve serves every k' < k.
+EigenResult = collections.namedtuple(
+    "EigenResult", "level values vectors residuals energies")
 
-    values ascend; vectors are full-vertex coefficient columns (zero on the
-    constrained boundary), mass-orthonormal.  residuals[j] bounds the
-    mass-inverse norm of K v_j - values[j] M v_j from above by twice its
-    lumped-mass dual norm (see solve_lowest).  energies[j] holds the
-    total, y-y and x-y stiffness energies of vectors[:, j].  Every array is
-    per mode, and the leading modes do not depend on how many trailing ones
-    were solved with them (the Cholesky re-orthonormalization is triangular
-    and signs are fixed per column), so one k-mode solve serves every
-    k' < k.  Only the triangle and level of the mesh are kept.
-    """
 
-    def __init__(self, triangle, level, values, vectors, residuals, energies,
-                 dirichlet_edges):
-        self.triangle = triangle
-        self.level = level
-        self.values = values
-        self.vectors = vectors
-        self.residuals = residuals
-        self.energies = energies
-        self.dirichlet_edges = tuple(dirichlet_edges)
+def _factor(A):
+    """Symmetric-mode sparse LU: minimum-degree order of A + A^T, no pivoting."""
+    return splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True})
 
 
 def solve_lowest(mesh, k, dirichlet_edges=(0, 1, 2)):
@@ -348,11 +285,9 @@ def solve_lowest(mesh, k, dirichlet_edges=(0, 1, 2)):
         vals, vecs = eigh(kk.toarray(), mm.toarray(),
                           subset_by_index=(0, k - 1))
     else:
-        # K is symmetric positive definite, so a symmetric ordering with
-        # diagonal pivots factors it with the least fill; the factor
-        # serves every shift-invert step at shift 0.
-        lu = splu(kk, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
+        # K is symmetric positive definite; its factor serves every
+        # shift-invert step at shift 0.
+        lu = _factor(kk)
         v0 = np.full(nfree, 1.0 / math.sqrt(nfree))
         try:
             vals, vecs = eigsh(
@@ -381,24 +316,20 @@ def solve_lowest(mesh, k, dirichlet_edges=(0, 1, 2)):
     r = kk @ vecs - (mm @ vecs) * vals
     resid = 2.0 * np.sqrt(np.sum(r * r / forms.lumped_mass[:, None], axis=0))
 
-    full_vecs = np.zeros((mesh.num_vertices, k))
-    full_vecs[forms.free] = vecs
-    return EigenResult(mesh.triangle, mesh.level, vals, full_vecs, resid,
-                       forms.energies(vecs), dirichlet_edges)
+    return EigenResult(mesh.level, vals, vecs, resid, forms.energies(vecs))
 
 
 def inertia(K, M, sigma):
     """Number of eigenvalues of the pencil (K, M) below sigma.
 
     Sylvester's law of inertia on the symmetric-mode sparse LU of
-    K - sigma M (the options of solve_lowest): with diagonal pivots the
+    K - sigma M (_factor, as in solve_lowest): with diagonal pivots the
     factorization is P (K - sigma M) P^T = L D L^T with U = D L^T, so the
     count is the number of negative entries of U's diagonal.  Refused when
     SuperLU left the diagonal (perm_r != perm_c), since U then carries no
     inertia.
     """
-    lu = splu(sparse.csc_matrix(K - sigma * M), permc_spec="MMD_AT_PLUS_A",
-              diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    lu = _factor(sparse.csc_matrix(K - sigma * M))
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise RuntimeError("the factorization pivoted off the diagonal; "
                            "inertia unknown")
@@ -509,7 +440,7 @@ def solve_family(triangles, k, level, dirichlet_edges=(0, 1, 2)):
         for i in todo:
             res = solve_lowest(meshes[i], k + 1, edges)
             basis = _orthonormal_extension(
-                basis, res.vectors[stencil.free] * math.sqrt(scale[i]), mass)
+                basis, res.vectors * math.sqrt(scale[i]), mass)
         taken.extend(todo)
         dim = basis.shape[1]
         reduced = np.array([basis.T @ (lap @ basis) for lap in laplacians])
@@ -563,29 +494,14 @@ def richardson(coarse, fine):
     return fine + diff / 3.0, np.abs(diff) / 3.0
 
 
-def extrapolate(coarse, fine):
-    """richardson over the modes two solves of one problem both hold.
-
-    Requires the same triangle and fine.level = coarse.level + 1.
-    """
-    if fine.level != coarse.level + 1:
-        raise ValueError("fine level must be coarse level + 1")
-    if not np.allclose(fine.triangle.vertices, coarse.triangle.vertices,
-                       rtol=0, atol=1e-14):
-        raise ValueError("extrapolation requires the same triangle")
-    if fine.dirichlet_edges != coarse.dirichlet_edges:
-        raise ValueError("extrapolation requires the same boundary conditions")
-    k = min(len(fine.values), len(coarse.values))
-    return richardson(coarse.values[:k], fine.values[:k])
-
-
 def solve_extrapolated(t, k, level, dirichlet_edges=(0, 1, 2)):
     """Solve k modes at level-1 and level, extrapolate.
 
-    Returns (values, err_estimate) as extrapolate gives them; callers that
+    Returns (values, err_estimate) as richardson gives them; callers that
     need the discrete solves themselves use solve_pair.
     """
-    return extrapolate(*solve_pair(t, k, level, dirichlet_edges))
+    coarse, fine = solve_pair(t, k, level, dirichlet_edges)
+    return richardson(coarse.values, fine.values)
 
 
 class RayleighData:

@@ -19,9 +19,9 @@ import math
 
 import numpy as np
 
-from .certify import SectorSpec, lemma62_verify, sector_eigenvalue
+from .certify import SectorSpec, _sector_ranked_eigenvalue, lemma62_verify
 from .equilateral import SIGMA_COEFF, exact_sum_q
-from .fem import extrapolate, rayleigh_data, solve_extrapolated, solve_pair
+from .fem import rayleigh_data, richardson, solve_extrapolated, solve_pair
 from .geometry import EQUILATERAL_APEX, FanTriangle, polya_upper
 from .reports import combine, make_report
 
@@ -168,7 +168,7 @@ def theorem1_verify(f, n_max, level=7):
     if n_max < 1:
         raise ValueError("n must be >= 1")
     coarse, fine = solve_pair(f.triangle, n_max + 1, level)
-    vals, errs = extrapolate(coarse, fine)
+    vals, errs = richardson(coarse.values, fine.values)
     return [_theorem1_case(f.b, n, coarse, fine, vals, errs)
             for n in range(1, n_max + 1)]
 
@@ -294,7 +294,7 @@ def theorem2_verify(b, level=7):
         aperture = 2.0 * math.atan(1.0 / SECTOR_SPLIT)
         nu = math.pi / aperture
         sector = SectorSpec(math.sqrt(d2), aperture)
-        lam2_sector = sector_eigenvalue(sector, 1, 2)
+        lam2_sector = _sector_ranked_eigenvalue(sector, 2)
         # One constant settles every b at or beyond the split: the sector
         # second tone scales exactly like the target under the diameter.
         checks.append(make_report(

@@ -303,9 +303,8 @@ def test_interval_arithmetic():
     iv = CertifiedInterval(100.0, 0.01)
     assert iv.lower * (1.0 + iv.epsilon) == pytest.approx(100.0, rel=1e-12)
     assert iv.upper * (1.0 - iv.epsilon) == pytest.approx(100.0, rel=1e-12)
-    assert 100.0 in iv
-    assert iv.lower in iv
-    assert 98.0 not in iv
+    assert iv.lower < 100.0 < iv.upper
+    assert 98.0 < iv.lower
     with pytest.raises(ValueError, match="epsilon"):
         CertifiedInterval(100.0, 0.0)
     with pytest.raises(ValueError, match="epsilon"):
@@ -332,6 +331,14 @@ def test_certified_enclosure_numbers():
     assert iv.provenance["boundary_sup"] < 0.0013
     assert iv.provenance["boundary_evaluations"] < 1000
     assert iv.provenance["heuristic"] is True
+
+
+def test_certify_returns_a_fresh_interval():
+    first, second = certify_second_eigenvalue(), certify_second_eigenvalue()
+    assert first is not second
+    first.provenance["heuristic"] = False
+    assert second.provenance["heuristic"] is True
+    assert (first.lower, first.upper) == (second.lower, second.upper)
 
 
 def test_certification_degrades_off_frequency():

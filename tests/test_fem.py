@@ -10,11 +10,11 @@ from trispec import fem
 from trispec.equilateral import SIGMA_COEFF, sigma
 from trispec.fem import (
     MAX_LEVEL,
-    extrapolate,
     inertia,
     mesh_triangle,
     assemble,
     rayleigh_data,
+    richardson,
     solve_extrapolated,
     solve_family,
     solve_lowest,
@@ -32,15 +32,38 @@ def fan_equilateral():
     return FanTriangle(0.0, EQUILATERAL_APEX).triangle
 
 
+def lattice_mesh(mesh):
+    """Vertices, CCW element triples and edge flags of a mesh, from the lattice.
+
+    Element triples list the up, then the down elements; flags[v, e] marks
+    vertex v as lying on input edge e.
+    """
+    n, i, j = fem._lattice(mesh.level)
+    v0, v1, v2 = mesh.triangle.vertices
+    vertices = v0 + np.outer(i / n, v1 - v0) + np.outer(j / n, v2 - v0)
+    row = n + 1 - j
+    up = np.flatnonzero(i + j < n)
+    down = np.flatnonzero(i + j < n - 1)
+    elements = np.vstack((
+        np.column_stack((up, up + 1, up + row[up])),
+        np.column_stack((down + 1, down + 1 + row[down], down + row[down]))))
+    if mesh.triangle.signed_area < 0:
+        # Parent is clockwise; swap two local vertices so every element is CCW.
+        elements = elements[:, [0, 2, 1]]
+    return vertices, elements, fem._on_edges(n, i, j)
+
+
 def test_mesh_counts():
     t = unit_equilateral()
     for level in range(5):
         mesh = mesh_triangle(t, level)
+        assert mesh == (t, level)
+        vertices, elements, flags = lattice_mesh(mesh)
         n = 2 ** level
-        assert mesh.num_vertices == (n + 1) * (n + 2) // 2
-        assert mesh.num_elements == 4 ** level
+        assert len(vertices) == (n + 1) * (n + 2) // 2
+        assert len(elements) == 4 ** level
         for e in range(3):
-            assert int(mesh.edge_flags[:, e].sum()) == n + 1
+            assert int(flags[:, e].sum()) == n + 1
     with pytest.raises(ValueError):
         mesh_triangle(t, -1)
     with pytest.raises(ValueError):
@@ -50,27 +73,44 @@ def test_mesh_counts():
 def test_mesh_elements_cover():
     t = Triangle([(0.2, -0.3), (2.0, 0.1), (0.5, 1.7)])
     for tri in (t, Triangle(t.vertices[::-1])):  # CCW and CW parents
-        mesh = mesh_triangle(tri, 3)
-        p = mesh.vertices[mesh.elements]
-        e01 = p[:, 1] - p[:, 0]
-        e02 = p[:, 2] - p[:, 0]
-        areas = 0.5 * (e01[:, 0] * e02[:, 1] - e01[:, 1] * e02[:, 0])
-        assert np.all(areas > 0)
-        np.testing.assert_allclose(areas, tri.area / 4 ** 3, rtol=1e-12)
-        assert np.sum(areas) == pytest.approx(tri.area, rel=1e-12)
-        # every element vertex index in range, corners flagged on two edges
-        assert mesh.elements.min() == 0
-        assert mesh.elements.max() == mesh.num_vertices - 1
-        assert np.all(mesh.edge_flags.sum(axis=1) <= 2)
+        for level in range(5):
+            mesh = mesh_triangle(tri, level)
+            assert mesh == (tri, level)
+            vertices, elements, flags = lattice_mesh(mesh)
+            n = 2 ** level
+            p = vertices[elements]
+            e01 = p[:, 1] - p[:, 0]
+            e02 = p[:, 2] - p[:, 0]
+            areas = 0.5 * (e01[:, 0] * e02[:, 1] - e01[:, 1] * e02[:, 0])
+            np.testing.assert_allclose(areas, tri.area / 4 ** level,
+                                       rtol=1e-12)
+            # every vertex in some element; n + 1 on each edge, corners on two
+            np.testing.assert_array_equal(np.unique(elements),
+                                          np.arange(len(vertices)))
+            np.testing.assert_array_equal(flags.sum(axis=0), n + 1)
+            assert np.all(flags.sum(axis=1) <= 2)
 
 
 def test_dirichlet_mask():
+    # free vertices: all but the 3n boundary, the n + 1 on edge 0, or all
     mesh = mesh_triangle(unit_equilateral(), 3)
-    full = mesh.dirichlet_mask()
-    assert int(full.sum()) == 3 * 2 ** 3
-    one = mesh.dirichlet_mask((0,))
-    assert int(one.sum()) == 2 ** 3 + 1
-    assert int(mesh.dirichlet_mask(()).sum()) == 0
+    nv = (2 ** 3 + 1) * (2 ** 3 + 2) // 2
+    assert assemble(mesh, (0, 1, 2)).free.size == nv - 3 * 2 ** 3
+    assert assemble(mesh, (0,)).free.size == nv - (2 ** 3 + 1)
+    np.testing.assert_array_equal(assemble(mesh).free, np.arange(nv))
+
+
+def polarized(forms):
+    """Total, y-y and x-y matrices recovered from energies by polarization.
+
+    E(e_i + e_j) - E(e_i) - E(e_j) = 2 K_ij for each symmetric form K.
+    """
+    n = forms.free.size
+    unit = np.eye(n)
+    pairs = (unit[:, :, None] + unit[:, None, :]).reshape(n, n * n)
+    single = forms.energies(unit)
+    both = forms.energies(pairs).reshape(n, n, 3)
+    return np.moveaxis(both - single[:, None] - single[None, :], 2, 0) / 2.0
 
 
 def test_assemble_single_element():
@@ -82,10 +122,10 @@ def test_assemble_single_element():
     m = forms.mass.toarray()
     np.testing.assert_allclose(
         m, (np.ones((3, 3)) + np.eye(3)) / 24.0, atol=1e-16)
-    kyy = forms.stiffness_yy.toarray()
+    total, kyy, kxy = polarized(forms)
+    np.testing.assert_allclose(total, k, atol=1e-15)
     np.testing.assert_allclose(
         kyy, 0.5 * np.array([[1, 0, -1], [0, 0, 0], [-1, 0, 1]]), atol=1e-15)
-    kxy = forms.stiffness_xy.toarray()
     np.testing.assert_allclose(
         kxy, np.array([[0.5, -0.25, -0.25], [-0.25, 0, 0.25], [-0.25, 0.25, 0]]),
         atol=1e-15)
@@ -95,23 +135,23 @@ def test_assemble_invariants():
     mesh = mesh_triangle(Triangle([(0.1, 0.2), (1.9, -0.1), (0.4, 1.5)]), 3)
     forms = assemble(mesh)
     # constants have zero Dirichlet energy; total mass is the area
-    ones = np.ones(mesh.num_vertices)
-    for mat in (forms.stiffness, forms.stiffness_yy, forms.stiffness_xy):
-        np.testing.assert_allclose(mat @ ones, 0.0, atol=1e-12)
+    ones = np.ones(forms.free.size)
+    np.testing.assert_allclose(forms.stiffness @ ones, 0.0, atol=1e-12)
+    np.testing.assert_allclose(forms.energies(ones[:, None]), 0.0, atol=1e-12)
     assert ones @ (forms.mass @ ones) == pytest.approx(mesh.triangle.area, rel=1e-12)
     # x-x plus y-y energies add up to the full gradient energy
     rng = np.random.default_rng(0)
-    u = rng.normal(size=mesh.num_vertices)
-    kxx = (forms.stiffness - forms.stiffness_yy)
-    assert u @ (kxx @ u) + u @ (forms.stiffness_yy @ u) == pytest.approx(
-        u @ (forms.stiffness @ u), rel=1e-12)
-    assert u @ (kxx @ u) >= 0
-    assert u @ (forms.stiffness_yy @ u) >= 0
+    u = rng.normal(size=forms.free.size)
+    (total, yy, _), = forms.energies(u[:, None])
+    assert total == pytest.approx(u @ (forms.stiffness @ u), rel=1e-12)
+    assert total - yy >= 0
+    assert yy >= 0
 
 
 def element_forms(mesh):
     """Reference P1 forms on every vertex, summed element by element."""
-    p = mesh.vertices[mesh.elements]           # (ne, 3, 2)
+    vertices, elements, _ = lattice_mesh(mesh)
+    p = vertices[elements]                     # (ne, 3, 2)
     # grad phi_i = perp(p_{i+2} - p_{i+1}) / (2A), perp(x, y) = (-y, x).
     edges = p[:, [2, 0, 1], :] - p[:, [1, 2, 0], :]
     e01 = p[:, 1] - p[:, 0]
@@ -132,13 +172,13 @@ def element_forms(mesh):
         "mass": np.broadcast_to((np.ones((3, 3)) + np.eye(3)) / 12.0,
                                 (len(area), 3, 3)),
     }
-    nv = mesh.num_vertices
+    nv = len(vertices)
     forms = {}
     for name, mats in local.items():
         full = np.zeros((nv, nv))
         for a in range(3):
             for b in range(3):
-                np.add.at(full, (mesh.elements[:, a], mesh.elements[:, b]),
+                np.add.at(full, (elements[:, a], elements[:, b]),
                           area * mats[:, a, b])
         forms[name] = full
     return forms
@@ -149,14 +189,16 @@ def test_stencil_forms_match_element_assembly(orientation):
     t = Triangle(np.array([(0.1, 0.2), (1.9, -0.1), (0.4, 1.5)])[::orientation])
     mesh = mesh_triangle(t, 3)
     ref = element_forms(mesh)
+    flags = lattice_mesh(mesh)[2]
     # every Dirichlet subset, including (0, 1, 2) and (1, 2) used by the
     # pipelines and () for the full vertex set
     for r in range(4):
         for edges in itertools.combinations(range(3), r):
             forms = assemble(mesh, edges)
-            idx = np.flatnonzero(~mesh.dirichlet_mask(edges))
+            idx = np.flatnonzero(~flags[:, list(edges)].any(axis=1))
             np.testing.assert_array_equal(forms.free, idx)
-            for name, full in ref.items():
+            for name in ("stiffness", "mass"):
+                full = ref[name]
                 want = full[np.ix_(idx, idx)]
                 got = getattr(forms, name)
                 assert got.format == "csc"
@@ -208,7 +250,7 @@ def test_right_isosceles_tones():
 
 def test_equilateral_tones():
     coarse, fine = solve_pair(unit_equilateral(), 3, 6)
-    vals, err = extrapolate(coarse, fine)
+    vals, err = richardson(coarse.values, fine.values)
     assert vals[0] == pytest.approx(sigma(1, 1), rel=1e-5)
     assert vals[1] == pytest.approx(sigma(1, 2), rel=1e-5)
     assert vals[2] == pytest.approx(sigma(1, 2), rel=1e-5)
@@ -247,25 +289,24 @@ def test_scale_covariance():
 def test_orthonormality_and_residuals():
     mesh = mesh_triangle(unit_equilateral(), 5)
     res = solve_lowest(mesh, 4)
-    forms = assemble(mesh)
+    forms = assemble(mesh, (0, 1, 2))
+    # one coefficient per free vertex of the forms
+    assert res.vectors.shape == (forms.free.size, 4)
     gram = res.vectors.T @ (forms.mass @ res.vectors)
     np.testing.assert_allclose(gram, np.eye(4), atol=1e-10)
     assert np.all(res.residuals < 1e-10)
-    # constrained vertices carry zero coefficients
-    assert np.all(res.vectors[mesh.dirichlet_mask()] == 0.0)
 
 
 def test_residuals_bound_the_mass_inverse_norm():
     # the lumped-mass residual is a guaranteed upper bound, at most 2x off
     mesh = mesh_triangle(FanTriangle(0.0, 2.5).triangle, 5)
     res = solve_lowest(mesh, 4)
-    forms = assemble(mesh)
-    idx = np.flatnonzero(~mesh.dirichlet_mask())
-    kk = forms.stiffness[idx][:, idx].tocsc()
-    mm = forms.mass[idx][:, idx].tocsc()
+    forms = assemble(mesh, (0, 1, 2))
+    kk = forms.stiffness
+    mm = forms.mass
     mlu = splu(mm)
     for j in range(4):
-        v = res.vectors[idx, j]
+        v = res.vectors[:, j]
         r = kk @ v - res.values[j] * (mm @ v)
         exact = math.sqrt(float(r @ mlu.solve(r)))
         assert exact <= res.residuals[j] <= 2.0 * exact
@@ -312,21 +353,8 @@ def test_half_equilateral_antisym_tone():
 
 
 def test_extrapolate_validation():
-    t = unit_equilateral()
-    r3 = solve_lowest(mesh_triangle(t, 3), 2)
-    r4 = solve_lowest(mesh_triangle(t, 4), 2)
-    r5 = solve_lowest(mesh_triangle(t, 5), 2)
-    extrapolate(r3, r4)
     with pytest.raises(ValueError):
-        extrapolate(r3, r5)
-    other = solve_lowest(mesh_triangle(Triangle([(0, 0), (1, 0), (0, 1)]), 4), 2)
-    with pytest.raises(ValueError):
-        extrapolate(r3, other)
-    mixed = solve_lowest(mesh_triangle(t, 4), 2, dirichlet_edges=(0, 1))
-    with pytest.raises(ValueError):
-        extrapolate(r3, mixed)
-    with pytest.raises(ValueError):
-        solve_extrapolated(t, 1, 0)
+        solve_extrapolated(unit_equilateral(), 1, 0)
 
 
 def test_solve_extrapolated_deterministic():

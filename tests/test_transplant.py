@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from trispec import certify
+from trispec.certify import SectorSpec
 from trispec.equilateral import SIGMA_COEFF, enumerate_modes, exact_sum_q, sigma
 from trispec.geometry import EQUILATERAL_APEX, FanTriangle
 from trispec.transplant import (
@@ -287,6 +289,24 @@ def test_theorem2_sector_branch():
     assert abs(sector_check["lhs"] - 126.10) < 0.01
     assert sector_check["lhs"] > 112.0 * math.pi ** 2 / 9.0
     assert r["fem_second"] * r["diameter_squared"] > 7.0 * SIGMA_COEFF
+
+
+def test_theorem2_sector_branch_ranks_the_sector_spectrum(monkeypatch):
+    # were family (2, 1) below (1, 2), it would be the sector's second tone
+    original = certify.sector_eigenvalue
+
+    def swapped(s, k, j):
+        return 0.99 * original(s, 1, 2) if (k, j) == (2, 1) \
+            else original(s, k, j)
+
+    monkeypatch.setattr(certify, "sector_eigenvalue", swapped)
+    b = 3.0
+    r = theorem2_verify(b, level=4)
+    sector_check = next(c for c in r["checks"]
+                        if c["claim"].startswith("containing-sector"))
+    sector = SectorSpec(math.sqrt(1.0 + b * b), 2.0 * math.atan(1.0 / 2.5))
+    assert sector_check["lhs"] == pytest.approx(
+        0.99 * original(sector, 1, 2) * (1.0 + b * b), rel=1e-14)
 
 
 def test_theorem2_interpolation_branch():
