@@ -15,10 +15,17 @@ gamma      energy fractions of the low eigenfunctions of a fan triangle (JSON)
 
 Exit codes: 0 all checks pass, 1 any check fails, 2 inconclusive (margin
 inside the FEM error bar), 64 usage error.  Identical invocations produce
-byte-identical output; there is no environment-variable configuration.
+byte-identical output on any core count; there is no environment-variable
+configuration.  Each subcommand runs with every OpenBLAS in the process
+(numpy's and scipy's) at one thread, and the caller's thread counts come
+back afterwards: every dense product trispec forms is too small to gain from
+a second thread, and a threaded BLAS sums in an order that depends on the
+thread count, which moved the last digits of level-8 output.
 """
 
 import argparse
+import contextlib
+import ctypes
 import math
 import sys
 
@@ -51,6 +58,56 @@ VERIFY_TARGETS = ("lemma-explicit", "compequilateral", "theorem1", "theorem2",
                   "condch", "monotonicity", "observation")
 EXIT_BY_VERDICT = {"pass": 0, "fail": 1, "inconclusive": 2}
 THEOREM1_APEXES = (1.8, 2.0, 2.5, 3.0, 4.0)
+
+
+# (get, set) thread-count symbols of the OpenBLAS builds numpy and scipy ship
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _openblas_thread_controls():
+    """(get, set) thread-count functions of each OpenBLAS loaded in this
+    process; empty without OpenBLAS or without /proc."""
+    try:
+        with open("/proc/self/maps") as fh:
+            # only a mapping's path, its sixth field, can hold "openblas"
+            paths = dict.fromkeys(line.split(maxsplit=5)[5].rstrip("\n")
+                                  for line in fh if "openblas" in line)
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # mapped, but no longer loadable by that path
+            continue
+        for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return controls
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with every loaded OpenBLAS at one thread, then give the
+    caller's thread counts back, also when the body raises."""
+    controls = _openblas_thread_controls()
+    saved = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(controls, saved):
+            set_(count)
 
 
 class _UsageError(Exception):
@@ -294,7 +351,8 @@ def dispatch(argv):
         return 64
     try:
         _validate(args)
-        text, code = _HANDLERS[args.command](args)
+        with _one_blas_thread():
+            text, code = _HANDLERS[args.command](args)
     except ValueError as exc:
         print(f"trispec {args.command}: {exc}", file=sys.stderr)
         return 64

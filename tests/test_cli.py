@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface."""
 
+import ctypes
 import json
 import math
 import os
@@ -7,9 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
-from trispec import fem
+from trispec import cli, fem
 from trispec.cli import dispatch
 from trispec.equilateral import enumerate_modes
 
@@ -20,6 +23,48 @@ def run(capsys, *argv):
     code = dispatch(list(argv))
     cap = capsys.readouterr()
     return code, cap.out, cap.err
+
+
+def bundled_openblas():
+    """(get, set) thread-count functions of the OpenBLAS numpy and scipy
+    bundle, found from the wheels' library folders rather than the CLI's own
+    lookup."""
+    controls = []
+    for pkg in (np, scipy):
+        libdir = (Path(pkg.__file__).resolve().parent.parent
+                  / f"{pkg.__name__}.libs")
+        for path in sorted(libdir.glob("*openblas*")):
+            lib = ctypes.CDLL(str(path))
+            for get_name, set_name in cli._BLAS_THREAD_SYMBOLS:
+                if hasattr(lib, get_name):
+                    get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                    get.restype, set_.argtypes = ctypes.c_int, [ctypes.c_int]
+                    controls.append((get, set_))
+                    break
+    return controls
+
+
+def blas_threads(controls):
+    return [get() for get, _ in controls]
+
+
+def set_blas_threads(controls, count):
+    for _, set_ in controls:
+        set_(count)
+
+
+@pytest.fixture
+def blas():
+    """The bundled OpenBLAS controls, each set to two threads; the counts
+    found are restored afterwards."""
+    controls = bundled_openblas()
+    if not controls:
+        pytest.skip("no bundled OpenBLAS loaded")
+    saved = blas_threads(controls)
+    set_blas_threads(controls, 2)
+    yield controls
+    for (_, set_), count in zip(controls, saved):
+        set_(count)
 
 
 def test_unknown_command(capsys):
@@ -171,6 +216,53 @@ def test_output_does_not_depend_on_earlier_runs(capsys):
         first = run(capsys, *argv)
         run(capsys, *before)
         assert run(capsys, *argv) == first, argv
+
+
+def test_handlers_run_on_one_blas_thread(capsys, monkeypatch, blas):
+    caller = blas_threads(blas)
+    assert caller == [2] * len(blas)
+    seen = []
+
+    def handler(args):
+        seen.append(blas_threads(blas))
+        if args.n == 2:
+            raise ValueError("rejected")
+        if args.n == 3:
+            raise RuntimeError("escapes")
+        return "ok\n", 0
+
+    monkeypatch.setitem(cli._HANDLERS, "lattice", handler)
+    assert run(capsys, "lattice", "--n", "1") == (0, "ok\n", "")
+    assert blas_threads(blas) == caller
+    assert run(capsys, "lattice", "--n", "2") == (
+        64, "", "trispec lattice: rejected\n")
+    assert blas_threads(blas) == caller
+    with pytest.raises(RuntimeError, match="escapes"):
+        dispatch(["lattice", "--n", "3"])
+    assert blas_threads(blas) == caller
+    assert seen == [[1] * len(blas)] * 3
+
+
+def test_without_proc_maps_handlers_run_as_they_are(capsys, monkeypatch):
+    expected = run(capsys, "lattice", "--n", "2")
+
+    def no_maps(path, *args, **kwargs):
+        raise OSError(f"no such file: {path}")
+
+    monkeypatch.setattr(cli, "open", no_maps, raising=False)
+    assert cli._openblas_thread_controls() == []
+    assert run(capsys, "lattice", "--n", "2") == expected
+
+
+def test_output_does_not_depend_on_blas_threads(capsys, blas):
+    # a level-8 scalene solve, whose last digits moved with the thread count
+    argv = ("fem", "[[-1,0],[1,0],[0.3,2.1]]", "--n", "6", "--level", "8")
+    set_blas_threads(blas, 1)
+    one = run(capsys, *argv)
+    set_blas_threads(blas, 2)
+    two = run(capsys, *argv)
+    assert one[0] == 0
+    assert one == two
 
 
 def test_module_entry_point():
