@@ -9,16 +9,17 @@ circular sector matching an isosceles triangle's aperture; they vanish
 exactly on the two equal sides, so only the short side contributes to the
 sup norm.  That sup is bounded cell by cell along the short side, from the
 sampled values and a bound on the second derivative built from Bessel
-envelopes.  Everything feeds the certified enclosure of the second
-eigenvalue of the aperture-0.761 isosceles triangle that the second-tone
-verification pipeline needs.  The enclosure stays flagged heuristic: the
+envelopes.  Sector eigenvalues come from Bessel zeros: a scan finds each
+sign change, and bisection narrows it to two adjacent floats.  Everything
+feeds the certified enclosure of the second eigenvalue of the
+aperture-0.761 isosceles triangle that the second-tone verification
+pipeline needs.  The enclosure stays flagged heuristic: the
 L2 lower bound and the Bessel values themselves are unverified floats.
 """
 
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import gammaln, jv
 
 __all__ = [
@@ -62,12 +63,15 @@ def bessel_j(nu, x):
 
 
 def bessel_zero(nu, k):
-    """k-th positive zero of J_nu, to near machine precision.
+    """k-th positive zero of J_nu, to the last float.
 
     Scans rightward from the order (the first zero always lies beyond it)
-    in steps well below the minimal zero spacing, then polishes each sign
-    change with a bracketing root finder.  Raises if the requested zero
-    lies beyond the supported argument range.
+    in steps well below the minimal zero spacing.  A scan point where J_nu
+    is exactly 0 counts as a zero; a sign change between scan points is
+    bisected until its ends are adjacent floats, or a midpoint is an exact
+    zero, and the end with the smaller |J_nu| is returned.  Raises if the
+    requested zero lies beyond the supported argument range, or if J_nu at
+    the result fails the ZERO_RESIDUAL_TOL check.
     """
     if not (0 <= nu <= BESSEL_MAX_ORDER):
         raise ValueError(f"order must lie in [0, {BESSEL_MAX_ORDER}]")
@@ -77,25 +81,40 @@ def bessel_zero(nu, k):
     x = max(nu, step)
     f_prev = bessel_j(nu, x)
     found = 0
-    while x + step <= BESSEL_MAX_ARG:
+    while True:
+        if f_prev == 0.0:
+            found += 1
+            if found == k:
+                return float(x)
+        if x + step > BESSEL_MAX_ARG:
+            raise RuntimeError(
+                f"zero {k} of J_{nu} not bracketed below x = {BESSEL_MAX_ARG}")
         x_next = x + step
         f_next = bessel_j(nu, x_next)
-        if f_prev == 0.0:
-            f_prev = f_next  # positive underflow near the order; keep scanning
-            x = x_next
-            continue
         if f_prev * f_next < 0.0:
             found += 1
             if found == k:
-                root = brentq(lambda t: bessel_j(nu, t), x, x_next,
-                              xtol=1e-13, rtol=8.9e-16)
+                root = _bisect_sign_change(nu, x, x_next, f_prev, f_next)
                 if abs(bessel_j(nu, root)) >= ZERO_RESIDUAL_TOL:
                     raise RuntimeError(
                         f"zero {k} of J_{nu} failed the residual check")
-                return float(root)
+                return root
         x, f_prev = x_next, f_next
-    raise RuntimeError(
-        f"zero {k} of J_{nu} not bracketed below x = {BESSEL_MAX_ARG}")
+
+
+def _bisect_sign_change(nu, lo, hi, f_lo, f_hi):
+    """Bisect a sign change of J_nu on [lo, hi] down to adjacent floats."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return float(lo if abs(f_lo) <= abs(f_hi) else hi)
+        f_mid = bessel_j(nu, mid)
+        if f_mid == 0.0:
+            return float(mid)
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
 
 
 class SectorSpec:

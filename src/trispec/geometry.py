@@ -11,7 +11,6 @@ import json
 import math
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 __all__ = [
     "Triangle",
@@ -243,22 +242,22 @@ def rectangle_eigen(phi, p=1, q=1):
 def rectangle_minimizers():
     """Diameter-normalized rectangle minimizers of lambda_2 and lambda_1 + lambda_2.
 
-    Minimizes over the aspect angle phi in (0, pi/4].  Both minimizers are
-    interior (strictly below pi/4), so the square minimizes neither lambda_2
-    nor lambda_1 + lambda_2 among rectangles of given diameter.  Returns a
-    dict with the argmin and value for each.
+    A sum of modes (p, q) is pi^2 (P/cos^2 phi + Q/sin^2 phi) with P the sum
+    of the p^2 and Q the sum of the q^2; it is convex on (0, pi/2) and
+    stationary exactly where tan^4 phi = Q/P.  So lambda_2 = (2, 1) is
+    minimized at tan^4 phi = 1/4 with value 9 pi^2, and lambda_1 + lambda_2
+    at tan^4 phi = 2/5 with value (7 + 2 sqrt(10)) pi^2.  Both ratios are
+    below 1, so both minimizers lie strictly below pi/4 and the square
+    minimizes neither.  Returns a dict with the argmin and value for each,
+    the value evaluated by rectangle_eigen at the argmin.
     """
-    def lam2(phi):
-        return rectangle_eigen(phi, 2, 1)
-
-    def lam12(phi):
-        return rectangle_eigen(phi, 1, 1) + rectangle_eigen(phi, 2, 1)
-
     out = {}
-    for name, f in (("lambda2", lam2), ("lambda12", lam12)):
-        res = minimize_scalar(f, bounds=(1e-6, math.pi / 4.0), method="bounded",
-                              options={"xatol": 1e-12})
-        out[name] = {"phi": float(res.x), "value": float(res.fun)}
+    for name, modes in (("lambda2", ((2, 1),)),
+                        ("lambda12", ((1, 1), (2, 1)))):
+        ratio = sum(q * q for _, q in modes) / sum(p * p for p, _ in modes)
+        phi = math.atan(ratio ** 0.25)
+        value = sum(rectangle_eigen(phi, p, q) for p, q in modes)
+        out[name] = {"phi": phi, "value": value}
     return out
 
 

@@ -210,9 +210,8 @@ def test_criterion_12_rectangle_counterexample():
     phi12 = mins["lambda12"]["phi"]
     ok = phi2 < PI / 4.0 and phi12 < PI / 4.0
     ok = ok and abs(phi2 - 0.6155) < 1e-4
-    # stationarity oracles: tan^4(phi) = 1/4 and 2/5; a bracketing
-    # minimizer locates a quadratic argmin only to about sqrt(eps)
-    ok = ok and abs(phi2 - math.atan(0.25**0.25)) < 1e-6
-    ok = ok and abs(phi12 - math.atan(0.4**0.25)) < 1e-6
+    # stationarity oracles: tan^4(phi) = 1/4 and 2/5
+    ok = ok and abs(phi2 - math.atan(0.25**0.25)) < 1e-15
+    ok = ok and abs(phi12 - math.atan(0.4**0.25)) < 1e-15
     criterion(12, "rectangle minimizers of the second tone and the "
                   "two-tone sum sit strictly below the square", ok)

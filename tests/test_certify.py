@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import jvp
+from scipy.special import jn_zeros, jv, jvp
 
 from trispec import certify
 from trispec.certify import (
@@ -86,6 +86,37 @@ def test_zero_validation():
         bessel_zero(0.0, 21)
     with pytest.raises(RuntimeError, match="not bracketed"):
         bessel_zero(50.0, 20)
+
+
+# Order of the certified trial's leading term, pi / (2 atan(2/5)).
+CERT_ORDER = math.pi / (2.0 * math.atan(1.0 / CERT_APEX))
+
+
+@pytest.mark.parametrize("nu, k", [
+    (0.0, 1), (0.0, 2), (0.0, 3), (0.0, 20),
+    (1.0, 1), (1.0, 20),
+    (50.0, 1), (50.0, 2), (50.0, 3),
+    (CERT_ORDER, 1), (CERT_ORDER, 2), (CERT_ORDER, 3), (CERT_ORDER, 20),
+])
+def test_zero_is_float_exact(nu, k):
+    root = bessel_zero(nu, k)
+    below, above = math.nextafter(root, 0.0), math.nextafter(root, math.inf)
+    f = jv(nu, root)
+    # J_nu is 0 at the root or changes sign towards a neighbouring float
+    assert f == 0.0 or f * jv(nu, below) < 0.0 or f * jv(nu, above) < 0.0
+    if nu == int(nu):
+        assert root == pytest.approx(jn_zeros(int(nu), k)[-1], rel=1e-13)
+
+
+def test_zero_on_a_scan_point_counts(monkeypatch):
+    # the scan from 0.25 in steps of 0.25 lands exactly on the root at 1
+    monkeypatch.setattr(certify, "bessel_j",
+                        lambda nu, t: (t - 1.0) * (t - 2.6) * (t - 4.1))
+    assert bessel_zero(0.0, 1) == 1.0
+    assert bessel_zero(0.0, 2) == pytest.approx(2.6, abs=1e-15)
+    assert bessel_zero(0.0, 3) == pytest.approx(4.1, abs=1e-15)
+    with pytest.raises(RuntimeError, match="not bracketed"):
+        bessel_zero(0.0, 4)
 
 
 def test_sector_spec():

@@ -265,16 +265,19 @@ def test_output_does_not_depend_on_blas_threads(capsys, blas):
     assert one == two
 
 
-def test_module_entry_point():
+def fresh_python(*args):
+    """Run a new interpreter that imports trispec from this checkout."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
 
+
+def test_module_entry_point():
     def cli(*argv):
-        return subprocess.run([sys.executable, "-m", "trispec.cli", *argv],
-                              capture_output=True, text=True, env=env,
-                              timeout=120)
+        return fresh_python("-m", "trispec.cli", *argv)
 
     proc = cli("lattice", "--n", "2")
     assert proc.returncode == 0
@@ -283,6 +286,29 @@ def test_module_entry_point():
     proc = cli()
     assert proc.returncode == 64
     assert "usage" in proc.stderr
+
+
+COLD_START_SCRIPT = """
+import contextlib, io, json, sys
+from trispec.cli import dispatch
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [dispatch(argv) for argv in (
+        ["rectangle"], ["certify"],
+        ["verify", "theorem1", "--n", "2", "--level", "4"])]
+print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
+"""
+
+
+def test_cold_start_loads_no_optimizer():
+    proc = fresh_python("-c", COLD_START_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["codes"][:2] == [0, 0]
+    assert "scipy.optimize" not in doc["modules"]
+    subpackages = {m.split(".")[1] for m in doc["modules"]
+                   if m.startswith("scipy.")}
+    subpackages = {m for m in subpackages if not m.startswith("_")}
+    assert subpackages <= {"linalg", "sparse", "special", "version"}
 
 
 def test_fem_equilateral(capsys):

@@ -208,15 +208,21 @@ def test_rectangle_eigen():
 
 def test_rectangle_minimizers_closed_form():
     mins = rectangle_minimizers()
-    # stationarity: tan^4(phi) = q^2/p^2 for lambda_2, = 2/5 for the sum
+    # stationarity: tan^4(phi) = 1/4 for lambda_2 and 2/5 for the sum
+    assert math.tan(mins["lambda2"]["phi"]) ** 4 == pytest.approx(
+        0.25, rel=1e-14)
+    assert math.tan(mins["lambda12"]["phi"]) ** 4 == pytest.approx(
+        0.4, rel=1e-14)
     assert mins["lambda2"]["phi"] == pytest.approx(
-        math.atan(2 ** -0.5), abs=1e-7)
+        math.atan(2 ** -0.5), abs=1e-15)
     assert mins["lambda12"]["phi"] == pytest.approx(
-        math.atan(0.4 ** 0.25), abs=1e-7)
+        math.atan(0.4 ** 0.25), abs=1e-15)
     for entry in mins.values():
         assert entry["phi"] < math.pi / 4
     assert mins["lambda2"]["value"] == pytest.approx(
-        rectangle_eigen(math.atan(2 ** -0.5), 2, 1), rel=1e-10)
+        9 * math.pi**2, rel=1e-14)
+    assert mins["lambda12"]["value"] == pytest.approx(
+        (7 + 2 * math.sqrt(10)) * math.pi**2, rel=1e-14)
 
 
 def test_triangle_json_roundtrip():
