@@ -32,6 +32,14 @@ values, as a direct solve's are.  That no mode was skipped is proven by
 Sylvester inertia counts of K - sigma M (inertia), carried from member to
 member by the Loewner order of their stiffnesses.
 
+Lanczos starts from the constant vector unless the caller holds a close
+guess of the wanted modes.  Uniform refinement nests the P1 spaces, so a
+solve_pair starts its fine solve from the coarse modes interpolated onto
+the fine lattice (_prolong), and solve_family starts each snapshot from a
+neighbouring snapshot or from the member's own Ritz vectors.  The start
+changes how many shift-invert steps a solve takes, not what it converges
+to.
+
 The transplantation conditions are driven by the fraction of Dirichlet
 energy carried by the y-y and x-y derivatives, so each solve also records
 the per-mode energies (v^T L_d v) combined by the weights of those forms.
@@ -65,6 +73,9 @@ __all__ = [
 
 MAX_LEVEL = 10
 ARPACK_MAXITER = 500
+# Seed of the generator ARPACK draws a restart vector from when Lanczos
+# finds an invariant subspace before it has k modes.
+ARPACK_SEED = 0
 # Below this many interior unknowns a dense solve is cheaper and avoids
 # ARPACK's k < n-1 restrictions on tiny problems.
 DENSE_CUTOFF = 360
@@ -175,6 +186,31 @@ def _stencil(level, dirichlet_edges):
     return stencil
 
 
+def _prolong(level, dirichlet_edges, coarse_vector):
+    """Interpolate a free-vertex vector of level-1 onto the free vertices.
+
+    Fine vertex (i, j) is the midpoint of the coarse vertices
+    (i//2 + c, j//2) and ((i+1)//2 - c, (j+1)//2), c = i & j & 1: the two
+    ends of the coarse edge it halves, which differ by (1, 0), (0, 1) or
+    (1, -1), or one coarse vertex twice when i and j are even.  Coarse
+    vertices on Dirichlet edges count as 0.  This is the P1 function
+    itself, so every form takes the same value on it at both levels.
+    """
+    edges = tuple(sorted(dirichlet_edges))
+    free = _stencil(level, edges).free
+    m = 1 << (level - 1)
+    full = np.zeros((m + 1) * (m + 2) // 2)
+    full[_stencil(level - 1, edges).free] = coarse_vector
+    _, i, j = _lattice(level)
+    i, j = i[free], j[free]
+    c = i & j & 1
+
+    def at(a, b):
+        return full[b * (m + 1) - b * (b - 1) // 2 + a]
+
+    return 0.5 * (at(i // 2 + c, j // 2) + at((i + 1) // 2 - c, (j + 1) // 2))
+
+
 def _csc(stencil, data):
     n = stencil.free.size
     return sparse.csc_matrix((data, stencil.indices, stencil.indptr),
@@ -257,12 +293,17 @@ def _factor(A):
                 options={"SymmetricMode": True})
 
 
-def solve_lowest(mesh, k, dirichlet_edges=(0, 1, 2)):
+def solve_lowest(mesh, k, dirichlet_edges=(0, 1, 2), start=None):
     """Smallest k eigenpairs of the Dirichlet (or mixed) pencil on the mesh.
 
     Edges listed in dirichlet_edges carry the zero condition; the rest are
-    natural (Neumann).  Deterministic: fixed ARPACK start vector, ascending
-    sort, M-orthonormalization, sign fixed by the largest component.
+    natural (Neumann).  start, a vector on the free vertices, is where
+    Lanczos starts; None starts from the constant vector, and the dense
+    path (small problems) ignores it.  A start close to the span of the
+    wanted modes saves shift-invert steps.  Deterministic: the start
+    vector is fixed by the arguments and ARPACK's restart generator by
+    ARPACK_SEED; values ascend, vectors are M-orthonormalized and each
+    sign is fixed by the largest component.
 
     The reported residual of mode j is 2 ||r_j|| in the dual norm of the
     lumped (row-sum) mass L, r_j = K v_j - lambda_j M v_j.  Each element
@@ -288,11 +329,13 @@ def solve_lowest(mesh, k, dirichlet_edges=(0, 1, 2)):
         # K is symmetric positive definite; its factor serves every
         # shift-invert step at shift 0.
         lu = _factor(kk)
-        v0 = np.full(nfree, 1.0 / math.sqrt(nfree))
+        if start is None:
+            start = np.full(nfree, 1.0 / math.sqrt(nfree))
         try:
             vals, vecs = eigsh(
-                kk, k=k, M=mm, sigma=0.0, which="LM", v0=v0,
+                kk, k=k, M=mm, sigma=0.0, which="LM", v0=start,
                 maxiter=ARPACK_MAXITER,
+                rng=np.random.default_rng(ARPACK_SEED),
                 OPinv=LinearOperator(kk.shape, matvec=lu.solve,
                                      dtype=kk.dtype))
         except ArpackNoConvergence as err:
@@ -415,7 +458,9 @@ def solve_family(triangles, k, level, dirichlet_edges=(0, 1, 2)):
     until none exceeds FAMILY_RTOL.  The Ritz values are upper bounds on
     the P1 values (the basis is a subspace of the P1 space).  Residuals are
     the lumped-mass bound of solve_lowest, computed from each Ritz vector
-    by the member's stencil forms (no Gram expansion).
+    by the member's stencil forms (no Gram expansion).  Each initial
+    snapshot solve starts from the modes of the one before it, and a
+    member that joins later from its own Ritz vectors.
 
     No mode may be skipped: _first_unproven certifies every member with
     inertia counts transported in the Loewner order.  A member it refutes
@@ -436,18 +481,24 @@ def solve_family(triangles, k, level, dirichlet_edges=(0, 1, 2)):
     resid = np.empty((len(meshes), k))
     taken = []
     todo = _chebyshev_members(len(meshes), FAMILY_SNAPSHOTS)
+    start = None
     while True:
         for i in todo:
-            res = solve_lowest(meshes[i], k + 1, edges)
+            res = solve_lowest(meshes[i], k + 1, edges, start)
+            start = res.vectors.sum(axis=1)
             basis = _orthonormal_extension(
                 basis, res.vectors * math.sqrt(scale[i]), mass)
         taken.extend(todo)
         dim = basis.shape[1]
         reduced = np.array([basis.T @ (lap @ basis) for lap in laplacians])
         reduced = reduced.reshape(3, dim * dim)
+        # Per member, the basis coefficients of its k+1 Ritz vectors summed:
+        # where a solve of it would start.
+        ritz_sums = np.empty((len(meshes), dim))
         for i in range(len(meshes)):
             # Ritz pairs of (K, M_ref); the values of (K, M) are mu / e.
             mu, y = np.linalg.eigh((weights[i] @ reduced).reshape(dim, dim))
+            ritz_sums[i] = y[:, :k + 1].sum(axis=1)
             u = basis @ y[:, :k]
             r = sum(w * (lap @ u) for w, lap in zip(weights[i], laplacians))
             r -= (mass @ u) * mu[:k]
@@ -462,6 +513,7 @@ def solve_family(triangles, k, level, dirichlet_edges=(0, 1, 2)):
                     f"reduced basis stalled at family member {worst} at "
                     f"level {level}")
             todo = [worst]
+            start = basis @ ritz_sums[worst]
             continue
         bad = _first_unproven(meshes, edges, k,
                               np.max(values[:, :k] + resid, axis=1),
@@ -473,14 +525,20 @@ def solve_family(triangles, k, level, dirichlet_edges=(0, 1, 2)):
                 f"mode completeness not proven for family member {bad} at "
                 f"level {level}")
         todo = [bad]
+        start = basis @ ritz_sums[bad]
 
 
 def solve_pair(t, k, level, dirichlet_edges=(0, 1, 2)):
-    """The lowest k modes of t at level-1 and at level, as (coarse, fine)."""
+    """The lowest k modes of t at level-1 and at level, as (coarse, fine).
+
+    The fine solve starts from the sum of the coarse modes, interpolated.
+    """
     if level < 1:
         raise ValueError("extrapolated solve needs level >= 1")
-    return tuple(solve_lowest(mesh_triangle(t, lev), k, dirichlet_edges)
-                 for lev in (level - 1, level))
+    coarse = solve_lowest(mesh_triangle(t, level - 1), k, dirichlet_edges)
+    start = _prolong(level, dirichlet_edges, coarse.vectors.sum(axis=1))
+    return coarse, solve_lowest(mesh_triangle(t, level), k, dirichlet_edges,
+                                start)
 
 
 def richardson(coarse, fine):

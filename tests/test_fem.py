@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import eigh
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, splu
 
 from trispec import fem
 from trispec.equilateral import SIGMA_COEFF, sigma
@@ -215,6 +215,74 @@ def test_stencil_forms_match_element_assembly(orientation):
                 want = np.sum(u * (ref[name][np.ix_(idx, idx)] @ u), axis=0)
                 np.testing.assert_allclose(energies[:, f], want, rtol=1e-12,
                                            atol=1e-13)
+
+
+@pytest.mark.parametrize("level", [3, 5])
+def test_prolongation_is_the_coarse_function(level):
+    # the P1 spaces nest, so every form takes the same value on a coarse
+    # vector and on its interpolation one level up
+    t = Triangle([(0.1, 0.2), (1.9, -0.1), (0.4, 1.5)])
+    for seed, edges in enumerate(((0, 1, 2), (1, 2), (0,))):
+        coarse = assemble(mesh_triangle(t, level - 1), edges)
+        fine = assemble(mesh_triangle(t, level), edges)
+        x = np.random.default_rng(seed).normal(size=coarse.free.size)
+        px = fem._prolong(level, edges, x)
+        assert px.shape == fine.free.shape
+        for name in ("stiffness", "mass"):
+            want = x @ (getattr(coarse, name) @ x)
+            got = px @ (getattr(fine, name) @ px)
+            assert got == pytest.approx(want, rel=1e-13), name
+        np.testing.assert_allclose(fine.energies(px[:, None]),
+                                   coarse.energies(x[:, None]), rtol=1e-13)
+
+
+def counting_eigsh(monkeypatch):
+    """Patch fem.eigsh to record, per call, its keywords, the state of its
+    restart generator on entry and how many times it applied OPinv."""
+    calls = []
+    original = fem.eigsh
+
+    def eigsh(A, **kwargs):
+        op = kwargs["OPinv"]
+        record = dict(kwargs, steps=0)
+        if isinstance(kwargs.get("rng"), np.random.Generator):
+            record["rng_state"] = kwargs["rng"].bit_generator.state
+        calls.append(record)
+
+        def matvec(x):
+            record["steps"] += 1
+            return op.matvec(x)
+
+        kwargs["OPinv"] = LinearOperator(op.shape, matvec=matvec,
+                                         dtype=op.dtype)
+        return original(A, **kwargs)
+
+    monkeypatch.setattr(fem, "eigsh", eigsh)
+    return calls
+
+
+def test_arpack_restarts_are_seeded(monkeypatch):
+    # ARPACK draws a new start vector when Lanczos meets an invariant
+    # subspace early; every solve must draw it from the same seed
+    calls = counting_eigsh(monkeypatch)
+    mesh = mesh_triangle(FanTriangle(0.0, 2.5).triangle, 5)
+    first = solve_lowest(mesh, 3)
+    solve_lowest(mesh, 3, start=first.vectors.sum(axis=1))
+    assert len(calls) == 2
+    assert "rng_state" in calls[0]
+    assert calls[0]["rng_state"] == calls[1]["rng_state"]
+
+
+@pytest.mark.parametrize("t", [FanTriangle(0.4, 2.1).triangle,
+                               FanTriangle(0.0, 2.5).triangle])
+def test_pair_starts_the_fine_solve_from_the_coarse_modes(t, monkeypatch):
+    calls = counting_eigsh(monkeypatch)
+    fine = solve_pair(t, 6, 7)[1]
+    cold = solve_lowest(mesh_triangle(t, 7), 6)
+    assert len(calls) == 3
+    np.testing.assert_allclose(fine.values, cold.values, rtol=1e-12)
+    # calls: coarse, warm fine, cold fine
+    assert calls[1]["steps"] < calls[2]["steps"]
 
 
 def test_reversed_vertex_order_keeps_eigenvalues():
@@ -433,6 +501,39 @@ def test_solve_family_matches_direct_solves(level):
         np.testing.assert_allclose(values, direct, rtol=1e-10)
 
 
+def test_warm_started_family_keeps_its_snapshots(monkeypatch):
+    # snapshots start from the one before or from their Ritz vectors: fewer
+    # steps, the same snapshots, the same values
+    family = halves(np.linspace(math.pi / 6.0, 2.0 * math.pi / 3.0, 21))
+    initial = len(fem._chebyshev_members(len(family), fem.FAMILY_SNAPSHOTS))
+    calls = counting_eigsh(monkeypatch)
+    original = fem.solve_lowest
+    for edges, k in HALF_PROBLEMS:
+        runs = {}
+        for warm in (True, False):
+            starts = []
+
+            def solve(mesh, k, dirichlet_edges=(0, 1, 2), start=None):
+                starts.append(start)
+                return original(mesh, k, dirichlet_edges,
+                                start if warm else None)
+
+            monkeypatch.setattr(fem, "solve_lowest", solve)
+            del calls[:]
+            values = solve_family(family, k, 6, edges)
+            runs[warm] = (values, starts, sum(c["steps"] for c in calls))
+        (values, starts, steps), (_, cold_starts, cold_steps) = \
+            runs[True], runs[False]
+        # greedy members joined after the initial snapshots
+        assert len(starts) == len(cold_starts) > initial
+        assert starts[0] is None
+        assert all(start is not None for start in starts[1:])
+        assert steps < cold_steps
+        direct = np.array([original(mesh_triangle(t, 6), k, edges).values
+                           for t in family])
+        np.testing.assert_allclose(values, direct, rtol=1e-10)
+
+
 def test_gate_refuses_ritz_values_that_skip_the_fundamental():
     meshes = [mesh_triangle(t, 5) for t in halves([0.8, 1.0, 1.2])]
     for edges, k in HALF_PROBLEMS:
@@ -461,9 +562,9 @@ def test_refuted_member_becomes_a_snapshot(monkeypatch):
     solved, gated = [], []
     original_solve, original_gate = fem.solve_lowest, fem._first_unproven
 
-    def solve(mesh, k, dirichlet_edges=(0, 1, 2)):
+    def solve(mesh, k, dirichlet_edges=(0, 1, 2), start=None):
         solved.append(mesh.triangle)
-        return original_solve(mesh, k, dirichlet_edges)
+        return original_solve(mesh, k, dirichlet_edges, start)
 
     def gate(*args):
         # member 10 is neither a Chebyshev nor a greedy snapshot here
