@@ -139,9 +139,13 @@ def _validate(args):
         raise ValueError("--b must be positive")
     if tol is not None and tol < 0:
         raise ValueError("--tol must be nonnegative")
-    if alpha_min is not None and alpha_max is not None \
-            and not (alpha_min < alpha_max):
-        raise ValueError("--alpha-min must lie below --alpha-max")
+    if (alpha_min, alpha_max) != (None, None):
+        # verify fills an unset end of the window from the default one
+        lo = ALPHA_MIN if alpha_min is None else alpha_min
+        hi = ALPHA_MAX if alpha_max is None else alpha_max
+        if not (lo < hi):
+            raise ValueError(f"--alpha-min ({lo:g}) must lie below "
+                             f"--alpha-max ({hi:g})")
 
 
 def _alpha_grid(args, steps):

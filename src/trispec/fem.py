@@ -28,9 +28,13 @@ Triangles without an obtuse angle have nonnegative weights w_d, so a family
 of them on one lattice (the half triangles of an aperture sweep) is solved
 at once by solve_family: a Rayleigh-Ritz projection onto the eigenvectors
 of direct solves at a few members.  Its values are upper bounds on the P1
-values, as a direct solve's are.  That no mode was skipped is proven by
-Sylvester inertia counts of K - sigma M (inertia), carried from member to
-member by the Loewner order of their stiffnesses.
+values, as a direct solve's are.  Each pass over the members works on
+blocks of them: one batched eigh of the reduced pencils, and the residuals
+of all the block's Ritz vectors from a few sparse products with many
+columns.  That no mode was skipped is proven by Sylvester inertia counts
+of K - sigma M (inertia), carried from member to member by the Loewner
+order of their stiffnesses; the counts go to the anchors that carry the
+longest runs of members.
 
 Lanczos starts from the constant vector unless the caller holds a close
 guess of the wanted modes.  Uniform refinement nests the P1 spaces, so a
@@ -95,6 +99,10 @@ BASIS_DROP = 1e-8
 # top claimed eigenvalue to the next Ritz value: far enough to carry the
 # count over many members, short of the next eigenvalue.
 ANCHOR_SHIFT = 0.9
+# Members per block of a family's Ritz pass: one batched eigh and one set
+# of many-column residual products each; few enough that the block's
+# vectors add little to peak memory.
+_RITZ_BLOCK = 8
 
 
 def _lattice(level):
@@ -388,7 +396,8 @@ def _family_weights(meshes):
     return weights
 
 
-def _first_unproven(meshes, dirichlet_edges, k, top, above):
+def _first_unproven(meshes, dirichlet_edges, k, top, above, weights=None,
+                    areas=None):
     """First member where the k lowest eigenvalues are not proven < top.
 
     top[i] bounds the k claimed eigenvalues of member i from above and
@@ -398,27 +407,52 @@ def _first_unproven(meshes, dirichlet_edges, k, top, above):
     proves lambda_{k+1}(a) >= s.  Since K(i) >= m K(a) in the Loewner
     order, m the least ratio w_d(i) / w_d(a) over the weights w_d(a) > 0,
     and the masses scale by the element areas e,
-    lambda_{k+1}(i) >= m e(a) / e(i) s.  A member that this transported
-    bound does not clear gets its own count and becomes the anchor.
-    Returns None when every member is proven.
+    lambda_{k+1}(i) >= m e(a) / e(i) s: the anchor carries member i when
+    that clears top[i].
+
+    The counts form a cover.  From the first member not yet proven, the
+    count goes to the anchor among those that carry it whose run of
+    carried or proven members reaches furthest.  When that anchor's count
+    refutes it, the first member gets its own count, so what is returned
+    is always the first member that no count proves.  weights (members, 3)
+    and areas are the family's stiffness weights and triangle areas,
+    computed here when not given.  Returns None when every member is
+    proven.
     """
-    weights = _family_weights(meshes)
-    scale = np.array([mesh.triangle.area for mesh in meshes])
-    anchor = None
-    for i, mesh in enumerate(meshes):
-        if anchor is not None:
-            a, shift = anchor
-            used = weights[a] > 0
-            m = np.min(weights[i, used] / weights[a, used])
-            if m * scale[a] / scale[i] * shift > top[i]:
-                continue
-        if not above[i] > top[i]:
+    if weights is None:
+        weights = _family_weights(meshes)
+    if areas is None:
+        areas = np.array([mesh.triangle.area for mesh in meshes])
+    shift = top + ANCHOR_SHIFT * (above - top)
+    # ratio[a, i, d] = w_d(i) / w_d(a), infinite where w_d(a) = 0.
+    ratio = np.divide(weights[None, :, :], weights[:, None, :],
+                      out=np.full((len(meshes),) + weights.shape, np.inf),
+                      where=weights[:, None, :] > 0)
+    carries = (above > top)[:, None] & (
+        ratio.min(axis=2) * areas[:, None] / areas[None, :] * shift[:, None]
+        > top[None, :])
+
+    def proves(a):
+        forms = assemble(meshes[a], dirichlet_edges)
+        return inertia(forms.stiffness, forms.mass, shift[a]) == k
+
+    proven = np.zeros(len(meshes), dtype=bool)
+    while not proven.all():
+        i = int(np.argmin(proven))
+        anchors = np.flatnonzero(carries[:, i])
+        if anchors.size == 0:
             return i
-        shift = top[i] + ANCHOR_SHIFT * (above[i] - top[i])
-        forms = assemble(mesh, dirichlet_edges)
-        if inertia(forms.stiffness, forms.mass, shift) != k:
-            return i
-        anchor = (i, shift)
+        # Each anchor's run ends at its first member from i on that is
+        # neither proven nor carried; a closing False bounds the search.
+        covered = np.hstack((proven[i:] | carries[anchors, i:],
+                             np.zeros((anchors.size, 1), dtype=bool)))
+        a = int(anchors[np.argmax(np.argmin(covered, axis=1))])
+        if not proves(a):
+            carries[a] = False
+            if a == i or not carries[i, i] or not proves(i):
+                return i
+            a = i
+        proven |= carries[a]
     return None
 
 
@@ -458,9 +492,16 @@ def solve_family(triangles, k, level, dirichlet_edges=(0, 1, 2)):
     until none exceeds FAMILY_RTOL.  The Ritz values are upper bounds on
     the P1 values (the basis is a subspace of the P1 space).  Residuals are
     the lumped-mass bound of solve_lowest, computed from each Ritz vector
-    by the member's stencil forms (no Gram expansion).  Each initial
-    snapshot solve starts from the modes of the one before it, and a
-    member that joins later from its own Ritz vectors.
+    by the member's stencil forms: a Gram expansion of ||r||^2 cancels at
+    small residuals and may round below the true one, and the gate's
+    bound must stay an upper bound.  A pass over the members goes by
+    blocks of _RITZ_BLOCK: one batched eigh of the weighted reduced
+    Laplacians, then the block's Ritz vectors side by side through three
+    Laplacian products and one mass product.  The block size changes how
+    many columns each product has, no decision, and values only by
+    rounding.  Each initial snapshot solve starts from the modes of the
+    one before it, and a member that joins later from its own Ritz
+    vectors.
 
     No mode may be skipped: _first_unproven certifies every member with
     inertia counts transported in the Loewner order.  A member it refutes
@@ -472,7 +513,8 @@ def solve_family(triangles, k, level, dirichlet_edges=(0, 1, 2)):
     edges = tuple(sorted(dirichlet_edges))
     meshes = [mesh_triangle(t, level) for t in triangles]
     weights = _family_weights(meshes)
-    scale = np.array([mesh.triangle.area for mesh in meshes]) / 4 ** level
+    areas = np.array([mesh.triangle.area for mesh in meshes])
+    scale = areas / 4 ** level
     stencil = _stencil(level, edges)
     laplacians = [_csc(stencil, lap) for lap in stencil.laplacians]
     mass = _csc(stencil, stencil.mass)
@@ -491,20 +533,23 @@ def solve_family(triangles, k, level, dirichlet_edges=(0, 1, 2)):
         taken.extend(todo)
         dim = basis.shape[1]
         reduced = np.array([basis.T @ (lap @ basis) for lap in laplacians])
-        reduced = reduced.reshape(3, dim * dim)
         # Per member, the basis coefficients of its k+1 Ritz vectors summed:
         # where a solve of it would start.
         ritz_sums = np.empty((len(meshes), dim))
-        for i in range(len(meshes)):
+        for lo in range(0, len(meshes), _RITZ_BLOCK):
+            block = slice(lo, lo + _RITZ_BLOCK)
+            w = weights[block]
             # Ritz pairs of (K, M_ref); the values of (K, M) are mu / e.
-            mu, y = np.linalg.eigh((weights[i] @ reduced).reshape(dim, dim))
-            ritz_sums[i] = y[:, :k + 1].sum(axis=1)
-            u = basis @ y[:, :k]
-            r = sum(w * (lap @ u) for w, lap in zip(weights[i], laplacians))
-            r -= (mass @ u) * mu[:k]
-            values[i] = mu[:k + 1] / scale[i]
-            resid[i] = 2.0 / scale[i] * np.sqrt(
-                np.sum(r * r / stencil.lumped[:, None], axis=0))
+            mu, y = np.linalg.eigh(np.einsum("bd,dij->bij", w, reduced))
+            ritz_sums[block] = y[:, :, :k + 1].sum(axis=2)
+            # The block's k lowest Ritz vectors side by side, member-major.
+            u = basis @ y[:, :, :k].transpose(1, 0, 2).reshape(dim, -1)
+            r = sum(c * (lap @ u)
+                    for c, lap in zip(np.repeat(w, k, axis=0).T, laplacians))
+            r -= (mass @ u) * mu[:, :k].ravel()
+            values[block] = mu[:, :k + 1] / scale[block, None]
+            resid[block] = 2.0 / scale[block, None] * np.sqrt(
+                np.sum(r * r / stencil.lumped[:, None], axis=0)).reshape(-1, k)
         rel = np.max(resid / values[:, :k], axis=1)
         worst = int(np.argmax(rel))
         if rel[worst] > FAMILY_RTOL:
@@ -517,7 +562,7 @@ def solve_family(triangles, k, level, dirichlet_edges=(0, 1, 2)):
             continue
         bad = _first_unproven(meshes, edges, k,
                               np.max(values[:, :k] + resid, axis=1),
-                              values[:, k])
+                              values[:, k], weights, areas)
         if bad is None:
             return values[:, :k].copy()
         if bad in taken:

@@ -138,6 +138,8 @@ def sweep(alpha_grid, scaling="side", level=6):
         raise ValueError("grid must be a 1-d array with at least two points")
     if np.any(grid <= 0) or np.any(grid >= math.pi):
         raise ValueError("apertures must lie strictly inside (0, pi)")
+    if np.any(np.diff(grid) <= 0):
+        raise ValueError("alpha must be strictly increasing")
     if level < 6:
         raise ValueError("level must be at least 6")
     halves = [IsoscelesAperture(float(a)).half_triangle for a in grid]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy
 
-from trispec import cli, fem
+from trispec import cli, fem, isosceles
 from trispec.cli import dispatch
 from trispec.equilateral import enumerate_modes
 
@@ -97,6 +97,21 @@ def test_bad_flag_value(capsys):
         (("rectangle", "--tol", "-1"), "--tol"),
         (("sweep", "--alpha-min", "2", "--alpha-max", "1"), "--alpha-min"),
     ]
+    for argv, flag in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 64, argv
+        assert flag in err, argv
+        assert out == ""
+
+
+def test_one_sided_window_is_refused_before_solving(capsys, monkeypatch):
+    # verify fills the unset end from the default window [pi/6, 2pi/3]
+    def refuse(*args):
+        raise AssertionError("solve_family called")
+
+    monkeypatch.setattr(isosceles, "solve_family", refuse)
+    cases = [(("verify", "monotonicity", "--alpha-min", "2.5"), "--alpha-min"),
+             (("verify", "observation", "--alpha-max", "0.3"), "--alpha-max")]
     for argv, flag in cases:
         code, out, err = run(capsys, *argv)
         assert code == 64, argv

@@ -557,6 +557,76 @@ def test_gate_refuses_ritz_values_that_skip_the_fundamental():
                                        *claims(first)) == first
 
 
+def carries(triangles, top, above, a, i):
+    """The gate's transport: a count of k at anchor a proves member i."""
+    wa, wi = fem._weights(triangles[a])[0], fem._weights(triangles[i])[0]
+    used = wa > 0
+    m = np.min(wi[used] / wa[used])
+    shift = top[a] + fem.ANCHOR_SHIFT * (above[a] - top[a])
+    return m * triangles[a].area / triangles[i].area * shift > top[i]
+
+
+def test_gate_covers_the_family_with_fewer_counts(monkeypatch):
+    family = halves(np.linspace(math.pi / 6.0, 2.0 * math.pi / 3.0, 80))
+    original_gate, original_inertia = fem._first_unproven, fem.inertia
+    for edges, k in HALF_PROBLEMS:
+        gated, counts = [], []
+
+        def inertia(K, M, sigma):
+            counts.append((sigma, original_inertia(K, M, sigma)))
+            return counts[-1][1]
+
+        def gate(*args):
+            del counts[:]
+            gated.append((args, original_gate(*args)))
+            return gated[-1][1]
+
+        monkeypatch.setattr(fem, "inertia", inertia)
+        monkeypatch.setattr(fem, "_first_unproven", gate)
+        solve_family(family, k, 5, edges)
+        (_, _, _, top, above, *_), result = gated[-1]
+        assert result is None
+        # every member is carried by an anchor whose count is k
+        shift = top + fem.ANCHOR_SHIFT * (above - top)
+        anchors = [int(np.flatnonzero(shift == sigma)[0])
+                   for sigma, count in counts if count == k]
+        for i in range(len(family)):
+            assert any(carries(family, top, above, a, i) for a in anchors), i
+        # a member-by-member scan counts at every member its last anchor
+        # does not carry: 7 and 3 counts here, the cover 3 and 2
+        scan, anchor = 0, None
+        for i in range(len(family)):
+            if anchor is None or not carries(family, top, above, anchor, i):
+                scan, anchor = scan + 1, i
+        assert len(counts) < scan
+
+
+@pytest.mark.parametrize("size", [21, 1])
+def test_ritz_block_size_changes_no_decision(size, monkeypatch):
+    family = halves(np.linspace(math.pi / 6.0, 2.0 * math.pi / 3.0, size))
+    original = fem.solve_lowest
+    for edges, k in HALF_PROBLEMS:
+        runs = []
+        for block in (fem._RITZ_BLOCK, 1, 5):
+            calls = []
+
+            def solve(mesh, k, dirichlet_edges=(0, 1, 2), start=None):
+                calls.append((family.index(mesh.triangle), start))
+                return original(mesh, k, dirichlet_edges, start)
+
+            monkeypatch.setattr(fem, "solve_lowest", solve)
+            monkeypatch.setattr(fem, "_RITZ_BLOCK", block)
+            runs.append((solve_family(family, k, 5, edges), calls))
+        (values, calls), others = runs[0], runs[1:]
+        for other_values, other_calls in others:
+            assert [i for i, _ in other_calls] == [i for i, _ in calls]
+            for (_, start), (_, other_start) in zip(calls, other_calls):
+                assert (start is None) == (other_start is None)
+                if start is not None:
+                    np.testing.assert_array_equal(other_start, start)
+            np.testing.assert_allclose(other_values, values, rtol=1e-13)
+
+
 def test_refuted_member_becomes_a_snapshot(monkeypatch):
     family = halves(np.linspace(0.6, 2.0, 21))
     solved, gated = [], []

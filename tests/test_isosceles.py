@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from trispec import fem
+from trispec import fem, isosceles
 from trispec.fem import solve_extrapolated
 from trispec.geometry import IsoscelesAperture
 from trispec.isosceles import (
@@ -41,6 +41,16 @@ def test_sweep_validation():
         sweep([0.5, PI], "side", 6)
     with pytest.raises(ValueError, match="level"):
         sweep([0.5, 0.6], "side", 5)
+
+
+def test_sweep_refuses_an_unordered_grid_before_solving(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("solve_family called")
+
+    monkeypatch.setattr(isosceles, "solve_family", refuse)
+    for grid in ([1.0, 0.9, 1.1], [1.0, 1.0]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            sweep(grid, "side", 6)
 
 
 def test_table_invariants():
