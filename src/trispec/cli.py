@@ -137,7 +137,7 @@ def _validate(args):
         raise ValueError("--alpha-steps must be >= 2")
     if b is not None and not (b > 0):
         raise ValueError("--b must be positive")
-    if tol is not None and tol < 0:
+    if tol is not None and not (tol >= 0):
         raise ValueError("--tol must be nonnegative")
     if (alpha_min, alpha_max) != (None, None):
         # verify fills an unset end of the window from the default one

@@ -14,13 +14,12 @@ import math
 
 import numpy as np
 
-from .reports import make_report
+from .reports import combine, make_report
 
 __all__ = [
     "SIGMA_COEFF",
     "ModeIndex",
     "SpectrumTable",
-    "sigma",
     "enumerate_modes",
     "counting_exact",
     "counting_bounds",
@@ -29,7 +28,6 @@ __all__ = [
     "antisym_bounds",
     "tail_ratio",
     "exact_sum_q",
-    "sum_lowest",
     "verify_lemma_explicit",
     "verify_compequilateral",
 ]
@@ -78,16 +76,14 @@ class ModeIndex:
 
 
 class SpectrumTable:
-    """Ranked lowest modes of the equilateral triangle at a fixed sidelength.
+    """Ranked lowest modes of the unit-sidelength equilateral triangle.
 
     Rows are ordered by exact integer q (ties by ascending m); rank j runs
-    from 1.  Eigenvalues are q * 16 pi^2 / (9 s^2).
+    from 1.  Eigenvalues are q * 16 pi^2 / 9.
     """
 
-    def __init__(self, modes, sidelength=1.0, mode_class="full"):
+    def __init__(self, modes):
         self.modes = list(modes)
-        self.sidelength = float(sidelength)
-        self.mode_class = mode_class
         qs = [mode.q for mode in self.modes]
         if any(q2 < q1 for q1, q2 in zip(qs, qs[1:])):
             raise ValueError("modes must be sorted by nondecreasing q")
@@ -104,7 +100,7 @@ class SpectrumTable:
 
     @property
     def eigenvalues(self):
-        return self.qs * (SIGMA_COEFF / self.sidelength**2)
+        return self.qs * SIGMA_COEFF
 
     def sum_q(self, n):
         """Exact integer sum of q over the first n modes."""
@@ -115,26 +111,9 @@ class SpectrumTable:
     def to_csv(self):
         lines = ["j,m,n,q,lambda,class"]
         for j, mode in zip(range(1, len(self.modes) + 1), self.modes):
-            lam = mode.q * SIGMA_COEFF / self.sidelength**2
+            lam = mode.q * SIGMA_COEFF
             lines.append(f"{j},{mode.m},{mode.n},{mode.q},{lam!r},{mode.symmetry}")
         return "\n".join(lines) + "\n"
-
-
-def sigma(m, n, sidelength=1.0):
-    """Eigenvalue of mode (m, n) at the given sidelength."""
-    if sidelength <= 0:
-        raise ValueError("sidelength must be positive")
-    return ModeIndex(m, n).q * SIGMA_COEFF / sidelength**2
-
-
-def _class_match(m, n, mode_class):
-    if mode_class == "full":
-        return True
-    if mode_class == "antisym":
-        return m > n
-    if mode_class == "sym":
-        return m <= n
-    raise ValueError(f"unknown mode class {mode_class!r}")
 
 
 def _modes_up_to(qmax, mode_class):
@@ -143,7 +122,7 @@ def _modes_up_to(qmax, mode_class):
     while m * m + m + 1 <= qmax:
         n = 1
         while m * m + m * n + n * n <= qmax:
-            if _class_match(m, n, mode_class):
+            if mode_class == "full" or m > n:
                 modes.append(ModeIndex(m, n))
             n += 1
         m += 1
@@ -151,19 +130,22 @@ def _modes_up_to(qmax, mode_class):
     return modes
 
 
-def enumerate_modes(n_max, mode_class="full", sidelength=1.0):
-    """SpectrumTable of the n_max lowest modes of the requested class.
+def enumerate_modes(n_max, mode_class="full"):
+    """SpectrumTable of the n_max lowest modes of the class, "full" or
+    "antisym".
 
     Sorted ascending by exact q, ties by ascending m (rank inside a
     degenerate cluster is conventional, not spectral).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if mode_class not in ("full", "antisym"):
+        raise ValueError(f"unknown mode class {mode_class!r}")
     qmax = 16
     while True:
         modes = _modes_up_to(qmax, mode_class)
         if len(modes) >= n_max:
-            return SpectrumTable(modes[:n_max], sidelength, mode_class)
+            return SpectrumTable(modes[:n_max])
         qmax *= 2
 
 
@@ -254,11 +236,6 @@ def exact_sum_q(n, mode_class="full"):
     return enumerate_modes(n, mode_class).sum_q(n)
 
 
-def sum_lowest(n, mode_class="full", sidelength=1.0):
-    """Sum of the n lowest eigenvalues of the class (float, exact q sum)."""
-    return exact_sum_q(n, mode_class) * SIGMA_COEFF / sidelength**2
-
-
 def verify_lemma_explicit():
     """Exact integer check of the per-rank comparison 6 q^a_j > 11 q_j.
 
@@ -293,13 +270,9 @@ def verify_lemma_explicit():
         6 * sum_qa4, 11 * sum_q4,
         sum_q_full=sum_q4, sum_q_antisym=sum_qa4,
     ))
-    ok = all(c["verdict"] == "pass" for c in checks)
-    return {
-        "claim": "per-rank antisymmetric/full comparison with the single rank-4 exception",
-        "verdict": "pass" if ok else "fail",
-        "exception_rank": 4,
-        "checks": checks,
-    }
+    return combine(
+        "per-rank antisymmetric/full comparison with the single rank-4 exception",
+        checks, exception_rank=4)
 
 
 def verify_compequilateral(n_max=110):
@@ -339,9 +312,6 @@ def verify_compequilateral(n_max=110):
         float(ratios[jmin]), 11.0 / 6.0,
         at_rank=float(grid[jmin]), ratio_at_110=float(ratios[0]),
     ))
-    ok = all(c["verdict"] == "pass" for c in checks)
-    return {
-        "claim": "antisymmetric eigenvalue sums exceed 11/6 of the full sums for every rank",
-        "verdict": "pass" if ok else "fail",
-        "checks": checks,
-    }
+    return combine(
+        "antisymmetric eigenvalue sums exceed 11/6 of the full sums for every rank",
+        checks)

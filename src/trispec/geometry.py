@@ -3,8 +3,9 @@
 Dirichlet eigenvalues scale like 1/length^2, so every inequality in this
 package is stated for a scale-invariant product: eigenvalue times squared
 diameter, squared perimeter, or area.  This module holds the triangle types,
-which carry those functionals, and the closed-form facts (Polya-type bounds,
-rectangle spectra) that the verification routines compare against.
+which carry those functionals, and the closed-form facts (the Polya-type
+upper bound on the fundamental tone, rectangle spectra) that the
+verification routines compare against.
 """
 
 import json
@@ -19,7 +20,6 @@ __all__ = [
     "EQUILATERAL_APEX",
     "subequilateral_hull",
     "polya_upper",
-    "classical_lower",
     "rectangle_eigen",
     "rectangle_minimizers",
     "triangle_from_json",
@@ -43,7 +43,7 @@ class Triangle:
     def __init__(self, vertices):
         try:
             v = np.asarray(vertices, dtype=float)
-        except TypeError as err:
+        except (TypeError, OverflowError) as err:
             raise ValueError(f"vertices must be numbers: {err}") from err
         if v.shape != (3, 2):
             raise ValueError(f"expected three planar vertices, got shape {v.shape}")
@@ -143,23 +143,13 @@ class FanTriangle:
     def triangle(self):
         return Triangle([(-1.0, 0.0), (1.0, 0.0), (self.a, self.b)])
 
-    @property
-    def is_subequilateral(self):
-        return self.a == 0.0 and self.b > EQUILATERAL_APEX
-
-    @property
-    def diameter_squared(self):
-        """Squared diameter; for the isosceles family with b >= sqrt(3) it is 1 + b^2."""
-        d = self.triangle.diameter
-        return d * d
-
 
 class IsoscelesAperture:
     """Isosceles triangle with apex angle alpha and equal sides of length l.
 
-    Realized with apex at the origin and the axis of symmetry along the
-    positive x axis, so the symmetric half is the right triangle above
-    that axis.
+    Placed with apex at the origin and the axis of symmetry along the
+    positive x axis; the sweeps solve only its symmetric half, the right
+    triangle above that axis.
     """
 
     def __init__(self, alpha, l=1.0):
@@ -172,12 +162,6 @@ class IsoscelesAperture:
 
     def __repr__(self):
         return f"IsoscelesAperture(alpha={self.alpha!r}, l={self.l!r})"
-
-    @property
-    def triangle(self):
-        c = self.l * math.cos(self.alpha / 2.0)
-        s = self.l * math.sin(self.alpha / 2.0)
-        return Triangle([(0.0, 0.0), (c, -s), (c, s)])
 
     @property
     def half_triangle(self):
@@ -208,21 +192,6 @@ def polya_upper(t):
     """Polya-type upper bound on the fundamental tone: pi^2/3 * sum(l_i^2) / A^2."""
     l2 = float(np.sum(t.side_lengths**2))
     return (math.pi**2 / 3.0) * l2 / t.area**2
-
-
-def classical_lower(t):
-    """Classical lower bounds on the fundamental tone, as a dict.
-
-    'polya_szego' is the sharp area bound 4 pi^2 / (sqrt(3) A) among
-    triangles, attained by the equilateral; 'makai' is the sharp bound
-    pi^2 L^2 / (16 A^2) in terms of area and perimeter.
-    """
-    area = t.area
-    perim = t.perimeter
-    return {
-        "polya_szego": 4.0 * math.pi**2 / (math.sqrt(3.0) * area),
-        "makai": math.pi**2 * perim**2 / (16.0 * area**2),
-    }
 
 
 def rectangle_eigen(phi, p=1, q=1):
@@ -262,5 +231,16 @@ def rectangle_minimizers():
 
 
 def triangle_from_json(text):
-    """Triangle from a JSON array of three [x, y] pairs, validated."""
-    return Triangle(json.loads(text))
+    """Triangle from a JSON array of three [x, y] pairs, validated.
+
+    The text comes from outside the program, so every coordinate must be a
+    JSON number: strings and booleans, which numpy would read as numbers,
+    are refused.
+    """
+    vertices = json.loads(text)
+    for point in vertices if isinstance(vertices, list) else ():
+        for x in point if isinstance(point, list) else ():
+            if isinstance(x, bool) or not isinstance(x, (int, float)):
+                raise ValueError(
+                    f"vertices must be numbers, got {json.dumps(x)}")
+    return Triangle(vertices)

@@ -3,15 +3,17 @@
 The three quantities tracked against the aperture angle are the
 fundamental tone, the lowest antisymmetric tone, and the lowest symmetric
 tone above the fundamental.  Each can be normalized by squared side,
-squared diameter, squared perimeter, or area, and the minimizers and
-monotonicity patterns differ by scaling.  All three come from the half
-triangle: full Dirichlet data on the half gives the antisymmetric tones of
-the whole, a free condition on the symmetry line gives the symmetric ones.
-The fundamental tone is symmetric, so it is the lowest tone of the
-free-axis half and needs no solve on the whole triangle.  The half
-triangles of a grid are right triangles on one lattice, so each boundary
-set at each level is one fem.solve_family: a sweep makes four of them, from
-a few direct snapshot solves each, whatever the grid size.
+squared diameter, squared perimeter, or area, and the monotonicity
+patterns differ by scaling; this module checks the claimed monotone
+intervals and the switch of the second mode's class at pi/3.  All three
+tones come from the half triangle: full Dirichlet data on the half gives
+the antisymmetric tones of the whole, a free condition on the symmetry
+line gives the symmetric ones.  The fundamental tone is symmetric, so it
+is the lowest tone of the free-axis half and needs no solve on the whole
+triangle.  The half triangles of a grid are right triangles on one
+lattice, so each boundary set at each level is one fem.solve_family: a
+sweep makes four of them, from a few direct snapshot solves each, whatever
+the grid size.
 """
 
 import math
@@ -26,15 +28,13 @@ __all__ = [
     "SCALINGS",
     "SweepTable",
     "sweep",
-    "default_grid",
-    "find_min",
     "verify_monotonicity",
     "observation_crossing",
 ]
 
 SCALINGS = ("side", "diameter", "perimeter", "area")
 
-# Aperture window used by the default grid; degenerate slivers excluded.
+# Default aperture window of the sweeps; degenerate slivers excluded.
 ALPHA_MIN = math.pi / 6.0
 ALPHA_MAX = 2.0 * math.pi / 3.0
 
@@ -154,48 +154,6 @@ def sweep(alpha_grid, scaling="side", level=6):
     return SweepTable(grid, sym[:, 0] * fac, anti[:, 0] * fac,
                       sym[:, 1] * fac, scaling,
                       errors=errors * fac[:, None], level=level)
-
-
-def default_grid(steps=61):
-    """Uniform apertures on [pi/6, 2pi/3] with a 4x refined band at pi/3.
-
-    The refinement keeps the corner in the diameter-scaled fundamental
-    tone and the class crossing well resolved without densifying the
-    whole sweep.
-    """
-    if steps < 3:
-        raise ValueError("need at least three points")
-    base = np.linspace(ALPHA_MIN, ALPHA_MAX, steps)
-    h = base[1] - base[0]
-    band = np.arange(math.pi / 3.0 - 2.0 * h, math.pi / 3.0 + 2.0 * h, h / 4.0)
-    out = np.unique(np.concatenate([base, band]))
-    out = out[(out >= ALPHA_MIN) & (out <= ALPHA_MAX)]
-    # base and band both land on pi/3 up to roundoff; keep one of each pair
-    keep = np.concatenate([[True], np.diff(out) > 1e-9])
-    return out[keep]
-
-
-def find_min(table, which):
-    """Refined minimizer (alpha*, value*) of one column of a sweep.
-
-    Fits a parabola through the grid minimum and its neighbors; the
-    minimum must be interior to the grid.
-    """
-    vals = table.column(which)
-    i = int(np.argmin(vals))
-    if i == 0 or i == len(table) - 1:
-        raise ValueError(f"minimum of {which} lies at the grid edge")
-    x0, x1, x2 = table.alpha[i - 1:i + 2]
-    y0, y1, y2 = vals[i - 1:i + 2]
-    d01 = (y1 - y0) / (x1 - x0)
-    d12 = (y2 - y1) / (x2 - x1)
-    curvature = (d12 - d01) / (x2 - x0)
-    if curvature <= 0:
-        raise ValueError(f"no convex dip around the minimum of {which}")
-    alpha_star = 0.5 * (x0 + x1 - d01 / curvature)
-    value_star = (y1 + curvature * (alpha_star - x0) * (alpha_star - x1)
-                  + d01 * (alpha_star - x1))
-    return float(alpha_star), float(value_star)
 
 
 # The monotone intervals claimed for each quantity and scaling: segments

@@ -26,67 +26,33 @@ from .geometry import EQUILATERAL_APEX, FanTriangle, polya_upper
 from .reports import combine, make_report
 
 __all__ = [
-    "TransplantCondition",
     "lemtrace_lhs",
     "prop_unknown_branch",
     "theorem1_verify",
     "C_funcs",
     "condCh_verify",
     "theorem2_verify",
-    "B_GRID",
 ]
 
 # Apex height of the right-triangle comparison domains T(+-1, 2 sqrt(3)).
 RIGHT_APEX = 2.0 * EQUILATERAL_APEX
 
-# Default apex-height sample grid for sweeps, log-uniform in (sqrt(3), 8].
-B_GRID = np.geomspace(EQUILATERAL_APEX, 8.0, 51)[1:]
-
 GAMMA_BRANCH_SPLIT = 0.75
 
 
-class TransplantCondition:
-    """Data for one sum comparison: source apex (a, b), target apex (c, d).
+def lemtrace_lhs(a, b, c, d, gamma, delta):
+    """Energy inflation factor of the vertex map from source apex (a, b) to
+    target apex (c, d), given the y-share gamma and the cross-share delta of
+    the source Dirichlet energy.
 
-    The comparison sum(source) > C * sum(target) holds when the energy
-    inflation factor of the vertex map stays below 1/C; gamma and delta
-    are the y-share and cross-share of the source Dirichlet energy.
+    The sum comparison sum(source) > C * sum(target) holds when this value
+    is strictly below 1/C.  Affine in gamma and in delta.
     """
-
-    def __init__(self, a, b, c, d, C, gamma, delta):
-        if not (b > 0 and d > 0):
-            raise ValueError("apex heights must be positive")
-        if not (C > 0):
-            raise ValueError("comparison constant must be positive")
-        if not (0.0 <= gamma <= 1.0):
-            raise ValueError("gamma must lie in [0, 1]")
-        if abs(delta) > 0.5:
-            raise ValueError("|delta| must not exceed 1/2")
-        self.a = float(a)
-        self.b = float(b)
-        self.c = float(c)
-        self.d = float(d)
-        self.C = float(C)
-        self.gamma = float(gamma)
-        self.delta = float(delta)
-
-    def __repr__(self):
-        return (f"TransplantCondition(a={self.a!r}, b={self.b!r}, c={self.c!r},"
-                f" d={self.d!r}, C={self.C!r}, gamma={self.gamma!r},"
-                f" delta={self.delta!r})")
-
-
-def lemtrace_lhs(cond):
-    """Energy inflation factor of the vertex map under the given fractions.
-
-    The sum comparison holds when this value is strictly below 1/C.
-    Affine in gamma and in delta.
-    """
-    shift = cond.a - cond.c
-    num = ((shift * shift + cond.d * cond.d) * (1.0 - cond.gamma)
-           + 2.0 * cond.b * shift * cond.delta
-           + cond.b * cond.b * cond.gamma)
-    return num / (cond.d * cond.d)
+    shift = a - c
+    num = ((shift * shift + d * d) * (1.0 - gamma)
+           + 2.0 * b * shift * delta
+           + b * b * gamma)
+    return num / (d * d)
 
 
 def prop_unknown_branch(b, gamma):
@@ -118,12 +84,10 @@ def _transplant_certificate(b, gamma, delta, n, branch):
     """
     d2 = 1.0 + b * b
     c_eq = 4.0 / d2
-    lhs_eq = lemtrace_lhs(
-        TransplantCondition(0.0, b, 0.0, EQUILATERAL_APEX, c_eq, gamma, delta))
+    lhs_eq = lemtrace_lhs(0.0, b, 0.0, EQUILATERAL_APEX, gamma, delta)
     c_right = (6.0 / 11.0) * 16.0 / d2
     lhs_right = {
-        sign: lemtrace_lhs(TransplantCondition(0.0, b, sign, RIGHT_APEX,
-                                               c_right, gamma, delta))
+        sign: lemtrace_lhs(0.0, b, sign, RIGHT_APEX, gamma, delta)
         for sign in (1.0, -1.0)
     }
     info = {

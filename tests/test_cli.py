@@ -95,6 +95,9 @@ def test_bad_flag_value(capsys):
         (("sweep", "--alpha-steps", "1"), "--alpha-steps"),
         (("gamma", "--b", "-1"), "--b"),
         (("rectangle", "--tol", "-1"), "--tol"),
+        # a NaN tolerance would turn the gate off or fail every check
+        (("fem", tri, "--level", "4", "--tol", "nan"), "--tol"),
+        (("rectangle", "--tol", "nan"), "--tol"),
         (("sweep", "--alpha-min", "2", "--alpha-max", "1"), "--alpha-min"),
     ]
     for argv, flag in cases:
@@ -120,11 +123,13 @@ def test_one_sided_window_is_refused_before_solving(capsys, monkeypatch):
 
 
 def test_non_numeric_triangle_is_a_usage_error(capsys):
-    code, out, err = run(capsys, "fem", '{"a": 1}')
-    assert code == 64
-    assert out == ""
-    assert err.startswith("trispec fem: ")
-    assert err.count("\n") == 1
+    # numpy would read the string and the boolean as coordinates
+    for text in ('{"a": 1}', '[[0,0],[1,0],[0,"1"]]', "[[0,0],[1,0],[0,true]]"):
+        code, out, err = run(capsys, "fem", text)
+        assert code == 64, text
+        assert out == ""
+        assert err.startswith("trispec fem: vertices must be numbers"), err
+        assert err.count("\n") == 1
 
 
 def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
@@ -177,6 +182,15 @@ def test_verify_lemma_explicit(capsys):
     assert doc["exception_rank"] == 4
     rank4 = [c for c in doc["checks"] if c.get("j") == 4]
     assert len(rank4) == 1 and "exception" in rank4[0]["claim"]
+
+
+def test_reports_share_one_shape(capsys):
+    for argv in (("verify", "lemma-explicit"), ("verify", "compequilateral"),
+                 ("verify", "condch"), ("certify",)):
+        code, out, err = run(capsys, *argv)
+        assert code == 0, argv
+        keys = list(json.loads(out))
+        assert keys[:4] == ["claim", "branch", "verdict", "checks"], argv
 
 
 def test_verify_exit_codes(capsys):

@@ -15,8 +15,6 @@ from trispec.equilateral import (
     eigenvalue_bounds,
     enumerate_modes,
     exact_sum_q,
-    sigma,
-    sum_lowest,
     tail_ratio,
     verify_compequilateral,
     verify_lemma_explicit,
@@ -25,30 +23,14 @@ from trispec.equilateral import (
 from _table1 import ANTISYM_MODES, FULL_MODES
 
 
-def test_sigma_values():
-    assert sigma(1, 1) == pytest.approx(16 * math.pi**2 / 3, rel=1e-15)
-    assert sigma(1, 2) == pytest.approx(7 * 16 * math.pi**2 / 9, rel=1e-15)
-    assert sigma(1, 1, sidelength=2.0) == pytest.approx(4 * math.pi**2 / 3, rel=1e-15)
-
-
-def test_sigma_symmetric_and_validated():
-    for m in range(1, 8):
-        for n in range(1, 8):
-            assert sigma(m, n) == sigma(n, m)
-    with pytest.raises(ValueError):
-        sigma(0, 1)
-    with pytest.raises(ValueError):
-        sigma(1, 1, sidelength=0.0)
-    with pytest.raises(ValueError):
-        ModeIndex(1, -2)
-
-
 def test_mode_index():
     mode = ModeIndex(3, 1)
     assert mode.q == 13
     assert mode.symmetry == "antisym"
     assert ModeIndex(2, 2).symmetry == "sym"
     assert ModeIndex(1, 3).symmetry == "sym"
+    with pytest.raises(ValueError):
+        ModeIndex(1, -2)
 
 
 def test_enumerate_small():
@@ -58,16 +40,16 @@ def test_enumerate_small():
     a = enumerate_modes(2, "antisym")
     assert list(a.qs) == [7, 13]
     assert [(m.m, m.n) for m in a] == [(2, 1), (3, 1)]
-    s = enumerate_modes(4, "sym")
-    assert all(m.m <= m.n for m in s)
     with pytest.raises(ValueError):
         enumerate_modes(0)
-    with pytest.raises(ValueError):
-        enumerate_modes(3, "bogus")
+    # the symmetric class has no reader; only full and antisym enumerate
+    for bad in ("bogus", "sym"):
+        with pytest.raises(ValueError):
+            enumerate_modes(3, bad)
 
 
 def test_enumerate_order_invariants():
-    for cls in ("full", "antisym", "sym"):
+    for cls in ("full", "antisym"):
         t = enumerate_modes(200, cls)
         qs = t.qs
         assert np.all(qs[1:] >= qs[:-1])
@@ -117,8 +99,8 @@ def test_reference_table_sums():
 def test_counting_exact_values():
     assert counting_exact(100.0) == 1
     assert counting_exact(12 * SIGMA_COEFF) == 3
-    assert counting_exact(sigma(1, 1)) == 0  # exact eigenvalue never counts itself
-    assert counting_exact(sigma(1, 2), "antisym") == 0
+    assert counting_exact(3 * SIGMA_COEFF) == 0  # exact eigenvalue never counts itself
+    assert counting_exact(7 * SIGMA_COEFF, "antisym") == 0
     with pytest.raises(ValueError):
         counting_exact(0.0)
     with pytest.raises(ValueError):
@@ -207,12 +189,6 @@ def test_tail_ratio():
     vals = [tail_ratio(n) for n in grid]
     assert min(vals) == vals[0]
     assert all(v > 11 / 6 for v in vals)
-
-
-def test_sum_lowest():
-    assert sum_lowest(3) == pytest.approx(17 * SIGMA_COEFF, rel=1e-15)
-    assert sum_lowest(110, "antisym") == pytest.approx(23888 * SIGMA_COEFF, rel=1e-15)
-    assert sum_lowest(1, sidelength=3.0) == pytest.approx(sigma(1, 1) / 9, rel=1e-15)
 
 
 def test_verify_lemma_explicit():

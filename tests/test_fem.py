@@ -7,7 +7,7 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import LinearOperator, splu
 
 from trispec import fem
-from trispec.equilateral import SIGMA_COEFF, sigma
+from trispec.equilateral import SIGMA_COEFF
 from trispec.fem import (
     MAX_LEVEL,
     inertia,
@@ -319,19 +319,19 @@ def test_right_isosceles_tones():
 def test_equilateral_tones():
     coarse, fine = solve_pair(unit_equilateral(), 3, 6)
     vals, err = richardson(coarse.values, fine.values)
-    assert vals[0] == pytest.approx(sigma(1, 1), rel=1e-5)
-    assert vals[1] == pytest.approx(sigma(1, 2), rel=1e-5)
-    assert vals[2] == pytest.approx(sigma(1, 2), rel=1e-5)
+    assert vals[0] == pytest.approx(3 * SIGMA_COEFF, rel=1e-5)
+    assert vals[1] == pytest.approx(7 * SIGMA_COEFF, rel=1e-5)
+    assert vals[2] == pytest.approx(7 * SIGMA_COEFF, rel=1e-5)
     # the degenerate pair stays a tight cluster discretely
     assert abs(fine.values[2] - fine.values[1]) < 1e-8 * fine.values[1]
     # the extrapolation increment is a conservative error estimate
-    exact = np.array([sigma(1, 1), sigma(1, 2), sigma(1, 2)])
+    exact = np.array([3, 7, 7]) * SIGMA_COEFF
     assert np.all(np.abs(vals - exact) < err)
 
 
 def test_discrete_upper_bounds():
     t = unit_equilateral()
-    exact = np.array([sigma(1, 1), sigma(1, 2), sigma(1, 2)])
+    exact = np.array([3, 7, 7]) * SIGMA_COEFF
     for level in (3, 4, 5):
         res = solve_lowest(mesh_triangle(t, level), 3)
         assert np.all(res.values >= exact * (1 - 1e-12))
@@ -417,7 +417,7 @@ def test_half_equilateral_antisym_tone():
     # antisymmetric fundamental of the full triangle
     half = FanTriangle(1.0, 2 * EQUILATERAL_APEX).triangle
     vals = solve_extrapolated(half, 1, 6)[0]
-    assert vals[0] == pytest.approx(sigma(2, 1, sidelength=4.0), rel=1e-5)
+    assert vals[0] == pytest.approx(7 * SIGMA_COEFF / 16.0, rel=1e-5)
 
 
 def test_extrapolate_validation():

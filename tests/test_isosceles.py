@@ -10,13 +10,13 @@ from trispec.fem import solve_extrapolated
 from trispec.geometry import IsoscelesAperture
 from trispec.isosceles import (
     SweepTable,
-    default_grid,
-    find_min,
     observation_crossing,
     scale_factor,
     sweep,
     verify_monotonicity,
 )
+
+from _sweeps import aperture_triangle, default_grid, find_min
 
 PI = math.pi
 
@@ -88,8 +88,7 @@ def test_fundamental_is_the_lowest_free_axis_half_tone():
     grid = [0.7, 1.4, 2.0 * PI / 3.0]
     tab = sweep(grid, "side", 6)
     for i, a in enumerate(grid):
-        full, full_err = solve_extrapolated(IsoscelesAperture(a).triangle,
-                                            1, 6)
+        full, full_err = solve_extrapolated(aperture_triangle(a), 1, 6)
         bar = float(full_err[0]) + tab.errors[i, 0]
         assert abs(tab.lambda1[i] - full[0]) < 0.1 * bar
 
@@ -248,7 +247,7 @@ def test_corner_at_equilateral_aperture():
     alphas = [PI / 3.0 + k * h for k in (-3, -2, -1, 1, 2, 3)]
     vals = []
     for a in alphas:
-        lam, _ = solve_extrapolated(IsoscelesAperture(a).triangle, 1, 6)
+        lam, _ = solve_extrapolated(aperture_triangle(a), 1, 6)
         vals.append(float(lam[0]) * scale_factor(a, "diameter"))
     left = (vals[2] - vals[1]) / h
     right = (vals[4] - vals[3]) / h

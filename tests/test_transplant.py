@@ -7,12 +7,10 @@ import pytest
 
 from trispec import certify
 from trispec.certify import SectorSpec
-from trispec.equilateral import SIGMA_COEFF, enumerate_modes, exact_sum_q, sigma
-from trispec.geometry import EQUILATERAL_APEX, FanTriangle
+from trispec.equilateral import SIGMA_COEFF, enumerate_modes, exact_sum_q
+from trispec.geometry import FanTriangle
 from trispec.transplant import (
-    B_GRID,
     C_funcs,
-    TransplantCondition,
     condCh_verify,
     lemtrace_lhs,
     prop_unknown_branch,
@@ -24,19 +22,6 @@ from trispec.transplant import _transplant_certificate
 SQ3 = math.sqrt(3.0)
 
 
-def test_condition_validation():
-    with pytest.raises(ValueError, match="apex heights"):
-        TransplantCondition(0.0, -1.0, 0.0, SQ3, 1.0, 0.5, 0.0)
-    with pytest.raises(ValueError, match="apex heights"):
-        TransplantCondition(0.0, 2.0, 0.0, 0.0, 1.0, 0.5, 0.0)
-    with pytest.raises(ValueError, match="constant"):
-        TransplantCondition(0.0, 2.0, 0.0, SQ3, 0.0, 0.5, 0.0)
-    with pytest.raises(ValueError, match="gamma"):
-        TransplantCondition(0.0, 2.0, 0.0, SQ3, 1.0, 1.2, 0.0)
-    with pytest.raises(ValueError, match="delta"):
-        TransplantCondition(0.0, 2.0, 0.0, SQ3, 1.0, 0.5, 0.7)
-
-
 def test_inflation_identity_map():
     # Mapping a triangle to itself never inflates energy, whatever the
     # fractions are.
@@ -46,8 +31,7 @@ def test_inflation_identity_map():
         b = rng.uniform(0.5, 4.0)
         gamma = rng.uniform(0.0, 1.0)
         delta = rng.uniform(-0.5, 0.5)
-        cond = TransplantCondition(a, b, a, b, 1.0, gamma, delta)
-        assert abs(lemtrace_lhs(cond) - 1.0) < 1e-14
+        assert abs(lemtrace_lhs(a, b, a, b, gamma, delta) - 1.0) < 1e-14
 
 
 def test_inflation_equilateral_target_closed_form():
@@ -58,24 +42,18 @@ def test_inflation_equilateral_target_closed_form():
         b = rng.uniform(SQ3 + 1e-6, 6.0)
         gamma = rng.uniform(0.0, 1.0)
         delta = rng.uniform(-0.5, 0.5)
-        c_eq = 4.0 / (1.0 + b * b)
-        cond = TransplantCondition(0.0, b, 0.0, SQ3, c_eq, gamma, delta)
-        lhs = lemtrace_lhs(cond)
+        lhs = lemtrace_lhs(0.0, b, 0.0, SQ3, gamma, delta)
         closed = (1.0 - gamma) + b * b * gamma / 3.0
         assert abs(lhs - closed) < 1e-12 * max(1.0, closed)
         # delta never enters when the shift vanishes
-        cond0 = TransplantCondition(0.0, b, 0.0, SQ3, c_eq, gamma, 0.0)
-        assert lemtrace_lhs(cond0) == lhs
+        assert lemtrace_lhs(0.0, b, 0.0, SQ3, gamma, 0.0) == lhs
 
     for b in (1.8, 2.5, 5.0):
         c_eq = 4.0 / (1.0 + b * b)
-        at_split = lemtrace_lhs(
-            TransplantCondition(0.0, b, 0.0, SQ3, c_eq, 0.75, 0.0))
+        at_split = lemtrace_lhs(0.0, b, 0.0, SQ3, 0.75, 0.0)
         assert abs(at_split - 1.0 / c_eq) < 1e-12 / c_eq
-        below = lemtrace_lhs(
-            TransplantCondition(0.0, b, 0.0, SQ3, c_eq, 0.74, 0.0))
-        above = lemtrace_lhs(
-            TransplantCondition(0.0, b, 0.0, SQ3, c_eq, 0.76, 0.0))
+        below = lemtrace_lhs(0.0, b, 0.0, SQ3, 0.74, 0.0)
+        above = lemtrace_lhs(0.0, b, 0.0, SQ3, 0.76, 0.0)
         assert below < 1.0 / c_eq < above
 
 
@@ -88,11 +66,10 @@ def test_inflation_right_target_closed_form():
         gamma = rng.uniform(0.0, 1.0)
         delta = rng.uniform(-0.5, 0.5)
         for sign in (1.0, -1.0):
-            cond = TransplantCondition(0.0, b, sign, 2.0 * SQ3,
-                                       1.0, gamma, delta)
             closed = (13.0 * (1.0 - gamma) - sign * 2.0 * b * delta
                       + b * b * gamma) / 12.0
-            assert abs(lemtrace_lhs(cond) - closed) < 1e-12
+            assert abs(lemtrace_lhs(0.0, b, sign, 2.0 * SQ3, gamma, delta)
+                       - closed) < 1e-12
 
 
 def test_inflation_affine_in_fractions():
@@ -104,8 +81,7 @@ def test_inflation_affine_in_fractions():
         d = rng.uniform(0.5, 4.0)
 
         def f(gamma, delta):
-            return lemtrace_lhs(
-                TransplantCondition(a, b, c, d, 1.0, gamma, delta))
+            return lemtrace_lhs(a, b, c, d, gamma, delta)
 
         g0, g1 = sorted(rng.uniform(0.0, 1.0, size=2))
         dl = rng.uniform(-0.5, 0.5)
@@ -263,9 +239,11 @@ def test_theorem1_min_target_invariant():
         n = int(rng.integers(1, 5))
         r = theorem1_verify(FanTriangle(0.0, b), n, level=5)[-1]
         eq_target = SIGMA_COEFF * exact_sum_q(n)
-        anti = enumerate_modes(n, mode_class="antisym", sidelength=4.0)
+        # the right triangle's spectrum is the antisymmetric one of the
+        # sidelength-4 equilateral: q * SIGMA_COEFF / 16
+        anti = enumerate_modes(n, mode_class="antisym")
         right_target = (6.0 / 11.0) * 16.0 * sum(
-            sigma(m.m, m.n, sidelength=4.0) for m in anti.modes)
+            m.q * SIGMA_COEFF / 16.0 for m in anti.modes)
         assert eq_target < right_target
         assert r["target"] == pytest.approx(min(eq_target, right_target))
         lhs = r["fem_sum"] * r["diameter_squared"]
@@ -326,8 +304,3 @@ def test_theorem2_equilateral_endpoint():
     fem_check = r["checks"][0]
     assert abs(fem_check["lhs"] - fem_check["rhs"]) < 0.005 * fem_check["rhs"]
 
-
-def test_default_grid_shape():
-    assert B_GRID[0] > EQUILATERAL_APEX
-    assert B_GRID[-1] == pytest.approx(8.0)
-    assert np.all(np.diff(B_GRID) > 0)
