@@ -20,7 +20,6 @@ L2 lower bound and the Bessel values themselves are unverified floats.
 import math
 
 import numpy as np
-from scipy.special import gammaln, jv
 
 __all__ = [
     "SectorSpec",
@@ -52,6 +51,10 @@ CERT_COEFFS = (1.0, 5.0 / 22.0, -2225.0 / 53.0)
 
 def bessel_j(nu, x):
     """Bessel function of the first kind, validated to the supported range."""
+    # scipy.special is imported here and in _bessel_envelope only, so that
+    # commands that never reach a Bessel function do not load it.
+    from scipy.special import jv
+
     nu_arr = np.asarray(nu, dtype=float)
     x_arr = np.asarray(x, dtype=float)
     if np.any(nu_arr < 0) or np.any(nu_arr > BESSEL_MAX_ORDER):
@@ -206,11 +209,6 @@ class TrialFunction:
     def aperture(self):
         return math.pi / self.order
 
-    @property
-    def frequency_squared(self):
-        """The Helmholtz eigenvalue kappa^2 the sum satisfies."""
-        return self.kappa ** 2
-
     def __repr__(self):
         return f"TrialFunction(terms={self.terms!r}, kappa={self.kappa!r})"
 
@@ -273,6 +271,8 @@ def _bessel_envelope(mu, x):
     A&S 9.1.60 and 9.1.62; increasing in x, so its value at the right end
     of an interval bounds |J_mu| on the whole interval.
     """
+    from scipy.special import gammaln
+
     return np.minimum(1.0, np.exp(mu * np.log(0.5 * x) - gammaln(mu + 1.0)))
 
 

@@ -94,14 +94,6 @@ class SpectrumTable:
     def __getitem__(self, j):
         return self.modes[j]
 
-    @property
-    def qs(self):
-        return np.array([mode.q for mode in self.modes], dtype=np.int64)
-
-    @property
-    def eigenvalues(self):
-        return self.qs * SIGMA_COEFF
-
     def sum_q(self, n):
         """Exact integer sum of q over the first n modes."""
         if not (1 <= n <= len(self.modes)):

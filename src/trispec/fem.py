@@ -15,7 +15,10 @@ elements (no quadrature error).
 The L_d, restricted to the vertices off the Dirichlet edges, come from
 index arithmetic on the lattice and are cached per (level, Dirichlet
 edges), so assembling a triangle means computing nine weights and one
-matrix-vector product per form.  The generalized symmetric pencil on those
+matrix-vector product per form.  Every stencil entry is a small integer,
+so the cache holds int8 arrays (the L_d, and the numerators of the mass
+and its row sums) with int32 indices; floats are formed only when a
+triangle's forms are assembled.  The generalized symmetric pencil on those
 vertices is solved by shift-invert Lanczos at shift 0; the stiffness is
 factored once per solve by a symmetric-mode sparse LU (minimum-degree
 ordering of K + K^T, no pivoting, since K is positive definite).  Discrete
@@ -106,15 +109,15 @@ _RITZ_BLOCK = 8
 
 
 def _lattice(level):
-    """n = 2^level and the lattice coordinates (i, j) of every vertex.
+    """n = 2^level and the lattice coordinates (i, j) of every vertex, int32.
 
     Vertex (i, j), i + j <= n, sits at v0 + (i/n)(v1 - v0) + (j/n)(v2 - v0).
     Vertices are numbered row-major by j: row j has n + 1 - j vertices, so
     vertex (i, j + 1) is vertex (i, j) plus n + 1 - j.
     """
     n = 1 << level
-    j = np.repeat(np.arange(n + 1), np.arange(n + 1, 0, -1))
-    i = np.arange(j.size) - (j * (n + 1) - j * (j - 1) // 2)
+    j = np.repeat(np.arange(n + 1, dtype=np.int32), np.arange(n + 1, 0, -1))
+    i = np.arange(j.size, dtype=np.int32) - (j * (n + 1) - j * (j - 1) // 2)
     return n, i, j
 
 
@@ -142,11 +145,13 @@ def mesh_triangle(t, level):
     return Mesh(t, level)
 
 
-# Free vertices of one (level, Dirichlet edges) and, in one CSC pattern over
-# them (indptr, indices), the entries of the direction Laplacians
-# (laplacians[d], shape (3, nnz)) and of sum_d |L_d| / 12 (mass); lumped
-# holds the full-mesh row sums of that mass at the free vertices.  Masses
-# are for elements of unit area.
+# Free vertices of one (level, Dirichlet edges) and, in one int32 CSC pattern
+# over them (indptr, indices), the entries of the direction Laplacians
+# (laplacians[d], shape (3, nnz)) and the numerators of sum_d |L_d| / 12
+# (mass); lumped holds the numerators of that mass's full-mesh row sums at
+# the free vertices, whose denominator is 6.  All three are int8: an L_d
+# entry is at most 4 in size, a numerator at most 12.  Masses are for
+# elements of unit area.
 _Stencil = collections.namedtuple(
     "_Stencil", "free indptr indices laplacians mass lumped")
 
@@ -161,17 +166,18 @@ _SLOT_EDGES = (2, 1, 0, -1, 0, 1, 2)
 def _stencil(level, dirichlet_edges):
     """The _Stencil of one level on the vertices off the Dirichlet edges."""
     n, i, j = _lattice(level)
-    v = np.arange(i.size)
+    v = np.arange(i.size, dtype=np.int32)
     row = (n + 1 - j)[:, None]
     on_edge = _on_edges(n, i, j)
     free = ~on_edge[:, list(dirichlet_edges)].any(axis=1)
-    neighbours = v[:, None] + np.array([-1, -1, 0, 0, 0, 1, 1]) * row \
-        + np.array([-1, 0, -1, 0, 1, -1, 0])
+    neighbours = v[:, None] \
+        + np.array([-1, -1, 0, 0, 0, 1, 1], dtype=np.int32) * row \
+        + np.array([-1, 0, -1, 0, 1, -1, 0], dtype=np.int32)
     present = np.column_stack((j > 0, j > 0, i > 0, np.ones_like(free),
                                i + j < n, i > 0, i + j < n))
     # A vertex's edges parallel to input edge d lie on that edge exactly
     # when the vertex does: weight 1 there, 2 inside.
-    mult = np.where(on_edge, 1, 2).astype(np.int8)
+    mult = np.where(on_edge, np.int8(1), np.int8(2))
     lap = np.zeros((3, v.size, len(_SLOT_EDGES)), dtype=np.int8)
     for s, d in enumerate(_SLOT_EDGES):
         if d >= 0:
@@ -179,16 +185,16 @@ def _stencil(level, dirichlet_edges):
             lap[d, :, 3] -= lap[d, :, s]
     keep = present & free[:, None] \
         & free[np.where(present, neighbours, v[:, None])]
-    renumber = np.cumsum(free) - 1
-    laplacians = lap[:, keep].astype(float)
+    renumber = np.cumsum(free, dtype=np.int32) - 1
+    laplacians = lap[:, keep]
     stencil = _Stencil(
         free=np.flatnonzero(free),
         indptr=np.concatenate(([0], np.cumsum(keep.sum(axis=1)[free]))
                               ).astype(np.int32),
-        indices=renumber[neighbours[keep]].astype(np.int32),
+        indices=renumber[neighbours[keep]],
         laplacians=laplacians,
-        mass=np.abs(laplacians).sum(axis=0) / 12.0,
-        lumped=lap[:, free, 3].sum(axis=0) / 6.0)
+        mass=np.abs(laplacians).sum(axis=0, dtype=np.int8),
+        lumped=lap[:, free, 3].sum(axis=0, dtype=np.int8))
     for array in stencil:
         array.flags.writeable = False
     return stencil
@@ -223,6 +229,11 @@ def _csc(stencil, data):
     n = stencil.free.size
     return sparse.csc_matrix((data, stencil.indices, stencil.indptr),
                              shape=(n, n))
+
+
+def _laplacian_matrices(stencil):
+    """The three direction Laplacians of the stencil as float CSCs."""
+    return [_csc(stencil, lap.astype(float)) for lap in stencil.laplacians]
 
 
 def _weights(t):
@@ -262,13 +273,13 @@ class FemForms:
         self.free = stencil.free
         self.weights = weights
         self.stiffness = _csc(stencil, weights[0] @ stencil.laplacians)
-        self.mass = _csc(stencil, element_area * stencil.mass)
-        self.lumped_mass = element_area * stencil.lumped
+        self.mass = _csc(stencil, element_area * (stencil.mass / 12.0))
+        self.lumped_mass = element_area * (stencil.lumped / 6.0)
 
     def energies(self, vecs):
         """Total, y-y and x-y energies of each column of vecs, shape (k, 3)."""
-        quad = [np.sum(vecs * (_csc(self._stencil, lap) @ vecs), axis=0)
-                for lap in self._stencil.laplacians]
+        quad = [np.sum(vecs * (lap @ vecs), axis=0)
+                for lap in _laplacian_matrices(self._stencil)]
         return np.column_stack(quad) @ self.weights.T
 
 
@@ -516,8 +527,9 @@ def solve_family(triangles, k, level, dirichlet_edges=(0, 1, 2)):
     areas = np.array([mesh.triangle.area for mesh in meshes])
     scale = areas / 4 ** level
     stencil = _stencil(level, edges)
-    laplacians = [_csc(stencil, lap) for lap in stencil.laplacians]
-    mass = _csc(stencil, stencil.mass)
+    laplacians = _laplacian_matrices(stencil)
+    mass = _csc(stencil, stencil.mass / 12.0)
+    lumped = stencil.lumped / 6.0
     basis = np.zeros((stencil.free.size, 0))
     values = np.empty((len(meshes), k + 1))
     resid = np.empty((len(meshes), k))
@@ -549,7 +561,7 @@ def solve_family(triangles, k, level, dirichlet_edges=(0, 1, 2)):
             r -= (mass @ u) * mu[:, :k].ravel()
             values[block] = mu[:, :k + 1] / scale[block, None]
             resid[block] = 2.0 / scale[block, None] * np.sqrt(
-                np.sum(r * r / stencil.lumped[:, None], axis=0)).reshape(-1, k)
+                np.sum(r * r / lumped[:, None], axis=0)).reshape(-1, k)
         rel = np.max(resid / values[:, :k], axis=1)
         worst = int(np.argmax(rel))
         if rel[worst] > FAMILY_RTOL:

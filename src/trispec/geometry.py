@@ -78,10 +78,6 @@ class Triangle:
         ])
 
     @property
-    def perimeter(self):
-        return float(self.side_lengths.sum())
-
-    @property
     def diameter(self):
         """Largest pairwise vertex distance (the longest side)."""
         v = self.vertices
@@ -101,12 +97,6 @@ class Triangle:
             cross = e1[0] * e2[1] - e1[1] * e2[0]
             out[i] = math.atan2(abs(cross), float(np.dot(e1, e2)))
         return out
-
-    def scaled(self, s):
-        """Similar triangle with all lengths multiplied by s > 0."""
-        if s <= 0:
-            raise ValueError("scale factor must be positive")
-        return Triangle(self.vertices * s)
 
     def contains(self, points, tol=1e-12):
         """True where each query point lies in the closed triangle.

@@ -294,6 +294,42 @@ def test_output_does_not_depend_on_blas_threads(capsys, blas):
     assert one == two
 
 
+def test_every_dispatch_releases_the_heap_once(capsys, monkeypatch):
+    released = []
+    monkeypatch.setattr(cli, "_release_heap", lambda: released.append(1))
+
+    def handler(args):
+        if args.n == 2:
+            raise ValueError("rejected")
+        if args.n == 3:
+            raise RuntimeError("escapes")
+        return "ok\n", 0
+
+    monkeypatch.setitem(cli._HANDLERS, "lattice", handler)
+    assert run(capsys, "lattice", "--n", "1") == (0, "ok\n", "")
+    assert len(released) == 1
+    # a ValueError from the handler and one from validation exit 64
+    assert run(capsys, "lattice", "--n", "2")[0] == 64
+    assert len(released) == 2
+    assert run(capsys, "lattice", "--n", "0")[0] == 64
+    assert len(released) == 3
+    assert run(capsys, "lattice", "--bogus")[0] == 64
+    assert len(released) == 4
+    with pytest.raises(RuntimeError, match="escapes"):
+        dispatch(["lattice", "--n", "3"])
+    assert len(released) == 5
+
+
+def test_heap_release_skips_a_libc_without_malloc_trim(monkeypatch):
+    cli._release_heap()  # this libc, with or without malloc_trim
+
+    class NoTrim:
+        pass
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: NoTrim())
+    cli._release_heap()
+
+
 def fresh_python(*args):
     """Run a new interpreter that imports trispec from this checkout."""
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -338,6 +374,33 @@ def test_cold_start_loads_no_optimizer():
                    if m.startswith("scipy.")}
     subpackages = {m for m in subpackages if not m.startswith("_")}
     assert subpackages <= {"linalg", "sparse", "special", "version"}
+
+
+LAZY_SPECIAL_SCRIPT = """
+import contextlib, io, json, sys
+from trispec.cli import dispatch
+
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return dispatch(list(argv))
+
+
+codes = [run("verify", "theorem1", "--b", "2.5", "--n", "3", "--level", "5"),
+         run("verify", "monotonicity", "--level", "6"),
+         run("fem", "[[0,0],[1,0],[0.5,0.8]]")]
+before = "scipy.special" in sys.modules
+codes += [run("certify"), run("verify", "theorem2")]
+print(json.dumps({"codes": codes, "before": before,
+                  "after": "scipy.special" in sys.modules}))
+"""
+
+
+def test_only_bessel_functions_load_scipy_special():
+    proc = fresh_python("-c", LAZY_SPECIAL_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc == {"codes": [0] * 5, "before": False, "after": True}
 
 
 def test_fem_equilateral(capsys):
