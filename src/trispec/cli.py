@@ -20,11 +20,7 @@ configuration.  Each subcommand runs with every OpenBLAS in the process
 (numpy's and scipy's) at one thread, and the caller's thread counts come
 back afterwards: every dense product trispec forms is too small to gain from
 a second thread, and a threaded BLAS sums in an order that depends on the
-thread count, which moved the last digits of level-8 output.  After each
-subcommand, also when it fails, the heap pages that the C allocator keeps
-after free() are handed back to the OS (glibc's malloc_trim; skipped where
-libc has none), so a process that dispatches many subcommands does not carry
-one's freed memory into the next one's peak.
+thread count, which moved the last digits of level-8 output.
 """
 
 import argparse
@@ -112,14 +108,6 @@ def _one_blas_thread():
     finally:
         for (_, set_), count in zip(controls, saved):
             set_(count)
-
-
-def _release_heap():
-    """Return the free heap pages to the OS, where libc has malloc_trim."""
-    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
-    if trim is not None:
-        trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
-        trim(0)
 
 
 class _UsageError(Exception):
@@ -354,13 +342,6 @@ _HANDLERS = {
 
 def dispatch(argv):
     """Parse argv, run the subcommand, return the process exit code."""
-    try:
-        return _dispatch(argv)
-    finally:
-        _release_heap()
-
-
-def _dispatch(argv):
     parser = _parser()
     try:
         args = parser.parse_args(argv)

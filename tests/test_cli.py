@@ -294,42 +294,6 @@ def test_output_does_not_depend_on_blas_threads(capsys, blas):
     assert one == two
 
 
-def test_every_dispatch_releases_the_heap_once(capsys, monkeypatch):
-    released = []
-    monkeypatch.setattr(cli, "_release_heap", lambda: released.append(1))
-
-    def handler(args):
-        if args.n == 2:
-            raise ValueError("rejected")
-        if args.n == 3:
-            raise RuntimeError("escapes")
-        return "ok\n", 0
-
-    monkeypatch.setitem(cli._HANDLERS, "lattice", handler)
-    assert run(capsys, "lattice", "--n", "1") == (0, "ok\n", "")
-    assert len(released) == 1
-    # a ValueError from the handler and one from validation exit 64
-    assert run(capsys, "lattice", "--n", "2")[0] == 64
-    assert len(released) == 2
-    assert run(capsys, "lattice", "--n", "0")[0] == 64
-    assert len(released) == 3
-    assert run(capsys, "lattice", "--bogus")[0] == 64
-    assert len(released) == 4
-    with pytest.raises(RuntimeError, match="escapes"):
-        dispatch(["lattice", "--n", "3"])
-    assert len(released) == 5
-
-
-def test_heap_release_skips_a_libc_without_malloc_trim(monkeypatch):
-    cli._release_heap()  # this libc, with or without malloc_trim
-
-    class NoTrim:
-        pass
-
-    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: NoTrim())
-    cli._release_heap()
-
-
 def fresh_python(*args):
     """Run a new interpreter that imports trispec from this checkout."""
     src = str(Path(__file__).resolve().parent.parent / "src")
