@@ -377,11 +377,11 @@ class CertifiedInterval:
     """Two-sided enclosure of a Dirichlet eigenvalue near a trial frequency.
 
     lower = lambda_bar/(1+epsilon) and upper = lambda_bar/(1-epsilon); some
-    true eigenvalue of the domain lies inside.  provenance records how the
-    sup and L2 bounds were obtained.
+    true eigenvalue of the domain lies inside.  provenance, empty here,
+    is where the caller records how the sup and L2 bounds were obtained.
     """
 
-    def __init__(self, lambda_bar, epsilon, provenance=None):
+    def __init__(self, lambda_bar, epsilon):
         if not (0.0 < epsilon < 1.0):
             raise ValueError("epsilon must lie in (0, 1)")
         if not (lambda_bar > 0):
@@ -390,7 +390,7 @@ class CertifiedInterval:
         self.epsilon = float(epsilon)
         self.lower = self.lambda_bar / (1.0 + self.epsilon)
         self.upper = self.lambda_bar / (1.0 - self.epsilon)
-        self.provenance = dict(provenance) if provenance else {}
+        self.provenance = {}
 
     def __repr__(self):
         return (f"CertifiedInterval(lambda_bar={self.lambda_bar!r}, "
@@ -411,22 +411,25 @@ def moler_payne(lambda_bar, sup_bound, l2_bound, area):
     return CertifiedInterval(lambda_bar, eps)
 
 
-def certify_second_eigenvalue(kappa=CERT_KAPPA, coeffs=CERT_COEFFS,
-                              h=CERT_APEX, num=SUP_GRID):
-    """Certified enclosure near kappa^2 on the aperture-2*arctan(1/h) triangle.
+def certify_second_eigenvalue():
+    """Certified enclosure near CERT_KAPPA^2 on the apex-CERT_APEX triangle.
 
-    The triangle has its apex at the origin, axis along +x, apex height h
-    over a half-base of 1 in the original placement, so area h and short
-    side r = h/cos(theta).  Returns the CertifiedInterval; the inscribed
-    sector of radius h supplies the L2 lower bound.
+    The triangle, of aperture 2 arctan(1/h) with h = CERT_APEX, has its apex
+    at the origin, axis along +x, apex height h over a half-base of 1 in
+    the original placement, so area h and short side r = h/cos(theta).
+    The trial sum has the coefficients CERT_COEFFS.  Returns the
+    CertifiedInterval; the inscribed sector of radius h supplies the L2
+    lower bound.
     """
+    h = CERT_APEX
     aperture = 2.0 * math.atan(1.0 / h)
     nu = math.pi / aperture
-    tf = TrialFunction([(c, 2 * i + 1, nu) for i, c in enumerate(coeffs)], kappa)
+    tf = TrialFunction([(c, 2 * i + 1, nu) for i, c in enumerate(CERT_COEFFS)],
+                       CERT_KAPPA)
     inner = SectorSpec(h, aperture)
     l2 = l2_lower(tf, inner)
-    sup, evals = boundary_sup(tf, h, num)
-    interval = moler_payne(kappa ** 2, sup, l2, h)
+    sup, evals = boundary_sup(tf, h)
+    interval = moler_payne(CERT_KAPPA ** 2, sup, l2, h)
     interval.provenance.update({
         "l2_lower": l2,
         "boundary_sup": sup,
@@ -483,9 +486,8 @@ def lemma62_verify(fem_level=None):
         exclusion, interval.upper, exclusion_value=exclusion))
     if fem_level is not None:
         from .fem import solve_extrapolated
-        from .geometry import FanTriangle
-        vals, errs = solve_extrapolated(FanTriangle(0.0, h).triangle,
-                                        2, fem_level)
+        from .geometry import fan_triangle
+        vals, errs = solve_extrapolated(fan_triangle(h), 2, fem_level)
         checks.append(make_report(
             "FEM second tone above the enclosure lower end",
             float(vals[1]), interval.lower, fem_err=float(errs[1])))

@@ -41,7 +41,7 @@ from .equilateral import (
     verify_lemma_explicit,
 )
 from .fem import rayleigh_data, solve_extrapolated, solve_pair
-from .geometry import FanTriangle, rectangle_minimizers, triangle_from_json
+from .geometry import fan_triangle, rectangle_minimizers, triangle_from_json
 from .isosceles import (
     ALPHA_MAX,
     ALPHA_MIN,
@@ -245,7 +245,7 @@ def _verify_theorem1(args):
     level = args.level if args.level is not None else 7
     cases = []
     for b in bs:
-        cases.extend(theorem1_verify(FanTriangle(0.0, b), n_max, level=level))
+        cases.extend(theorem1_verify(b, n_max, level))
     return combine(
         "low-sum comparison against the equilateral across apex heights",
         cases, apexes=bs, n_max=n_max, level=level)
@@ -261,7 +261,7 @@ def _cmd_verify(args):
         report = _verify_theorem1(args)
     elif target == "theorem2":
         report = theorem2_verify(args.b if args.b is not None else 2.5,
-                                 level=args.level if args.level else 7)
+                                 args.level if args.level else 7)
     elif target == "condch":
         report = condCh_verify(args.b if args.b is not None else 2.5)
     elif target == "monotonicity":
@@ -273,8 +273,7 @@ def _cmd_verify(args):
         if (args.alpha_min, args.alpha_max, args.steps) != (None, None, None):
             # 41 keeps pi/3 off the uniform grid, where the gap degenerates
             grid = _alpha_grid(args, 41)
-        report = observation_crossing(
-            grid=grid, level=args.level if args.level else 7)
+        report = observation_crossing(grid, args.level if args.level else 7)
     return to_json(report) + "\n", EXIT_BY_VERDICT[report["verdict"]]
 
 
@@ -321,8 +320,8 @@ def _cmd_rectangle(args):
 
 
 def _cmd_gamma(args):
-    t = FanTriangle(0.0, args.b).triangle
-    data = rayleigh_data(*solve_pair(t, args.n + 1, args.level), args.n)
+    data = rayleigh_data(*solve_pair(fan_triangle(args.b), args.n + 1,
+                                     args.level), args.n)
     out = {"b": args.b, "n": data.n, "level": args.level,
            "gamma_n": data.gamma_n, "delta_n": data.delta_n}
     return to_json(out) + "\n", 0

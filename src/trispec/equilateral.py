@@ -65,12 +65,6 @@ class ModeIndex:
         """'antisym' for the strict half m > n, else 'sym'."""
         return "antisym" if self.m > self.n else "sym"
 
-    def __eq__(self, other):
-        return isinstance(other, ModeIndex) and (self.m, self.n) == (other.m, other.n)
-
-    def __hash__(self):
-        return hash((self.m, self.n))
-
     def __repr__(self):
         return f"ModeIndex({self.m}, {self.n})"
 
@@ -267,7 +261,7 @@ def verify_lemma_explicit():
         checks, exception_rank=4)
 
 
-def verify_compequilateral(n_max=110):
+def verify_compequilateral(n_max):
     """Verify sum(antisym) > 11/6 sum(full) for the n lowest eigenvalues.
 
     Every exact integer partial sum up to min(n_max, 110) must clear, and

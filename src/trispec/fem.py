@@ -407,8 +407,7 @@ def _family_weights(meshes):
     return weights
 
 
-def _first_unproven(meshes, dirichlet_edges, k, top, above, weights=None,
-                    areas=None):
+def _first_unproven(meshes, dirichlet_edges, k, top, above, weights, areas):
     """First member where the k lowest eigenvalues are not proven < top.
 
     top[i] bounds the k claimed eigenvalues of member i from above and
@@ -426,14 +425,9 @@ def _first_unproven(meshes, dirichlet_edges, k, top, above, weights=None,
     carried or proven members reaches furthest.  When that anchor's count
     refutes it, the first member gets its own count, so what is returned
     is always the first member that no count proves.  weights (members, 3)
-    and areas are the family's stiffness weights and triangle areas,
-    computed here when not given.  Returns None when every member is
-    proven.
+    and areas are the family's stiffness weights and triangle areas.
+    Returns None when every member is proven.
     """
-    if weights is None:
-        weights = _family_weights(meshes)
-    if areas is None:
-        areas = np.array([mesh.triangle.area for mesh in meshes])
     shift = top + ANCHOR_SHIFT * (above - top)
     # ratio[a, i, d] = w_d(i) / w_d(a), infinite where w_d(a) = 0.
     ratio = np.divide(weights[None, :, :], weights[:, None, :],
@@ -585,17 +579,17 @@ def solve_family(triangles, k, level, dirichlet_edges=(0, 1, 2)):
         start = basis @ ritz_sums[bad]
 
 
-def solve_pair(t, k, level, dirichlet_edges=(0, 1, 2)):
-    """The lowest k modes of t at level-1 and at level, as (coarse, fine).
+def solve_pair(t, k, level):
+    """The lowest k Dirichlet modes of t at level-1 and at level, as
+    (coarse, fine).
 
     The fine solve starts from the sum of the coarse modes, interpolated.
     """
     if level < 1:
         raise ValueError("extrapolated solve needs level >= 1")
-    coarse = solve_lowest(mesh_triangle(t, level - 1), k, dirichlet_edges)
-    start = _prolong(level, dirichlet_edges, coarse.vectors.sum(axis=1))
-    return coarse, solve_lowest(mesh_triangle(t, level), k, dirichlet_edges,
-                                start)
+    coarse = solve_lowest(mesh_triangle(t, level - 1), k)
+    start = _prolong(level, (0, 1, 2), coarse.vectors.sum(axis=1))
+    return coarse, solve_lowest(mesh_triangle(t, level), k, start=start)
 
 
 def richardson(coarse, fine):
@@ -609,13 +603,13 @@ def richardson(coarse, fine):
     return fine + diff / 3.0, np.abs(diff) / 3.0
 
 
-def solve_extrapolated(t, k, level, dirichlet_edges=(0, 1, 2)):
-    """Solve k modes at level-1 and level, extrapolate.
+def solve_extrapolated(t, k, level):
+    """Solve k Dirichlet modes at level-1 and level, extrapolate.
 
     Returns (values, err_estimate) as richardson gives them; callers that
     need the discrete solves themselves use solve_pair.
     """
-    coarse, fine = solve_pair(t, k, level, dirichlet_edges)
+    coarse, fine = solve_pair(t, k, level)
     return richardson(coarse.values, fine.values)
 
 

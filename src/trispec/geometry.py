@@ -2,10 +2,12 @@
 
 Dirichlet eigenvalues scale like 1/length^2, so every inequality in this
 package is stated for a scale-invariant product: eigenvalue times squared
-diameter, squared perimeter, or area.  This module holds the triangle types,
-which carry those functionals, and the closed-form facts (the Polya-type
-upper bound on the fundamental tone, rectangle spectra) that the
-verification routines compare against.
+diameter, squared perimeter, or area.  This module holds the triangle type,
+which carries those functionals, the two one-parameter families the claims
+are stated for (the fan triangles T(0, b) and the half triangles of the
+unit-side isosceles triangle of aperture alpha), and the closed-form facts
+(the Polya-type upper bound on the fundamental tone, rectangle spectra)
+that the verification routines compare against.
 """
 
 import json
@@ -15,8 +17,8 @@ import numpy as np
 
 __all__ = [
     "Triangle",
-    "FanTriangle",
-    "IsoscelesAperture",
+    "fan_triangle",
+    "half_triangle",
     "EQUILATERAL_APEX",
     "subequilateral_hull",
     "polya_upper",
@@ -113,52 +115,33 @@ class Triangle:
         return ok if ok.size > 1 else bool(ok[0])
 
 
-class FanTriangle:
-    """Triangle with base corners (-1, 0) and (1, 0) and apex (a, b), b > 0.
+def fan_triangle(b):
+    """The fan triangle T(0, b): base corners (-1, 0), (1, 0), apex (0, b).
 
-    The one-parameter family a = 0, b > sqrt(3) consists of the subequilateral
-    isosceles triangles; b = sqrt(3) is equilateral with diameter 2.
+    b > sqrt(3) gives the subequilateral isosceles triangles; b = sqrt(3) is
+    equilateral with diameter 2.
     """
+    if not (b > 0):
+        raise ValueError("apex height b must be positive")
+    return Triangle([(-1.0, 0.0), (1.0, 0.0), (0.0, float(b))])
+
+
+def half_triangle(alpha):
+    """Upper half of the unit-side isosceles triangle with apex angle alpha.
+
+    The apex sits at the origin and the axis of symmetry along the positive
+    x axis, so the symmetry line is the side from (0, 0) to (c, 0).
+    """
+    c = math.cos(alpha / 2.0)
+    s = math.sin(alpha / 2.0)
+    return Triangle([(0.0, 0.0), (c, 0.0), (c, s)])
+
+
+class FanTriangle:
+    """T(a, b) as perfbench/profile_levels.py builds it; use fan_triangle."""
 
     def __init__(self, a, b):
-        if not (b > 0):
-            raise ValueError("apex height b must be positive")
-        self.a = float(a)
-        self.b = float(b)
-
-    def __repr__(self):
-        return f"FanTriangle(a={self.a!r}, b={self.b!r})"
-
-    @property
-    def triangle(self):
-        return Triangle([(-1.0, 0.0), (1.0, 0.0), (self.a, self.b)])
-
-
-class IsoscelesAperture:
-    """Isosceles triangle with apex angle alpha and equal sides of length l.
-
-    Placed with apex at the origin and the axis of symmetry along the
-    positive x axis; the sweeps solve only its symmetric half, the right
-    triangle above that axis.
-    """
-
-    def __init__(self, alpha, l=1.0):
-        if not (0.0 < alpha < math.pi):
-            raise ValueError("aperture must lie in (0, pi)")
-        if not (l > 0):
-            raise ValueError("side length must be positive")
-        self.alpha = float(alpha)
-        self.l = float(l)
-
-    def __repr__(self):
-        return f"IsoscelesAperture(alpha={self.alpha!r}, l={self.l!r})"
-
-    @property
-    def half_triangle(self):
-        """Upper half; the symmetry line is the side from (0,0) to (c,0)."""
-        c = self.l * math.cos(self.alpha / 2.0)
-        s = self.l * math.sin(self.alpha / 2.0)
-        return Triangle([(0.0, 0.0), (c, 0.0), (c, s)])
+        self.triangle = Triangle([(-1.0, 0.0), (1.0, 0.0), (a, b)])
 
 
 def subequilateral_hull(t):
@@ -170,12 +153,11 @@ def subequilateral_hull(t):
     the longest yields an isosceles triangle with aperture beta <= pi/3 and
     the same diameter as t.  Normalized to base (-1, 0), (1, 0) this is the
     fan triangle T(0, b) with b = cot(beta/2) >= sqrt(3), with equality
-    exactly for equilateral input.
+    exactly for equilateral input; returns that apex height b.
     """
     i = int(np.argmin(t.side_lengths))
     beta = float(t.angles[i])
-    b = 1.0 / math.tan(beta / 2.0)
-    return FanTriangle(0.0, b)
+    return 1.0 / math.tan(beta / 2.0)
 
 
 def polya_upper(t):

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .fem import richardson, solve_family
-from .geometry import IsoscelesAperture
+from .geometry import half_triangle
 from .reports import combine, make_report
 
 __all__ = [
@@ -46,31 +46,34 @@ HALF_PROBLEMS = ((2, (1, 2)), (1, (0, 1, 2)))
 # the claimed monotone intervals.
 MONOTONE_MAX_SPACING = 0.02
 
+# Most mirrored aperture pairs the mirror check compares.
+MIRROR_MAX_PAIRS = 10
 
-def scale_factor(alpha, scaling, l=1.0):
+
+def scale_factor(alpha, scaling):
     """Normalization multiplying a raw eigenvalue at unit equal side.
 
     Squared side, squared diameter, squared perimeter or area of the
-    isosceles triangle with aperture alpha and equal sides l.
+    isosceles triangle with aperture alpha and equal sides 1.
     """
     if scaling == "side":
-        return l * l
+        return 1.0
     if scaling == "diameter":
         # The equal sides dominate up to aperture pi/3, the base beyond.
-        diam = l if alpha <= math.pi / 3.0 else 2.0 * l * math.sin(alpha / 2.0)
+        diam = 1.0 if alpha <= math.pi / 3.0 else 2.0 * math.sin(alpha / 2.0)
         return diam ** 2
     if scaling == "perimeter":
-        return (2.0 * l * (1.0 + math.sin(alpha / 2.0))) ** 2
+        return (2.0 * (1.0 + math.sin(alpha / 2.0))) ** 2
     if scaling == "area":
-        return 0.5 * l**2 * math.sin(alpha)
+        return 0.5 * math.sin(alpha)
     raise ValueError(f"unknown scaling {scaling!r}")
 
 
 class SweepTable:
     """Scaled tones per aperture, rows ordered by increasing alpha."""
 
-    def __init__(self, alpha, lambda1, lambda_a, lambda_s, scaling,
-                 errors=None, level=None):
+    def __init__(self, alpha, lambda1, lambda_a, lambda_s, scaling, errors,
+                 level):
         if scaling not in SCALINGS:
             raise ValueError(f"unknown scaling {scaling!r}")
         self.alpha = np.asarray(alpha, dtype=float)
@@ -78,8 +81,7 @@ class SweepTable:
         self.lambda_a = np.asarray(lambda_a, dtype=float)
         self.lambda_s = np.asarray(lambda_s, dtype=float)
         self.scaling = scaling
-        self.errors = (np.zeros((self.alpha.size, 3)) if errors is None
-                       else np.asarray(errors, dtype=float))
+        self.errors = np.asarray(errors, dtype=float)
         self.level = level
         if np.any(np.diff(self.alpha) <= 0):
             raise ValueError("alpha must be strictly increasing")
@@ -107,8 +109,8 @@ class SweepTable:
         new = np.array([scale_factor(a, scaling) for a in self.alpha])
         r = new / old
         return SweepTable(self.alpha, self.lambda1 * r, self.lambda_a * r,
-                          self.lambda_s * r, scaling,
-                          errors=self.errors * r[:, None], level=self.level)
+                          self.lambda_s * r, scaling, self.errors * r[:, None],
+                          self.level)
 
     def to_csv(self):
         lines = [f"# scaling: {self.scaling}",
@@ -125,7 +127,7 @@ class SweepTable:
                 f"level={self.level!r})")
 
 
-def sweep(alpha_grid, scaling="side", level=6):
+def sweep(alpha_grid, scaling, level):
     """SweepTable of the three tones over the aperture grid.
 
     The fundamental is the lowest tone of the free-axis half, lambda_s the
@@ -142,7 +144,7 @@ def sweep(alpha_grid, scaling="side", level=6):
         raise ValueError("alpha must be strictly increasing")
     if level < 6:
         raise ValueError("level must be at least 6")
-    halves = [IsoscelesAperture(float(a)).half_triangle for a in grid]
+    halves = [half_triangle(float(a)) for a in grid]
     # The fine level first: its solves set the peak memory, and the heap
     # they leave behind serves the coarse ones.
     fine, coarse = ([solve_family(halves, k, lev, edges)
@@ -152,8 +154,7 @@ def sweep(alpha_grid, scaling="side", level=6):
     fac = np.array([scale_factor(float(a), scaling) for a in grid])
     errors = np.column_stack((sym_err[:, 0], anti_err[:, 0], sym_err[:, 1]))
     return SweepTable(grid, sym[:, 0] * fac, anti[:, 0] * fac,
-                      sym[:, 1] * fac, scaling,
-                      errors=errors * fac[:, None], level=level)
+                      sym[:, 1] * fac, scaling, errors * fac[:, None], level)
 
 
 # The monotone intervals claimed for each quantity and scaling: segments
@@ -207,7 +208,7 @@ def _monotone_check(table, quantity, scaling, lo, hi, direction, strict):
                        worst_alpha=float(scaled.alpha[inside][worst]))
 
 
-def _mirror_check(table, max_pairs=10):
+def _mirror_check(table):
     """Antisymmetric tone under area scaling agrees at alpha and pi - alpha.
 
     The mirrored aperture rarely lands on a grid point, so its value is
@@ -222,8 +223,8 @@ def _mirror_check(table, max_pairs=10):
     if idx.size == 0:
         return make_report(claim, 0.0, 0.0, mode="<=", fem_err=1.0,
                            pairs=0, note="no mirrored pairs on this grid")
-    if idx.size > max_pairs:
-        idx = idx[np.linspace(0, idx.size - 1, max_pairs).astype(int)]
+    if idx.size > MIRROR_MAX_PAIRS:
+        idx = idx[np.linspace(0, idx.size - 1, MIRROR_MAX_PAIRS).astype(int)]
     partner = np.interp(math.pi - scaled.alpha[idx],
                         scaled.alpha, scaled.lambda_a)
     devs = np.abs(scaled.lambda_a[idx] - partner) / scaled.lambda_a[idx]
@@ -252,7 +253,7 @@ def verify_monotonicity(table):
         spacing=float(np.max(np.diff(table.alpha))))
 
 
-def observation_crossing(grid=None, level=7):
+def observation_crossing(grid, level):
     """Verify the symmetry class of the second mode switches at pi/3.
 
     Below the equilateral aperture the lowest symmetric tone above the

@@ -93,6 +93,6 @@ def _json_default(x):
     raise TypeError(f"not JSON serializable: {type(x)}")
 
 
-def to_json(report, indent=2):
+def to_json(report):
     """Serialize a report (or any nested dict) deterministically."""
-    return json.dumps(report, indent=indent, default=_json_default, sort_keys=False)
+    return json.dumps(report, indent=2, default=_json_default, sort_keys=False)

@@ -22,7 +22,7 @@ import numpy as np
 from .certify import SectorSpec, _sector_ranked_eigenvalue, lemma62_verify
 from .equilateral import SIGMA_COEFF, exact_sum_q
 from .fem import rayleigh_data, richardson, solve_extrapolated, solve_pair
-from .geometry import EQUILATERAL_APEX, FanTriangle, polya_upper
+from .geometry import EQUILATERAL_APEX, fan_triangle, polya_upper
 from .reports import combine, make_report
 
 __all__ = [
@@ -113,7 +113,7 @@ def _transplant_certificate(b, gamma, delta, n, branch):
     return check, info
 
 
-def theorem1_verify(f, n_max, level=7):
+def theorem1_verify(b, n_max, level):
     """Verify, for n = 1..n_max, that the first-n eigenvalue sum times
     squared diameter for the isosceles fan triangle T(0, b) exceeds the
     exact equilateral value; one report per n, in ascending order.
@@ -127,13 +127,13 @@ def theorem1_verify(f, n_max, level=7):
     At b = sqrt(3) the comparison is an equality, so the verdict is
     expected to be inconclusive there, never fail.
     """
-    if f.a != 0.0 or not (f.b >= EQUILATERAL_APEX):
-        raise ValueError("requires an isosceles fan triangle with b >= sqrt(3)")
+    if not (b >= EQUILATERAL_APEX):
+        raise ValueError("requires an apex height b >= sqrt(3)")
     if n_max < 1:
         raise ValueError("n must be >= 1")
-    coarse, fine = solve_pair(f.triangle, n_max + 1, level)
+    coarse, fine = solve_pair(fan_triangle(b), n_max + 1, level)
     vals, errs = richardson(coarse.values, fine.values)
-    return [_theorem1_case(f.b, n, coarse, fine, vals, errs)
+    return [_theorem1_case(b, n, coarse, fine, vals, errs)
             for n in range(1, n_max + 1)]
 
 
@@ -188,21 +188,21 @@ def C_funcs(b):
     return c, ctilde
 
 
-def condCh_verify(h, b_grid=None):
+def condCh_verify(h):
     """Verify the reduction sending the endpoint two-tone bound down to all b.
 
     The key scalar inequality: the weakened profile at the endpoint h
     strictly exceeds 3(h^2+17)/(20h^2) + 7(h^2-3)/(10h^2(b^2+1)) for every
     b strictly between sqrt(3) and h, with equality exactly at b = sqrt(3).
-    The right side decreases in b, which is also confirmed on the grid.
+    It is checked on a geometric grid of 50 points strictly inside that
+    interval, where the right side must also decrease in b.
     """
     if not (h > EQUILATERAL_APEX):
         raise ValueError("endpoint must exceed sqrt(3)")
-    if b_grid is None:
-        b_grid = np.geomspace(EQUILATERAL_APEX, h, 52)[1:-1]
-    b_grid = np.asarray(b_grid, dtype=float)
+    b_grid = np.geomspace(EQUILATERAL_APEX, h, 52)[1:-1]
     if np.any(b_grid <= EQUILATERAL_APEX) or np.any(b_grid >= h):
-        raise ValueError("grid points must lie strictly between sqrt(3) and h")
+        raise ValueError(f"endpoint {h!r} is too close to sqrt(3) for a "
+                         "grid strictly between them")
     h2 = h * h
     ctilde = C_funcs(h)[1]
 
@@ -231,7 +231,7 @@ def condCh_verify(h, b_grid=None):
 SECTOR_SPLIT = 2.5
 
 
-def theorem2_verify(b, level=7):
+def theorem2_verify(b, level):
     """Verify the second tone of T(0, b) times squared diameter exceeds the
     equilateral value.
 
@@ -246,7 +246,7 @@ def theorem2_verify(b, level=7):
         raise ValueError("requires b >= sqrt(3)")
     d2 = 1.0 + b * b
     target = 7.0 * SIGMA_COEFF  # second tone times squared diameter, equilateral
-    vals, errs = solve_extrapolated(FanTriangle(0.0, b).triangle, 2, level)
+    vals, errs = solve_extrapolated(fan_triangle(b), 2, level)
     checks = [make_report(
         "FEM second tone times squared diameter exceeds the equilateral value",
         float(vals[1]) * d2, target, fem_err=float(errs[1]) * d2)]
@@ -275,7 +275,7 @@ def theorem2_verify(b, level=7):
         checks.append(condCh_verify(SECTOR_SPLIT))
         checks.append(lemma62_verify())
         c_b = C_funcs(b)[0]
-        polya = polya_upper(FanTriangle(0.0, b).triangle)
+        polya = polya_upper(fan_triangle(b))
         polya_closed = 2.0 * math.pi ** 2 * (b * b + 3.0) / (3.0 * b * b)
         checks.append(make_report(
             "side-length upper bound matches its closed form",

@@ -8,15 +8,15 @@ import math
 
 import numpy as np
 
-from trispec.geometry import IsoscelesAperture, Triangle
+from trispec.geometry import Triangle
 from trispec.isosceles import ALPHA_MAX, ALPHA_MIN
 
 
-def aperture_triangle(alpha, l=1.0):
-    """The whole isosceles triangle of IsoscelesAperture(alpha, l)."""
-    iso = IsoscelesAperture(alpha, l)
-    c = iso.l * math.cos(iso.alpha / 2.0)
-    s = iso.l * math.sin(iso.alpha / 2.0)
+def aperture_triangle(alpha):
+    """The whole unit-side isosceles triangle of aperture alpha, apex at the
+    origin and axis along +x; geometry.half_triangle(alpha) is its upper
+    half."""
+    c, s = math.cos(alpha / 2.0), math.sin(alpha / 2.0)
     return Triangle([(0.0, 0.0), (c, -s), (c, s)])
 
 

@@ -23,7 +23,7 @@ from trispec.equilateral import (
     verify_lemma_explicit,
 )
 from trispec.fem import solve_extrapolated
-from trispec.geometry import FanTriangle, Triangle, rectangle_minimizers
+from trispec.geometry import Triangle, fan_triangle, rectangle_minimizers
 from trispec.isosceles import sweep, verify_monotonicity
 from trispec.transplant import theorem1_verify
 
@@ -108,7 +108,7 @@ def test_criterion_5_fem_calibration():
 def test_criterion_6_low_sum_sweep():
     ok = True
     for b in (1.8, 2.0, 2.5, 3.0, 4.0):
-        for report in theorem1_verify(FanTriangle(0.0, b), 6):
+        for report in theorem1_verify(b, 6, 7):
             lead = report["checks"][0]
             ok = ok and report["verdict"] == "pass"
             ok = ok and lead["margin"] >= 3.0 * lead["fem_error"] > 0.0
@@ -123,11 +123,11 @@ def test_criterion_7_second_tone_grid():
     for b in np.geomspace(SQRT3, 8.0, 51)[1:]:
         b = float(b)
         d2 = 1.0 + b * b
-        vals, errs = solve_extrapolated(FanTriangle(0.0, b).triangle, 2, 6)
+        vals, errs = solve_extrapolated(fan_triangle(b), 2, 6)
         margin = vals[1] * d2 - LAM2_EQ
         worst = min(worst, margin)
         ok = ok and margin > 3.0 * errs[1] * d2 and vals[1] * d2 > 122.84
-    vals, _ = solve_extrapolated(FanTriangle(0.0, SQRT3).triangle, 2, 6)
+    vals, _ = solve_extrapolated(fan_triangle(SQRT3), 2, 6)
     ok = ok and abs(vals[1] * 4.0 - LAM2_EQ) < 0.01 * LAM2_EQ
     criterion(7, f"second tone beats the equilateral value on the grid "
                  f"(worst margin {worst:.3f}), equality at sqrt(3)", ok)

@@ -376,7 +376,10 @@ def test_certification_degrades_off_frequency():
     # detuning the frequency breaks the near-vanishing boundary trace, so
     # the defect ratio blows up and the enclosure widens drastically
     base = certify_second_eigenvalue()
-    detuned = certify_second_eigenvalue(kappa=4.6)
+    tf = TrialFunction(cert_trial().terms, 4.6)
+    sup, _ = boundary_sup(tf, CERT_APEX)
+    l2 = l2_lower(tf, SectorSpec(CERT_APEX, tf.aperture))
+    detuned = moler_payne(4.6 ** 2, sup, l2, CERT_APEX)
     assert detuned.epsilon > 10.0 * base.epsilon
     assert detuned.upper - detuned.lower > 10.0 * (base.upper - base.lower)
 

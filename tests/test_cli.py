@@ -99,6 +99,9 @@ def test_bad_flag_value(capsys):
         (("fem", tri, "--level", "4", "--tol", "nan"), "--tol"),
         (("rectangle", "--tol", "nan"), "--tol"),
         (("sweep", "--alpha-min", "2", "--alpha-max", "1"), "--alpha-min"),
+        # the endpoint one float above sqrt(3) leaves no grid between them
+        (("verify", "condch", "--b", "1.7320508075688774"),
+         "too close to sqrt(3)"),
     ]
     for argv, flag in cases:
         code, out, err = run(capsys, *argv)

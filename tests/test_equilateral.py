@@ -216,7 +216,7 @@ def test_verify_lemma_explicit():
 
 
 def test_verify_compequilateral():
-    out = verify_compequilateral()
+    out = verify_compequilateral(110)
     assert out["verdict"] == "pass"
     exact, tail = out["checks"]
     assert exact["verdict"] == "pass" and tail["verdict"] == "pass"

@@ -6,9 +6,9 @@ import pytest
 
 from trispec.geometry import (
     EQUILATERAL_APEX,
-    FanTriangle,
-    IsoscelesAperture,
     Triangle,
+    fan_triangle,
+    half_triangle,
     polya_upper,
     rectangle_eigen,
     rectangle_minimizers,
@@ -93,11 +93,11 @@ def test_contains():
 
 
 def test_fan_triangle():
-    f = FanTriangle(0.0, EQUILATERAL_APEX)
-    t = f.triangle
+    t = fan_triangle(EQUILATERAL_APEX)
     assert t.side_lengths == pytest.approx([2, 2, 2])
-    with pytest.raises(ValueError):
-        FanTriangle(0.0, 0.0)
+    # a negative apex height would make a valid, mirrored triangle
+    with pytest.raises(ValueError, match="positive"):
+        fan_triangle(-1.0)
 
 
 def test_isosceles_aperture():
@@ -107,37 +107,41 @@ def test_isosceles_aperture():
     assert scale_factor(a, "area") == pytest.approx(math.sqrt(3) / 4, rel=1e-12)
     assert scale_factor(a, "perimeter") == pytest.approx(9.0, rel=1e-12)
     assert scale_factor(a, "diameter") == pytest.approx(1.0)
-    # sweep scale factors agree with direct triangle computation
+    # sweep scale factors agree with direct triangle computation, and the
+    # half triangle is the upper half of the whole one
     rng = np.random.default_rng(3)
     for alpha in rng.uniform(0.2, math.pi - 0.2, size=12):
-        t = aperture_triangle(alpha, l=1.7)
-        assert scale_factor(alpha, "area", 1.7) == pytest.approx(t.area, rel=1e-12)
-        assert scale_factor(alpha, "perimeter", 1.7) == pytest.approx(
+        t = aperture_triangle(alpha)
+        half = half_triangle(alpha)
+        assert scale_factor(alpha, "area") == pytest.approx(t.area, rel=1e-12)
+        assert 2.0 * half.area == pytest.approx(t.area, rel=1e-12)
+        assert scale_factor(alpha, "perimeter") == pytest.approx(
             t.side_lengths.sum() ** 2, rel=1e-12)
-        assert scale_factor(alpha, "diameter", 1.7) == pytest.approx(
+        assert scale_factor(alpha, "diameter") == pytest.approx(
             t.diameter ** 2, rel=1e-12)
-    half = IsoscelesAperture(math.pi / 2, l=1.0).half_triangle
+        np.testing.assert_allclose(half.vertices[[0, 2]], t.vertices[[0, 2]],
+                                   rtol=0, atol=1e-15)
+        assert half.angles[0] == pytest.approx(alpha / 2.0, rel=1e-12)
+    half = half_triangle(math.pi / 2)
     assert half.area == pytest.approx(0.25, rel=1e-12)
-    with pytest.raises(ValueError):
-        IsoscelesAperture(0.0)
-    with pytest.raises(ValueError):
-        IsoscelesAperture(math.pi)
-    with pytest.raises(ValueError):
-        IsoscelesAperture(1.0, l=-1)
+    # apertures 0 and pi flatten the half triangle
+    with pytest.raises(ValueError, match="degenerate"):
+        half_triangle(0.0)
+    with pytest.raises(ValueError, match="degenerate"):
+        half_triangle(math.pi)
 
 
 def test_hull_known_cases():
-    h = subequilateral_hull(Triangle([(0, 0), (1, 0), (0, 1)]))
-    assert h.a == 0.0
-    assert h.b == pytest.approx(1 / math.tan(math.pi / 8), rel=1e-12)
-    assert subequilateral_hull(unit_equilateral()).b == pytest.approx(
+    b = subequilateral_hull(Triangle([(0, 0), (1, 0), (0, 1)]))
+    assert b == pytest.approx(1 / math.tan(math.pi / 8), rel=1e-12)
+    assert subequilateral_hull(unit_equilateral()) == pytest.approx(
         EQUILATERAL_APEX, rel=1e-12)
 
 
 def test_hull_idempotent_on_family():
     for b in (1.8, 2.0, 3.0, 7.5):
-        h = subequilateral_hull(FanTriangle(0.0, b).triangle)
-        assert h.b == pytest.approx(b, rel=1e-12)
+        assert subequilateral_hull(fan_triangle(b)) == pytest.approx(
+            b, rel=1e-12)
 
 
 def test_hull_contains_congruent_copy():
@@ -147,9 +151,9 @@ def test_hull_contains_congruent_copy():
     for _ in range(40):
         t = random_triangle(rng)
         hull = subequilateral_hull(t)
-        assert hull.b >= EQUILATERAL_APEX - 1e-12
-        ht = Triangle(hull.triangle.vertices
-                      * (t.diameter / hull.triangle.diameter))
+        assert hull >= EQUILATERAL_APEX - 1e-12
+        ht = Triangle(fan_triangle(hull).vertices
+                      * (t.diameter / fan_triangle(hull).diameter))
         apex = ht.vertices[2]
         i = int(np.argmin(t.side_lengths))
         v = t.vertices[i]

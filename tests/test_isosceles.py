@@ -7,7 +7,7 @@ import pytest
 
 from trispec import fem, isosceles
 from trispec.fem import solve_extrapolated
-from trispec.geometry import IsoscelesAperture
+from trispec.geometry import half_triangle
 from trispec.isosceles import (
     SweepTable,
     observation_crossing,
@@ -22,8 +22,8 @@ PI = math.pi
 
 
 def test_scale_factor():
-    assert scale_factor(0.5, "side", 2.0) == 4.0
-    assert scale_factor(0.5, "diameter", 2.0) == 4.0  # equal sides dominate
+    assert scale_factor(0.5, "side") == 1.0
+    assert scale_factor(0.5, "diameter") == 1.0  # equal sides dominate
     a = 2.0
     assert scale_factor(a, "diameter") == pytest.approx(
         4.0 * math.sin(a / 2.0) ** 2)
@@ -54,14 +54,15 @@ def test_sweep_refuses_an_unordered_grid_before_solving(monkeypatch):
 
 
 def test_table_invariants():
+    errors = np.zeros((2, 3))
     with pytest.raises(ValueError, match="increasing"):
-        SweepTable([1.0, 1.0], [1, 1], [2, 2], [3, 3], "side")
+        SweepTable([1.0, 1.0], [1, 1], [2, 2], [3, 3], "side", errors, 6)
     with pytest.raises(ValueError, match="positive"):
-        SweepTable([1.0, 1.1], [1, -1], [2, 2], [3, 3], "side")
+        SweepTable([1.0, 1.1], [1, -1], [2, 2], [3, 3], "side", errors, 6)
     with pytest.raises(ValueError, match="below"):
-        SweepTable([1.0, 1.1], [2, 2], [1, 1], [3, 3], "side")
+        SweepTable([1.0, 1.1], [2, 2], [1, 1], [3, 3], "side", errors, 6)
     with pytest.raises(ValueError, match="scaling"):
-        SweepTable([1.0, 1.1], [1, 1], [2, 2], [3, 3], "volume")
+        SweepTable([1.0, 1.1], [1, 1], [2, 2], [3, 3], "volume", errors, 6)
 
 
 def test_sweep_solves_snapshots_on_half_triangles(monkeypatch):
@@ -77,7 +78,7 @@ def test_sweep_solves_snapshots_on_half_triangles(monkeypatch):
     # a grid shorter than the snapshot count solves every aperture directly:
     # two apertures, Dirichlet and free-axis half, two levels
     assert len(solved) == 8
-    halves = [IsoscelesAperture(a).half_triangle.vertices for a in (0.8, 1.0)]
+    halves = [half_triangle(a).vertices for a in (0.8, 1.0)]
     for vertices in solved:
         assert any(np.array_equal(vertices, h) for h in halves)
 
@@ -219,12 +220,13 @@ def test_monotonicity_report(fine_table):
 
 
 def test_monotone_claim_the_grid_misses_is_inconclusive():
-    # tones with every claimed trend on [1.4, 1.8], built under area
-    # scaling; no aperture lies in [0, pi/3]
+    # exact tones with every claimed trend on [1.4, 1.8], built under
+    # area scaling and solved at no level; no aperture lies in [0, pi/3]
     alpha = np.linspace(1.4, 1.8, 25)
     tab = SweepTable(alpha, 30.0 + 10.0 * alpha,
                      100.0 + 50.0 * (alpha - PI / 2.0) ** 2,
-                     np.full(alpha.size, 200.0), "area")
+                     np.full(alpha.size, 200.0), "area",
+                     np.zeros((alpha.size, 3)), None)
     r = verify_monotonicity(tab)
     missed = [c for c in r["checks"] if c.get("points") == 0]
     assert len(missed) == 5
@@ -257,17 +259,16 @@ def test_corner_at_equilateral_aperture():
 
 
 def test_observation_crossing_default():
-    r = observation_crossing()
+    r = observation_crossing(None, 7)
     assert r["verdict"] == "pass"
     assert abs(r["crossing"] - PI / 3.0) < 0.04
     assert all(c["verdict"] == "pass" for c in r["checks"])
 
 
 def test_observation_crossing_custom():
-    r = observation_crossing(grid=[PI / 3.0 - 0.15, PI / 3.0 - 0.08,
-                                   PI / 3.0 + 0.08, PI / 3.0 + 0.15],
-                             level=6)
+    r = observation_crossing([PI / 3.0 - 0.15, PI / 3.0 - 0.08,
+                              PI / 3.0 + 0.08, PI / 3.0 + 0.15], 6)
     assert r["verdict"] == "pass"
     assert abs(r["crossing"] - PI / 3.0) < 0.16
     with pytest.raises(ValueError, match="straddle"):
-        observation_crossing(grid=[0.4, 0.5], level=6)
+        observation_crossing([0.4, 0.5], 6)

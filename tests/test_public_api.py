@@ -1,6 +1,7 @@
 """Every name a module exports through __all__ exists and is read by the
-package, so is every public method and property of a public class, and no
-module imports a name it never uses."""
+package, so is every public method and property of a public class, no
+module imports a name it never uses, and no parameter with a default is a
+knob the package only ever sets to one value."""
 
 import ast
 import importlib
@@ -19,6 +20,14 @@ MODULES = sorted(path.stem for path in SRC.glob("*.py")
 NOT_YET_READ = {("geometry", "subequilateral_hull")}
 # Wired into the same chain, to place a triangle inside its hull.
 MEMBERS_NOT_YET_READ = {("geometry", "Triangle", "contains")}
+# Parameters with a default that every call in the package leaves at one
+# value, kept on purpose.
+ONE_VALUE_DEFAULTS = {
+    # perfbench/tracing.py reads the initial grid size off this argument
+    ("certify", "boundary_sup", "num"),
+    # the Theorem 1 chain for every triangle (ROADMAP item 1) sets it
+    ("geometry", "Triangle.contains", "tol"),
+}
 
 
 def _tree(module):
@@ -126,3 +135,106 @@ def test_no_unused_imports(module):
     loaded = {node.id for node in ast.walk(tree)
               if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     assert sorted(imported - loaded - set(_exports(tree))) == []
+
+
+def _constants():
+    """Value of every module-level NAME = <literal> binding of the package."""
+    out = {}
+    for module in MODULES:
+        for node in _tree(module).body:
+            if not isinstance(node, ast.Assign):
+                continue
+            try:
+                value = ast.literal_eval(node.value)
+            except ValueError:
+                continue
+            out.update((t.id, value) for t in node.targets
+                       if isinstance(t, ast.Name))
+    return out
+
+
+def _value(node, constants):
+    """repr of the literal an expression stands for, a module constant
+    passed by name counting as its value; None when it is not a literal."""
+    if isinstance(node, ast.Name):
+        return repr(constants[node.id]) if node.id in constants else None
+    try:
+        return repr(ast.literal_eval(node))
+    except ValueError:
+        return None
+
+
+def _defaulted(constants):
+    """(module, qualified name) -> (the name a call uses, the parameters a
+    call fills by position, {parameter: default}) of every function of the
+    package with a defaulted parameter; a class is called for __init__."""
+    out = {}
+
+    def visit(module, body, prefix, in_class):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(module, node.body, f"{prefix}{node.name}.", True)
+            elif isinstance(node, ast.FunctionDef):
+                args = node.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                defaults = dict(zip(positional[len(positional)
+                                               - len(args.defaults):],
+                                    args.defaults))
+                defaults.update((a.arg, d) for a, d in
+                                zip(args.kwonlyargs, args.kw_defaults) if d)
+                called_as = (prefix.rstrip(".").rsplit(".", 1)[-1]
+                             if node.name == "__init__" else node.name)
+                if defaults:
+                    out[(module, prefix + node.name)] = (
+                        called_as, positional[1:] if in_class else positional,
+                        {name: _value(d, constants)
+                         for name, d in defaults.items()})
+                visit(module, node.body, f"{prefix}{node.name}.", False)
+
+    for module in MODULES:
+        visit(module, _tree(module).body, "", False)
+    return out
+
+
+def _passed(call, positional, defaults, constants):
+    """{parameter: value} of the arguments a call gives; a * or ** argument
+    may fill any parameter with an unknown value."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args) or any(
+            kw.arg is None for kw in call.keywords):
+        return dict.fromkeys([*positional, *defaults])
+    passed = {name: _value(arg, constants)
+              for name, arg in zip(positional, call.args)}
+    passed.update((kw.arg, _value(kw.value, constants))
+                  for kw in call.keywords)
+    return passed
+
+
+def _one_value_knobs():
+    """(module, function, parameter) of each defaulted parameter that no
+    call in the package passes, or that every call sets to one literal; an
+    omitted argument counts as its default."""
+    constants = _constants()
+    functions = _defaulted(constants)
+    values = {(key, name): [] for key, (_, _, defaults) in functions.items()
+              for name in defaults}
+    explicit = set()
+    for module in MODULES + ["__init__"]:
+        for call in ast.walk(_tree(module)):
+            if not isinstance(call, ast.Call):
+                continue
+            callee = getattr(call.func, "id", getattr(call.func, "attr", None))
+            for key, (called_as, positional, defaults) in functions.items():
+                if callee != called_as:
+                    continue
+                passed = _passed(call, positional, defaults, constants)
+                for name, default in defaults.items():
+                    values[key, name].append(passed.get(name, default))
+                    if name in passed:
+                        explicit.add((key, name))
+    return sorted(key + (name,) for (key, name), seen in values.items()
+                  if (key, name) not in explicit
+                  or (None not in seen and len(set(seen)) == 1))
+
+
+def test_no_parameter_is_a_one_value_knob():
+    assert _one_value_knobs() == sorted(ONE_VALUE_DEFAULTS)

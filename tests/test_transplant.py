@@ -8,7 +8,6 @@ import pytest
 from trispec import certify
 from trispec.certify import SectorSpec
 from trispec.equilateral import SIGMA_COEFF, enumerate_modes, exact_sum_q
-from trispec.geometry import FanTriangle
 from trispec.transplant import (
     C_funcs,
     condCh_verify,
@@ -162,25 +161,22 @@ def test_condCh_report():
     assert mono["verdict"] == "pass"
     assert r["ctilde"] == pytest.approx(C_funcs(2.5)[1])
 
-    with pytest.raises(ValueError, match="strictly between"):
-        condCh_verify(2.5, b_grid=[1.5])
-    with pytest.raises(ValueError, match="strictly between"):
-        condCh_verify(2.5, b_grid=[2.5])
+    # so close to sqrt(3) that the grid collapses onto its ends
+    with pytest.raises(ValueError, match="too close to sqrt"):
+        condCh_verify(math.nextafter(SQ3, 3))
     with pytest.raises(ValueError, match="endpoint"):
         condCh_verify(SQ3)
 
 
 def test_theorem1_validation():
-    with pytest.raises(ValueError, match="isosceles"):
-        theorem1_verify(FanTriangle(0.5, 2.0), 1)
-    with pytest.raises(ValueError, match="isosceles"):
-        theorem1_verify(FanTriangle(0.0, 1.0), 1)
+    with pytest.raises(ValueError, match="apex height"):
+        theorem1_verify(1.0, 1, 6)
     with pytest.raises(ValueError, match="n must"):
-        theorem1_verify(FanTriangle(0.0, 2.0), 0)
+        theorem1_verify(2.0, 0, 6)
 
 
 def test_theorem1_single_case():
-    r = theorem1_verify(FanTriangle(0.0, 2.5), 1, level=6)[-1]
+    r = theorem1_verify(2.5, 1, 6)[-1]
     assert r["verdict"] == "pass"
     assert r["branch"] == "equilateral"
     assert r["fem_sum"] * r["diameter_squared"] > 3.0 * SIGMA_COEFF
@@ -194,7 +190,7 @@ def test_theorem1_equilateral_endpoint():
     # At b = sqrt(3) the statement is an equality; the FEM value must sit
     # within half a percent of the exact two-tone sum and the verdict must
     # not be an outright fail.
-    r = theorem1_verify(FanTriangle(0.0, SQ3), 2, level=6)[-1]
+    r = theorem1_verify(SQ3, 2, 6)[-1]
     exact = SIGMA_COEFF * exact_sum_q(2)
     assert abs(r["fem_sum"] * r["diameter_squared"] - exact) < 0.005 * exact
     assert r["verdict"] in ("pass", "inconclusive")
@@ -203,7 +199,7 @@ def test_theorem1_equilateral_endpoint():
 def test_theorem1_sweep():
     for b in (2.0, 4.0):
         for n in (1, 2, 3, 6):
-            r = theorem1_verify(FanTriangle(0.0, b), n, level=6)[-1]
+            r = theorem1_verify(b, n, 6)[-1]
             assert r["verdict"] == "pass", (b, n, r)
             for chk in r["checks"]:
                 assert chk["verdict"] == "pass"
@@ -212,11 +208,10 @@ def test_theorem1_sweep():
 def test_theorem1_every_n_reads_one_solve():
     # the cases of one n_max = 6 run match separate runs that stop at n
     for b in (2.0, 4.0):
-        fan = FanTriangle(0.0, b)
-        cases = theorem1_verify(fan, 6, level=5)
+        cases = theorem1_verify(b, 6, 5)
         assert [c["n"] for c in cases] == [1, 2, 3, 4, 5, 6]
         for n in range(1, 6):
-            alone = theorem1_verify(fan, n, level=5)[-1]
+            alone = theorem1_verify(b, n, 5)[-1]
             case = cases[n - 1]
             for key in ("fem_sum", "gamma_n"):
                 assert case[key] == pytest.approx(alone[key], rel=1e-12)
@@ -237,7 +232,7 @@ def test_theorem1_min_target_invariant():
     for _ in range(3):
         b = float(rng.uniform(1.8, 5.0))
         n = int(rng.integers(1, 5))
-        r = theorem1_verify(FanTriangle(0.0, b), n, level=5)[-1]
+        r = theorem1_verify(b, n, 5)[-1]
         eq_target = SIGMA_COEFF * exact_sum_q(n)
         # the right triangle's spectrum is the antisymmetric one of the
         # sidelength-4 equilateral: q * SIGMA_COEFF / 16
@@ -252,11 +247,11 @@ def test_theorem1_min_target_invariant():
 
 def test_theorem2_validation():
     with pytest.raises(ValueError, match="b >= sqrt"):
-        theorem2_verify(1.5)
+        theorem2_verify(1.5, 7)
 
 
 def test_theorem2_sector_branch():
-    r = theorem2_verify(2.5, level=6)
+    r = theorem2_verify(2.5, 6)
     assert r["verdict"] == "pass"
     assert r["branch"] == "sector"
     sector_check = next(c for c in r["checks"] if "sector" in c["claim"]
@@ -279,7 +274,7 @@ def test_theorem2_sector_branch_ranks_the_sector_spectrum(monkeypatch):
 
     monkeypatch.setattr(certify, "sector_eigenvalue", swapped)
     b = 3.0
-    r = theorem2_verify(b, level=4)
+    r = theorem2_verify(b, 4)
     sector_check = next(c for c in r["checks"]
                         if c["claim"].startswith("containing-sector"))
     sector = SectorSpec(math.sqrt(1.0 + b * b), 2.0 * math.atan(1.0 / 2.5))
@@ -288,7 +283,7 @@ def test_theorem2_sector_branch_ranks_the_sector_spectrum(monkeypatch):
 
 
 def test_theorem2_interpolation_branch():
-    r = theorem2_verify(2.0, level=6)
+    r = theorem2_verify(2.0, 6)
     assert r["verdict"] == "pass"
     assert r["branch"] == "interpolation"
     # the chain nests the reduction and the certified endpoint as
@@ -299,7 +294,7 @@ def test_theorem2_interpolation_branch():
 
 
 def test_theorem2_equilateral_endpoint():
-    r = theorem2_verify(SQ3, level=6)
+    r = theorem2_verify(SQ3, 6)
     assert r["verdict"] in ("pass", "inconclusive")
     fem_check = r["checks"][0]
     assert abs(fem_check["lhs"] - fem_check["rhs"]) < 0.005 * fem_check["rhs"]
