@@ -21,6 +21,10 @@ import math
 
 import numpy as np
 
+from .fem import solve_extrapolated
+from .geometry import C_funcs, fan_triangle
+from .reports import combine, make_report
+
 __all__ = [
     "SectorSpec",
     "TrialFunction",
@@ -451,9 +455,6 @@ def lemma62_verify(fem_level=None):
     forces the second tone above the threshold.  Optionally cross-checks
     that the FEM second tone falls inside the enclosure.
     """
-    from .reports import combine, make_report
-    from .transplant import C_funcs
-
     h = CERT_APEX
     interval = certify_second_eigenvalue()
     prov = interval.provenance
@@ -485,8 +486,6 @@ def lemma62_verify(fem_level=None):
         "third outer-sector eigenvalue excludes ranks three and up",
         exclusion, interval.upper, exclusion_value=exclusion))
     if fem_level is not None:
-        from .fem import solve_extrapolated
-        from .geometry import fan_triangle
         vals, errs = solve_extrapolated(fan_triangle(h), 2, fem_level)
         checks.append(make_report(
             "FEM second tone above the enclosure lower end",

@@ -4,8 +4,17 @@ Subcommands
 -----------
 spectrum   exact equilateral tables (CSV)
 lattice    counting oracle against the closed-form bounds (CSV)
-verify     one of: lemma-explicit, compequilateral, theorem1, theorem2,
-           condch, monotonicity, observation (JSON report)
+verify     one verification pipeline (JSON report); a target takes only
+           the flags it reads, after its name:
+             lemma-explicit
+             compequilateral  --n 110
+             theorem1         --b (unset: five apexes) --n 6 --level 7
+             theorem2         --b 2.5 --level 7
+             condch           --b 2.5
+             monotonicity     --level 6 --alpha-min pi/6 --alpha-max 2pi/3
+                              --alpha-steps 80
+             observation      --level 7, that window in 41 steps (no
+                              window flag: 40 apertures straddling pi/3)
 fem        single-triangle eigenvalue solve (JSON)
 certify    certified enclosure of the second tone of the apex-5/2 isosceles
            triangle T(0, 5/2), optionally checked against FEM (JSON)
@@ -13,8 +22,10 @@ sweep      isosceles tone curves over an aperture grid (CSV)
 rectangle  diameter-normalized rectangle minimizers (JSON)
 gamma      energy fractions of the low eigenfunctions of a fan triangle (JSON)
 
+`--help` after a subcommand or target lists its flags and their defaults.
 Exit codes: 0 all checks pass, 1 any check fails, 2 inconclusive (margin
-inside the FEM error bar), 64 usage error.  Identical invocations produce
+inside the FEM error bar), 64 usage error (also a flag out of range, or
+one the subcommand does not read).  Identical invocations produce
 byte-identical output on any core count; there is no environment-variable
 configuration.  Each subcommand runs with every OpenBLAS in the process
 (numpy's and scipy's) at one thread, and the caller's thread counts come
@@ -54,10 +65,7 @@ from .transplant import condCh_verify, theorem1_verify, theorem2_verify
 
 __all__ = ["dispatch", "main"]
 
-VERIFY_TARGETS = ("lemma-explicit", "compequilateral", "theorem1", "theorem2",
-                  "condch", "monotonicity", "observation")
 EXIT_BY_VERDICT = {"pass": 0, "fail": 1, "inconclusive": 2}
-THEOREM1_APEXES = (1.8, 2.0, 2.5, 3.0, 4.0)
 
 
 # (get, set) thread-count symbols of the OpenBLAS builds numpy and scipy ship
@@ -110,107 +118,152 @@ def _one_blas_thread():
             set_(count)
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
-    # argparse would sys.exit(2); the contract wants 64 with usage text
+    # argparse would exit 2; the contract wants 64 with usage text
     def error(self, message):
-        raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
+        self.exit(64, f"{self.format_usage()}{self.prog}: error: {message}\n")
 
 
-def _validate(args):
-    """Reject out-of-range flag values; flags a subcommand lacks are skipped."""
-    n = getattr(args, "n", None)
-    level = getattr(args, "level", None)
-    steps = getattr(args, "steps", None)
-    b = getattr(args, "b", None)
-    tol = getattr(args, "tol", None)
-    alpha_min = getattr(args, "alpha_min", None)
-    alpha_max = getattr(args, "alpha_max", None)
-    if n is not None and n < 1:
-        raise ValueError("--n must be >= 1")
-    if level is not None and level < 2:
-        raise ValueError("--level must be >= 2")
-    if steps is not None and steps < 2:
-        raise ValueError("--alpha-steps must be >= 2")
-    if b is not None and not (b > 0):
-        raise ValueError("--b must be positive")
-    if tol is not None and not (tol >= 0):
-        raise ValueError("--tol must be nonnegative")
-    if (alpha_min, alpha_max) != (None, None):
-        # verify fills an unset end of the window from the default one
-        lo = ALPHA_MIN if alpha_min is None else alpha_min
-        hi = ALPHA_MAX if alpha_max is None else alpha_max
-        if not (lo < hi):
-            raise ValueError(f"--alpha-min ({lo:g}) must lie below "
-                             f"--alpha-max ({hi:g})")
+def _checked(convert, accepts, requirement):
+    """argparse type: the flag's text converted, refused unless accepted."""
+    def parse(text):
+        value = convert(text)
+        if not accepts(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}")
+        return value
+    parse.__name__ = convert.__name__  # argparse: "invalid int value: ..."
+    return parse
 
 
-def _alpha_grid(args, steps):
-    """Uniform aperture grid from the verify flags; unset ones default to
-    the isosceles window and the given number of steps."""
-    lo = args.alpha_min if args.alpha_min is not None else ALPHA_MIN
-    hi = args.alpha_max if args.alpha_max is not None else ALPHA_MAX
-    n = args.steps if args.steps is not None else steps
-    return np.linspace(lo, hi, n)
+_COUNT = _checked(int, lambda n: n >= 1, ">= 1")
+_LEVEL = _checked(int, lambda level: level >= 2, ">= 2")
+_STEPS = _checked(int, lambda steps: steps >= 2, ">= 2")
+# NaN fails both comparisons, so these refuse it too
+_POSITIVE = _checked(float, lambda x: x > 0, "positive")
+_NONNEGATIVE = _checked(float, lambda x: x >= 0, "nonnegative")
+
+
+class _Window(argparse.Action):
+    """Store a window flag, which drops observation's straddling grid."""
+
+    def __call__(self, parser, namespace, values, option_string):
+        setattr(namespace, self.dest, values)
+        namespace.straddle = False
+
+
+def _add_window(cmd, steps, action="store"):
+    cmd.add_argument("--alpha-min", type=float, default=ALPHA_MIN,
+                     action=action, help="smallest aperture")
+    cmd.add_argument("--alpha-max", type=float, default=ALPHA_MAX,
+                     action=action, help="largest aperture")
+    cmd.add_argument("--alpha-steps", dest="steps", type=_STEPS,
+                     default=steps, action=action, help="number of apertures")
+
+
+def _aperture_grid(args):
+    """Uniform aperture grid of the window flags."""
+    if not (args.alpha_min < args.alpha_max):
+        raise ValueError(f"--alpha-min ({args.alpha_min:g}) must lie below "
+                         f"--alpha-max ({args.alpha_max:g})")
+    return np.linspace(args.alpha_min, args.alpha_max, args.steps)
+
+
+def _verdict(report):
+    """A report's JSON text and the exit code of its verdict."""
+    return to_json(report) + "\n", EXIT_BY_VERDICT[report["verdict"]]
 
 
 def _parser():
     p = _Parser(prog="trispec", description=__doc__.split("\n")[0])
-    sub = p.add_subparsers(dest="command")
+    sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("spectrum", help="exact equilateral spectrum table")
-    sp.add_argument("--n", type=int, default=110, help="number of ranks")
+    def command(group, name, handler, help):
+        """Subcommand or verify target that runs handler(args)."""
+        cmd = group.add_parser(
+            name, help=help, description=help,
+            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        cmd.set_defaults(handler=handler)
+        cmd.add_argument("--out", help="write here, not stdout")
+        return cmd
+
+    sp = command(sub, "spectrum", _cmd_spectrum, "exact equilateral spectrum")
+    sp.add_argument("--n", type=_COUNT, default=110, help="number of ranks")
     sp.add_argument("--class", dest="mode_class", default="full",
-                    choices=("full", "antisym"))
+                    choices=("full", "antisym"), help="mode class")
 
-    la = sub.add_parser("lattice", help="counting oracle vs bounds")
-    la.add_argument("--n", type=int, default=200, help="number of samples")
+    la = command(sub, "lattice", _cmd_lattice, "counting oracle vs bounds")
+    la.add_argument("--n", type=_COUNT, default=200, help="number of samples")
 
-    ve = sub.add_parser("verify", help="run one verification pipeline")
-    ve.add_argument("target", choices=VERIFY_TARGETS)
-    ve.add_argument("--n", type=int, default=None)
-    ve.add_argument("--level", type=int, default=None)
-    ve.add_argument("--b", type=float, default=None,
-                    help="apex height (condch: interval endpoint)")
-    ve.add_argument("--alpha-min", type=float, default=None)
-    ve.add_argument("--alpha-max", type=float, default=None)
-    ve.add_argument("--alpha-steps", dest="steps", type=int, default=None)
+    targets = sub.add_parser("verify", help="run one verification pipeline"
+                             ).add_subparsers(dest="target", required=True)
 
-    fe = sub.add_parser("fem", help="solve one triangle")
+    def target(name, report, help):
+        return command(targets, name, lambda args: _verdict(report(args)),
+                       help)
+
+    target("lemma-explicit", lambda args: verify_lemma_explicit(),
+           "explicit eigenvalue bounds of the equilateral triangle")
+    target("compequilateral", lambda args: verify_compequilateral(args.n),
+           "equilateral sum comparison at every rank").add_argument(
+        "--n", type=_COUNT, default=110, help="ranks checked exactly")
+    t1 = target("theorem1", _verify_theorem1,
+                "first-n sums of fan triangles against the equilateral")
+    t1.add_argument("--b", type=_POSITIVE, nargs=1,
+                    default=(1.8, 2.0, 2.5, 3.0, 4.0), help="one apex height")
+    t1.add_argument("--n", type=_COUNT, default=6, help="largest n")
+    t1.add_argument("--level", type=_LEVEL, default=7, help="mesh level")
+    t2 = target("theorem2", lambda args: theorem2_verify(args.b, args.level),
+                "second tone of a fan triangle against the equilateral")
+    t2.add_argument("--b", type=_POSITIVE, default=2.5, help="apex height")
+    t2.add_argument("--level", type=_LEVEL, default=7, help="mesh level")
+    target("condch", lambda args: condCh_verify(args.b),
+           "two-tone bound reduced to its endpoint").add_argument(
+        "--b", type=_POSITIVE, default=2.5, help="interval endpoint")
+    mo = target("monotonicity", lambda args: verify_monotonicity(
+        sweep(_aperture_grid(args), "side", args.level)),
+        "claimed monotone intervals of the isosceles tones")
+    mo.add_argument("--level", type=_LEVEL, default=6, help="mesh level")
+    _add_window(mo, 80)
+    ob = target("observation", lambda args: observation_crossing(
+        None if args.straddle else _aperture_grid(args), args.level),
+        "second-mode class crossing at pi/3; with no window flag, on 40 "
+        "apertures straddling it")
+    ob.add_argument("--level", type=_LEVEL, default=7, help="mesh level")
+    # 41 keeps pi/3 off the uniform grid, where the gap degenerates
+    _add_window(ob, 41, _Window)
+    ob.set_defaults(straddle=True)
+
+    fe = command(sub, "fem", _cmd_fem, "solve one triangle")
     fe.add_argument("triangle", help="JSON array of three [x, y] pairs")
-    fe.add_argument("--n", type=int, default=1, help="number of eigenvalues")
-    fe.add_argument("--level", type=int, default=6)
-    fe.add_argument("--tol", type=float, default=None,
+    fe.add_argument("--n", type=_COUNT, default=1, help="number of values")
+    fe.add_argument("--level", type=_LEVEL, default=6, help="mesh level")
+    fe.add_argument("--tol", type=_NONNEGATIVE,
                     help="exit 2 if any error estimate exceeds this")
 
-    ce = sub.add_parser("certify", help="certified second-tone enclosure")
-    ce.add_argument("--level", type=int, default=None,
-                    help="also cross-check against FEM at this level")
+    command(sub, "certify", _cmd_certify, "certified second-tone enclosure"
+            ).add_argument("--level", type=_LEVEL,
+                           help="also cross-check against FEM at this level")
 
-    sw = sub.add_parser("sweep", help="isosceles tone curves")
-    sw.add_argument("--alpha-min", type=float, default=ALPHA_MIN)
-    sw.add_argument("--alpha-max", type=float, default=ALPHA_MAX)
-    sw.add_argument("--alpha-steps", dest="steps", type=int, default=31)
-    sw.add_argument("--level", type=int, default=6)
-    sw.add_argument("--scaling", default="side",
+    sw = command(sub, "sweep", _cmd_sweep, "isosceles tone curves")
+    _add_window(sw, 31)
+    sw.add_argument("--level", type=_LEVEL, default=6, help="mesh level")
+    sw.add_argument("--scaling", default="side", help="length normalized to 1",
                     choices=("side", "diameter", "perimeter", "area"))
 
-    rc = sub.add_parser("rectangle", help="rectangle minimizers below pi/4")
-    rc.add_argument("--tol", type=float, default=0.0,
-                    help="safety margin required of both minimizers")
+    command(sub, "rectangle", _cmd_rectangle,
+            "rectangle minimizers below pi/4").add_argument(
+        "--tol", type=_NONNEGATIVE, default=0.0,
+        help="safety margin required of both minimizers")
 
-    ga = sub.add_parser("gamma", help="energy fractions of a fan triangle")
-    ga.add_argument("--b", type=float, default=2.5, help="apex height")
-    ga.add_argument("--n", type=int, default=1, help="number of modes pooled")
-    ga.add_argument("--level", type=int, default=7)
+    ga = command(sub, "gamma", _cmd_gamma,
+                 "energy fractions of a fan triangle")
+    ga.add_argument("--b", type=_POSITIVE, default=2.5, help="apex height")
+    ga.add_argument("--n", type=_COUNT, default=1, help="modes pooled")
+    ga.add_argument("--level", type=_LEVEL, default=7, help="mesh level")
 
-    for cmd in (sp, la, sw):
-        cmd.add_argument("--format", default="csv", choices=("csv", "json"))
-    for cmd in (sp, la, ve, fe, ce, sw, rc, ga):
-        cmd.add_argument("--out", default=None, help="write here, not stdout")
+    for cmd in (sp, sw):
+        cmd.add_argument("--format", default="csv", choices=("csv", "json"),
+                         help="output format")
     return p
 
 
@@ -240,41 +293,12 @@ def _cmd_lattice(args):
 
 
 def _verify_theorem1(args):
-    bs = [args.b] if args.b is not None else list(THEOREM1_APEXES)
-    n_max = args.n if args.n is not None else 6
-    level = args.level if args.level is not None else 7
     cases = []
-    for b in bs:
-        cases.extend(theorem1_verify(b, n_max, level))
+    for b in args.b:
+        cases.extend(theorem1_verify(b, args.n, args.level))
     return combine(
         "low-sum comparison against the equilateral across apex heights",
-        cases, apexes=bs, n_max=n_max, level=level)
-
-
-def _cmd_verify(args):
-    target = args.target
-    if target == "lemma-explicit":
-        report = verify_lemma_explicit()
-    elif target == "compequilateral":
-        report = verify_compequilateral(args.n if args.n is not None else 110)
-    elif target == "theorem1":
-        report = _verify_theorem1(args)
-    elif target == "theorem2":
-        report = theorem2_verify(args.b if args.b is not None else 2.5,
-                                 args.level if args.level else 7)
-    elif target == "condch":
-        report = condCh_verify(args.b if args.b is not None else 2.5)
-    elif target == "monotonicity":
-        table = sweep(_alpha_grid(args, 80), "side",
-                      args.level if args.level else 6)
-        report = verify_monotonicity(table)
-    else:
-        grid = None
-        if (args.alpha_min, args.alpha_max, args.steps) != (None, None, None):
-            # 41 keeps pi/3 off the uniform grid, where the gap degenerates
-            grid = _alpha_grid(args, 41)
-        report = observation_crossing(grid, args.level if args.level else 7)
-    return to_json(report) + "\n", EXIT_BY_VERDICT[report["verdict"]]
+        cases, apexes=args.b, n_max=args.n, level=args.level)
 
 
 def _cmd_fem(args):
@@ -289,13 +313,11 @@ def _cmd_fem(args):
 
 
 def _cmd_certify(args):
-    report = lemma62_verify(fem_level=args.level)
-    return to_json(report) + "\n", EXIT_BY_VERDICT[report["verdict"]]
+    return _verdict(lemma62_verify(fem_level=args.level))
 
 
 def _cmd_sweep(args):
-    grid = np.linspace(args.alpha_min, args.alpha_max, args.steps)
-    table = sweep(grid, args.scaling, args.level)
+    table = sweep(_aperture_grid(args), args.scaling, args.level)
     if args.format == "json":
         payload = {"scaling": table.scaling,
                    "alpha": list(table.alpha),
@@ -314,9 +336,9 @@ def _cmd_rectangle(args):
             entry["phi"], math.pi / 4.0 - args.tol, mode="<", value=entry["value"])
         for name, entry in sorted(mins.items())
     ]
-    report = combine("the square is not the diameter-normalized minimizer",
-                     checks, minimizers=mins)
-    return to_json(report) + "\n", EXIT_BY_VERDICT[report["verdict"]]
+    return _verdict(combine(
+        "the square is not the diameter-normalized minimizer",
+        checks, minimizers=mins))
 
 
 def _cmd_gamma(args):
@@ -327,35 +349,15 @@ def _cmd_gamma(args):
     return to_json(out) + "\n", 0
 
 
-_HANDLERS = {
-    "spectrum": _cmd_spectrum,
-    "lattice": _cmd_lattice,
-    "verify": _cmd_verify,
-    "fem": _cmd_fem,
-    "certify": _cmd_certify,
-    "sweep": _cmd_sweep,
-    "rectangle": _cmd_rectangle,
-    "gamma": _cmd_gamma,
-}
-
-
 def dispatch(argv):
     """Parse argv, run the subcommand, return the process exit code."""
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(exc, file=sys.stderr)
-        return 64
-    except SystemExit as exc:  # --help
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # --help, or a usage error
         return int(exc.code or 0)
-    if args.command is None:
-        print(parser.format_usage(), file=sys.stderr)
-        return 64
     try:
-        _validate(args)
         with _one_blas_thread():
-            text, code = _HANDLERS[args.command](args)
+            text, code = args.handler(args)
     except ValueError as exc:
         print(f"trispec {args.command}: {exc}", file=sys.stderr)
         return 64

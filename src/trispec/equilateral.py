@@ -116,7 +116,7 @@ def _modes_up_to(qmax, mode_class):
     return modes
 
 
-def enumerate_modes(n_max, mode_class="full"):
+def enumerate_modes(n_max, mode_class):
     """SpectrumTable of the n_max lowest modes of the class, "full" or
     "antisym".
 
@@ -135,7 +135,7 @@ def enumerate_modes(n_max, mode_class="full"):
         qmax *= 2
 
 
-def counting_exact(lam, mode_class="full"):
+def counting_exact(lam, mode_class):
     """Number of eigenvalues of the class strictly below lam, at sidelength 1.
 
     Exact lattice count, one row m at a time: the row holds the n >= 1 with

@@ -283,10 +283,10 @@ class FemForms:
         return np.column_stack(quad) @ self.weights.T
 
 
-def assemble(mesh, dirichlet_edges=()):
+def assemble(mesh, dirichlet_edges):
     """Exact P1 forms of the mesh on the vertices off the Dirichlet edges.
 
-    With no Dirichlet edges (the default) the forms cover every vertex.
+    With no Dirichlet edges the forms cover every vertex.
     """
     stencil = _stencil(mesh.level, tuple(sorted(dirichlet_edges)))
     return FemForms(stencil, _weights(mesh.triangle),
@@ -485,7 +485,7 @@ def _orthonormal_extension(basis, vecs, mass):
     return np.hstack((basis, vecs))
 
 
-def solve_family(triangles, k, level, dirichlet_edges=(0, 1, 2)):
+def solve_family(triangles, k, level, dirichlet_edges):
     """Lowest k P1 eigenvalues of every triangle, from one reduced basis.
 
     Every triangle of one level and boundary set has its pencil on the same
@@ -650,8 +650,6 @@ def rayleigh_data(coarse, fine, n):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    g_coarse, d_coarse = _energy_fractions(coarse, n)
-    g_fine, d_fine = _energy_fractions(fine, n)
-    gamma = g_fine + (g_fine - g_coarse) / 3.0
-    delta = d_fine + (d_fine - d_coarse) / 3.0
+    (gamma, delta), _ = richardson(np.array(_energy_fractions(coarse, n)),
+                                   np.array(_energy_fractions(fine, n)))
     return RayleighData(gamma, delta, n)

@@ -6,8 +6,8 @@ diameter, squared perimeter, or area.  This module holds the triangle type,
 which carries those functionals, the two one-parameter families the claims
 are stated for (the fan triangles T(0, b) and the half triangles of the
 unit-side isosceles triangle of aperture alpha), and the closed-form facts
-(the Polya-type upper bound on the fundamental tone, rectangle spectra)
-that the verification routines compare against.
+(the Polya-type upper bound on the fundamental tone, the two-tone profiles
+C_funcs, rectangle spectra) that the verification routines compare against.
 """
 
 import json
@@ -22,6 +22,7 @@ __all__ = [
     "EQUILATERAL_APEX",
     "subequilateral_hull",
     "polya_upper",
+    "C_funcs",
     "rectangle_eigen",
     "rectangle_minimizers",
     "triangle_from_json",
@@ -166,7 +167,22 @@ def polya_upper(t):
     return (math.pi**2 / 3.0) * l2 / t.area**2
 
 
-def rectangle_eigen(phi, p=1, q=1):
+def C_funcs(b):
+    """The two rational comparison profiles of the two-tone argument.
+
+    Both equal 1 at b = sqrt(3); the first is the exact target ratio for
+    the two-tone sum, the second the weakened profile that a single
+    endpoint certification propagates down to every smaller b.
+    """
+    if not (b > 0):
+        raise ValueError("apex height must be positive")
+    b2 = b * b
+    c = (3.0 * b2 * b2 + 68.0 * b2 + 9.0) / (20.0 * b2 * (b2 + 1.0))
+    ctilde = (13.0 * b2 + 81.0) / (40.0 * b2)
+    return c, ctilde
+
+
+def rectangle_eigen(phi, p, q):
     """Mode (p, q) of the unit-diameter rectangle with sides cos(phi), sin(phi).
 
     Requires 0 < phi <= pi/4, so the x side is the longer one and the

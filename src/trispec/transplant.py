@@ -22,14 +22,13 @@ import numpy as np
 from .certify import SectorSpec, _sector_ranked_eigenvalue, lemma62_verify
 from .equilateral import SIGMA_COEFF, exact_sum_q
 from .fem import rayleigh_data, richardson, solve_extrapolated, solve_pair
-from .geometry import EQUILATERAL_APEX, fan_triangle, polya_upper
+from .geometry import C_funcs, EQUILATERAL_APEX, fan_triangle, polya_upper
 from .reports import combine, make_report
 
 __all__ = [
     "lemtrace_lhs",
     "prop_unknown_branch",
     "theorem1_verify",
-    "C_funcs",
     "condCh_verify",
     "theorem2_verify",
 ]
@@ -171,21 +170,6 @@ def _theorem1_case(b, n, coarse, fine, vals, errs):
         checks, branch=branch, gamma_n=gamma, delta_n=delta, n=n,
         fem_sum=sum_fem, fem_err=sum_err, diameter_squared=d2,
         target=target, factors=factors)
-
-
-def C_funcs(b):
-    """The two rational comparison profiles of the two-tone argument.
-
-    Both equal 1 at b = sqrt(3); the first is the exact target ratio for
-    the two-tone sum, the second the weakened profile that a single
-    endpoint certification propagates down to every smaller b.
-    """
-    if not (b > 0):
-        raise ValueError("apex height must be positive")
-    b2 = b * b
-    c = (3.0 * b2 * b2 + 68.0 * b2 + 9.0) / (20.0 * b2 * (b2 + 1.0))
-    ctilde = (13.0 * b2 + 81.0) / (40.0 * b2)
-    return c, ctilde
 
 
 def condCh_verify(h):

@@ -125,6 +125,58 @@ def test_one_sided_window_is_refused_before_solving(capsys, monkeypatch):
         assert out == ""
 
 
+# The flags every verify target shared, and those each target reads.
+SHARED_VERIFY_FLAGS = {"--n": "3", "--level": "5", "--b": "2.5",
+                       "--alpha-min": "0.6", "--alpha-max": "2.0",
+                       "--alpha-steps": "80"}
+WINDOW = ("--alpha-min", "--alpha-max", "--alpha-steps")
+VERIFY_FLAGS = {
+    "lemma-explicit": (),
+    "compequilateral": ("--n",),
+    "theorem1": ("--b", "--n", "--level"),
+    "theorem2": ("--b", "--level"),
+    "condch": ("--b",),
+    "monotonicity": ("--level", *WINDOW),
+    "observation": ("--level", *WINDOW),
+}
+
+
+@pytest.mark.parametrize("target, flag", [
+    (target, flag) for target, reads in VERIFY_FLAGS.items()
+    for flag in SHARED_VERIFY_FLAGS if flag not in reads])
+def test_verify_refuses_a_flag_its_target_ignores(capsys, target, flag):
+    code, out, err = run(capsys, "verify", target, flag,
+                         SHARED_VERIFY_FLAGS[flag])
+    assert code == 64
+    assert flag in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("target, defaults", [
+    ("lemma-explicit", ()),
+    ("compequilateral", ("(default: 110)",)),
+    ("theorem1", ("(default: (1.8, 2.0, 2.5, 3.0, 4.0))", "(default: 6)",
+                  "(default: 7)")),
+    ("theorem2", ("(default: 2.5)", "(default: 7)")),
+    ("condch", ("(default: 2.5)",)),
+    ("monotonicity", ("(default: 6)", f"(default: {math.pi / 6.0!r})",
+                      f"(default: {2.0 * math.pi / 3.0!r})",
+                      "(default: 80)")),
+    ("observation", ("(default: 7)", f"(default: {math.pi / 6.0!r})",
+                     f"(default: {2.0 * math.pi / 3.0!r})",
+                     "(default: 41)", "straddling")),
+])
+def test_verify_help_lists_the_target_defaults(capsys, target, defaults):
+    code, out, err = run(capsys, "verify", target, "--help")
+    assert code == 0
+    assert out.startswith(f"usage: trispec verify {target} ")
+    options = {line.split()[0] for line in out.splitlines()
+               if line.startswith("  -")}
+    assert options == {"-h,", "--out", *VERIFY_FLAGS[target]}
+    for text in defaults:
+        assert text in out
+
+
 def test_non_numeric_triangle_is_a_usage_error(capsys):
     # numpy would read the string and the boolean as coordinates
     for text in ('{"a": 1}', '[[0,0],[1,0],[0,"1"]]', "[[0,0],[1,0],[0,true]]"):
@@ -263,7 +315,7 @@ def test_handlers_run_on_one_blas_thread(capsys, monkeypatch, blas):
             raise RuntimeError("escapes")
         return "ok\n", 0
 
-    monkeypatch.setitem(cli._HANDLERS, "lattice", handler)
+    monkeypatch.setattr(cli, "_cmd_lattice", handler)
     assert run(capsys, "lattice", "--n", "1") == (0, "ok\n", "")
     assert blas_threads(blas) == caller
     assert run(capsys, "lattice", "--n", "2") == (

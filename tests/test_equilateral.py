@@ -39,14 +39,14 @@ def test_mode_index():
 
 
 def test_enumerate_small():
-    t = enumerate_modes(3)
+    t = enumerate_modes(3, "full")
     assert qs(t).tolist() == [3, 7, 7]
     assert [(m.m, m.n) for m in t] == [(1, 1), (1, 2), (2, 1)]
     a = enumerate_modes(2, "antisym")
     assert qs(a).tolist() == [7, 13]
     assert [(m.m, m.n) for m in a] == [(2, 1), (3, 1)]
     with pytest.raises(ValueError):
-        enumerate_modes(0)
+        enumerate_modes(0, "full")
     # the symmetric class has no reader; only full and antisym enumerate
     for bad in ("bogus", "sym"):
         with pytest.raises(ValueError):
@@ -102,12 +102,12 @@ def test_reference_table_sums():
 
 
 def test_counting_exact_values():
-    assert counting_exact(100.0) == 1
-    assert counting_exact(12 * SIGMA_COEFF) == 3
-    assert counting_exact(3 * SIGMA_COEFF) == 0  # exact eigenvalue never counts itself
+    assert counting_exact(100.0, "full") == 1
+    assert counting_exact(12 * SIGMA_COEFF, "full") == 3
+    assert counting_exact(3 * SIGMA_COEFF, "full") == 0  # exact eigenvalue never counts itself
     assert counting_exact(7 * SIGMA_COEFF, "antisym") == 0
     with pytest.raises(ValueError):
-        counting_exact(0.0)
+        counting_exact(0.0, "full")
     with pytest.raises(ValueError):
         counting_exact(10.0, "sym")
 
@@ -149,7 +149,7 @@ def test_counting_matches_point_by_point_reference():
 def test_counting_partition():
     # every mode is sym or antisym, and sym splits as mirrored antisym + diagonal
     for lam in (100.0, 500.0, 2500.0, 12345.6):
-        n_full = counting_exact(lam)
+        n_full = counting_exact(lam, "full")
         n_anti = counting_exact(lam, "antisym")
         r2 = lam / SIGMA_COEFF
         n_diag = sum(1 for m in range(1, int(math.isqrt(int(r2 / 3))) + 2)
@@ -160,7 +160,7 @@ def test_counting_partition():
 def test_counting_bounds_sandwich():
     for lam in np.geomspace(48.5 * math.pi**2, 1e6, 60):
         lo, hi = counting_bounds(lam)
-        n = counting_exact(lam)
+        n = counting_exact(lam, "full")
         assert lo <= n <= hi
         assert counting_exact(lam, "antisym") <= antisym_counting_upper(lam)
     with pytest.raises(ValueError):
@@ -170,7 +170,7 @@ def test_counting_bounds_sandwich():
 
 
 def test_eigenvalue_bounds_sandwich():
-    lams = qs(enumerate_modes(110)) * SIGMA_COEFF
+    lams = qs(enumerate_modes(110, "full")) * SIGMA_COEFF
     for j in range(17, 111):
         lo, hi = eigenvalue_bounds(j)
         assert lo <= lams[j - 1] <= hi
@@ -234,7 +234,7 @@ def test_verify_compequilateral():
 
 
 def test_spectrum_table():
-    t = enumerate_modes(5)
+    t = enumerate_modes(5, "full")
     assert len(t) == 5
     np.testing.assert_array_equal(qs(t), [3, 7, 7, 12, 13])
     assert t.sum_q(2) == 10
@@ -246,4 +246,4 @@ def test_spectrum_table():
     assert len(lines) == 6
     assert lines[1].startswith("1,1,1,3,")
     assert lines[1].endswith(",sym")
-    assert csv == enumerate_modes(5).to_csv()
+    assert csv == enumerate_modes(5, "full").to_csv()

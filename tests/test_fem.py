@@ -98,7 +98,7 @@ def test_dirichlet_mask():
     nv = (2 ** 3 + 1) * (2 ** 3 + 2) // 2
     assert assemble(mesh, (0, 1, 2)).free.size == nv - 3 * 2 ** 3
     assert assemble(mesh, (0,)).free.size == nv - (2 ** 3 + 1)
-    np.testing.assert_array_equal(assemble(mesh).free, np.arange(nv))
+    np.testing.assert_array_equal(assemble(mesh, ()).free, np.arange(nv))
 
 
 def polarized(forms):
@@ -116,7 +116,7 @@ def polarized(forms):
 
 def test_assemble_single_element():
     mesh = mesh_triangle(Triangle([(0, 0), (1, 0), (0, 1)]), 0)
-    forms = assemble(mesh)
+    forms = assemble(mesh, ())
     k = forms.stiffness.toarray()
     np.testing.assert_allclose(
         k, 0.5 * np.array([[2, -1, -1], [-1, 1, 0], [-1, 0, 1]]), atol=1e-15)
@@ -134,7 +134,7 @@ def test_assemble_single_element():
 
 def test_assemble_invariants():
     mesh = mesh_triangle(Triangle([(0.1, 0.2), (1.9, -0.1), (0.4, 1.5)]), 3)
-    forms = assemble(mesh)
+    forms = assemble(mesh, ())
     # constants have zero Dirichlet energy; total mass is the area
     ones = np.ones(forms.free.size)
     np.testing.assert_allclose(forms.stiffness @ ones, 0.0, atol=1e-12)
@@ -694,18 +694,19 @@ def test_refuted_member_becomes_a_snapshot(monkeypatch):
 
     monkeypatch.setattr(fem, "solve_lowest", solve)
     monkeypatch.setattr(fem, "_first_unproven", gate)
-    values = solve_family(family, 1, 5)
+    values = solve_family(family, 1, 5, (0, 1, 2))
     assert solved.count(family[10]) == 1 and len(gated) == 2
     direct = [original_solve(mesh_triangle(t, 5), 1).values for t in family]
     np.testing.assert_allclose(values, direct, rtol=1e-10)
     # a snapshot the gate refutes is not solved again
     monkeypatch.setattr(fem, "_first_unproven", lambda *args: 0)
     with pytest.raises(RuntimeError, match="not proven"):
-        solve_family(family, 1, 5)
+        solve_family(family, 1, 5, (0, 1, 2))
 
 
 def test_solve_family_validation():
     with pytest.raises(ValueError, match="obtuse"):
-        solve_family([Triangle([(0, 0), (1, 0), (-0.2, 0.5)])], 1, 4)
+        solve_family([Triangle([(0, 0), (1, 0), (-0.2, 0.5)])], 1, 4,
+                     (0, 1, 2))
     with pytest.raises(ValueError, match="k must"):
-        solve_family(halves([1.0]), 0, 4)
+        solve_family(halves([1.0]), 0, 4, (0, 1, 2))

@@ -188,12 +188,12 @@ def test_bound_sandwich_random():
 
 def test_rectangle_eigen():
     phi = math.pi / 4
-    assert rectangle_eigen(phi) == pytest.approx(4 * math.pi**2, rel=1e-12)
+    assert rectangle_eigen(phi, 1, 1) == pytest.approx(4 * math.pi**2, rel=1e-12)
     assert rectangle_eigen(phi, 2, 1) == pytest.approx(10 * math.pi**2, rel=1e-12)
     with pytest.raises(ValueError):
-        rectangle_eigen(0.0)
+        rectangle_eigen(0.0, 1, 1)
     with pytest.raises(ValueError):
-        rectangle_eigen(1.0)
+        rectangle_eigen(1.0, 1, 1)
     with pytest.raises(ValueError):
         rectangle_eigen(0.5, 0, 1)
 

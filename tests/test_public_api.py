@@ -1,7 +1,8 @@
 """Every name a module exports through __all__ exists and is read by the
 package, so is every public method and property of a public class, no
 module imports a name it never uses, and no parameter with a default is a
-knob the package only ever sets to one value."""
+knob the package only ever sets to one value or a default the package never
+uses."""
 
 import ast
 import importlib
@@ -211,13 +212,13 @@ def _passed(call, positional, defaults, constants):
 
 def _one_value_knobs():
     """(module, function, parameter) of each defaulted parameter that no
-    call in the package passes, or that every call sets to one literal; an
-    omitted argument counts as its default."""
+    call in the package passes, that every call passes, or that every call
+    sets to one literal; an omitted argument counts as its default."""
     constants = _constants()
     functions = _defaulted(constants)
     values = {(key, name): [] for key, (_, _, defaults) in functions.items()
               for name in defaults}
-    explicit = set()
+    explicit, omitted = set(), set()
     for module in MODULES + ["__init__"]:
         for call in ast.walk(_tree(module)):
             if not isinstance(call, ast.Call):
@@ -229,10 +230,10 @@ def _one_value_knobs():
                 passed = _passed(call, positional, defaults, constants)
                 for name, default in defaults.items():
                     values[key, name].append(passed.get(name, default))
-                    if name in passed:
-                        explicit.add((key, name))
+                    (explicit if name in passed else omitted).add((key, name))
     return sorted(key + (name,) for (key, name), seen in values.items()
                   if (key, name) not in explicit
+                  or (key, name) not in omitted
                   or (None not in seen and len(set(seen)) == 1))
 
 

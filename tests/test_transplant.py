@@ -8,8 +8,8 @@ import pytest
 from trispec import certify
 from trispec.certify import SectorSpec
 from trispec.equilateral import SIGMA_COEFF, enumerate_modes, exact_sum_q
+from trispec.geometry import C_funcs
 from trispec.transplant import (
-    C_funcs,
     condCh_verify,
     lemtrace_lhs,
     prop_unknown_branch,
