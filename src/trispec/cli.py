@@ -20,7 +20,7 @@ certify    certified enclosure of the second tone of the apex-5/2 isosceles
            triangle T(0, 5/2), optionally checked against FEM (JSON)
 sweep      isosceles tone curves over an aperture grid (CSV)
 rectangle  diameter-normalized rectangle minimizers (JSON)
-gamma      energy fractions of the low eigenfunctions of a fan triangle (JSON)
+gamma      y-energy share of the low eigenfunctions of a fan triangle (JSON)
 
 `--help` after a subcommand or target lists its flags and their defaults.
 Exit codes: 0 all checks pass, 1 any check fails, 2 inconclusive (margin
@@ -122,6 +122,15 @@ class _Parser(argparse.ArgumentParser):
     # argparse would exit 2; the contract wants 64 with usage text
     def error(self, message):
         self.exit(64, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+    def parse_known_args(self, args, namespace):
+        # argparse hands a subcommand's unread flags up to the root, which
+        # would report them under its own usage line; refuse them here.
+        # parse_args and the subcommand action pass both arguments.
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 def _checked(convert, accepts, requirement):
@@ -256,7 +265,7 @@ def _parser():
         help="safety margin required of both minimizers")
 
     ga = command(sub, "gamma", _cmd_gamma,
-                 "energy fractions of a fan triangle")
+                 "y-energy share of the low modes of a fan triangle")
     ga.add_argument("--b", type=_POSITIVE, default=2.5, help="apex height")
     ga.add_argument("--n", type=_COUNT, default=1, help="modes pooled")
     ga.add_argument("--level", type=_LEVEL, default=7, help="mesh level")
@@ -342,10 +351,9 @@ def _cmd_rectangle(args):
 
 
 def _cmd_gamma(args):
-    data = rayleigh_data(*solve_pair(fan_triangle(args.b), args.n + 1,
-                                     args.level), args.n)
-    out = {"b": args.b, "n": data.n, "level": args.level,
-           "gamma_n": data.gamma_n, "delta_n": data.delta_n}
+    gamma = rayleigh_data(*solve_pair(fan_triangle(args.b), args.n + 1,
+                                      args.level), args.n)
+    out = {"b": args.b, "n": args.n, "level": args.level, "gamma_n": gamma}
     return to_json(out) + "\n", 0
 
 

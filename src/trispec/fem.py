@@ -5,16 +5,15 @@ subdivisions per side: 4^L congruent elements, the up triangles translates
 of one element and the down triangles its point reflections.  Every lattice
 edge is parallel to one of the three sides, and what an element adds to a
 gradient form with constant coefficients depends only on the direction of
-the edge it couples.  So the stiffness (cotangent weights) and its y-y and
-symmetrized x-y parts are each sum_d w_d(T) L_d over three edge-direction
-lattice Laplacians L_d, which give each edge weight 1 on the boundary and 2
-inside (the number of elements sharing it); the mass is
-(area / 4^L) sum_d |L_d| / 12.  These are the exact formulas for linear
-elements (no quadrature error).
+the edge it couples.  So the stiffness (cotangent weights) and its y-y part
+are each sum_d w_d(T) L_d over three edge-direction lattice Laplacians L_d,
+which give each edge weight 1 on the boundary and 2 inside (the number of
+elements sharing it); the mass is (area / 4^L) sum_d |L_d| / 12.  These
+are the exact formulas for linear elements (no quadrature error).
 
 The L_d, restricted to the vertices off the Dirichlet edges, come from
 index arithmetic on the lattice and are cached per (level, Dirichlet
-edges), so assembling a triangle means computing nine weights and one
+edges), so assembling a triangle means computing six weights and one
 matrix-vector product per form.  Every stencil entry is a small integer,
 so the cache holds int8 arrays (the L_d, and the numerators of the mass
 and its row sums) with int32 indices; floats are formed only when a
@@ -47,9 +46,12 @@ neighbouring snapshot or from the member's own Ritz vectors.  The start
 changes how many shift-invert steps a solve takes, not what it converges
 to.
 
-The transplantation conditions are driven by the fraction of Dirichlet
-energy carried by the y-y and x-y derivatives, so each solve also records
-the per-mode energies (v^T L_d v) combined by the weights of those forms.
+The transplantation conditions are driven by the share of Dirichlet
+energy carried by the y derivative, so each solve also records the
+per-mode total and y-y energies (v^T L_d v combined by the weights of
+those forms).  No x-y form is kept: the only triangle whose share is read
+is the fan T(0, b), and on its mirror-symmetric lattice every mode is even
+or odd in x, so its x-y energy vanishes.
 """
 
 import collections
@@ -66,7 +68,6 @@ __all__ = [
     "Mesh",
     "FemForms",
     "EigenResult",
-    "RayleighData",
     "mesh_triangle",
     "assemble",
     "solve_lowest",
@@ -237,14 +238,14 @@ def _laplacian_matrices(stencil):
 
 
 def _weights(t):
-    """Weights of the direction Laplacians in the stiffness forms, (3, 3).
+    """Weights of the direction Laplacians in the stiffness forms, (2, 3).
 
-    Row f is the total (f = 0), y-y (1) or symmetrized x-y (2) form with
-    constant coefficient C; column d is the direction of input edge d,
-    which joins vertices d and d+1.  An element couples the ends a, b of
-    its direction-d edge by area * g_a^T C g_b, g the barycentric
-    gradients, and that is the same on every element of every level:
-    gradients scale as 2^level and areas as 4^-level.
+    Row f is the total (f = 0) or y-y (1) form with constant coefficient
+    C; column d is the direction of input edge d, which joins vertices d
+    and d+1.  An element couples the ends a, b of its direction-d edge by
+    area * g_a^T C g_b, g the barycentric gradients, and that is the same
+    on every element of every level: gradients scale as 2^level and areas
+    as 4^-level.
     """
     p = t.vertices
     # grad phi_i = perp(p_{i+2} - p_{i+1}) / (2A), perp(x, y) = (-y, x).
@@ -253,8 +254,7 @@ def _weights(t):
     b = a[[1, 2, 0]]
     return -t.area * np.array([
         a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1],
-        a[:, 1] * b[:, 1],
-        0.5 * (a[:, 0] * b[:, 1] + a[:, 1] * b[:, 0])])
+        a[:, 1] * b[:, 1]])
 
 
 class FemForms:
@@ -263,9 +263,8 @@ class FemForms:
     free lists the free vertices; stiffness and mass (CSC) are the pencil
     on them, lumped_mass the full-mesh row sums of the mass there.  Each
     stiffness form is a weighted sum of the stencil's direction
-    Laplacians, row f of weights for the total (0), y-y (1) and
-    symmetrized x-y (2) form; only the total is built as a matrix, the
-    others are read through energies.
+    Laplacians, row f of weights for the total (0) and y-y (1) form; only
+    the total is built as a matrix, the y-y form is read through energies.
     """
 
     def __init__(self, stencil, weights, element_area):
@@ -277,7 +276,7 @@ class FemForms:
         self.lumped_mass = element_area * (stencil.lumped / 6.0)
 
     def energies(self, vecs):
-        """Total, y-y and x-y energies of each column of vecs, shape (k, 3)."""
+        """Total and y-y energies of each column of vecs, shape (k, 2)."""
         quad = [np.sum(vecs * (lap @ vecs), axis=0)
                 for lap in _laplacian_matrices(self._stencil)]
         return np.column_stack(quad) @ self.weights.T
@@ -297,7 +296,7 @@ def assemble(mesh, dirichlet_edges):
 # ascend; vectors are coefficient columns on the free vertices (assemble's
 # forms.free), mass-orthonormal.  residuals[j] bounds the mass-inverse norm
 # of K v_j - values[j] M v_j from above by twice its lumped-mass dual norm
-# (see solve_lowest).  energies[j] holds the total, y-y and x-y stiffness
+# (see solve_lowest).  energies[j] holds the total and y-y stiffness
 # energies of vectors[:, j].  Every array is per mode, and the leading modes
 # do not depend on how many trailing ones were solved with them (the
 # Cholesky re-orthonormalization is triangular and signs are fixed per
@@ -329,8 +328,8 @@ def solve_lowest(mesh, k, dirichlet_edges=(0, 1, 2), start=None):
     mass dominates a quarter of its lumped mass, so M >= L/4 and this is a
     guaranteed upper bound on the mass-inverse norm sqrt(r^T M^-1 r); since
     M <= L it is at most twice that norm.  No mass factorization is needed.
-    The per-mode stiffness energies (total, y-y, x-y) come from the forms
-    assembled here, so energy fractions need no second assembly.
+    The per-mode stiffness energies (total, y-y) come from the forms
+    assembled here, so the y-energy share needs no second assembly.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -613,43 +612,27 @@ def solve_extrapolated(t, k, level):
     return richardson(coarse.values, fine.values)
 
 
-class RayleighData:
-    """Energy fractions of the first n discrete eigenfunctions.
-
-    gamma_n is the y-derivative share of the total Dirichlet energy,
-    delta_n the symmetrized cross x-y share; both dimensionless,
-    gamma_n in [0, 1] and |delta_n| <= 1/2 by Cauchy-Schwarz.
-    """
-
-    def __init__(self, gamma_n, delta_n, n):
-        if not (0.0 <= gamma_n <= 1.0):
-            raise ValueError("gamma_n out of [0, 1]")
-        if abs(delta_n) > 0.5:
-            raise ValueError("|delta_n| exceeds 1/2")
-        self.gamma_n = float(gamma_n)
-        self.delta_n = float(delta_n)
-        self.n = int(n)
-
-
-def _energy_fractions(res, n):
+def _y_share(res, n):
     gap = (res.values[n] - res.values[n - 1]) / res.values[n]
     if gap < CLUSTER_RTOL:
         raise ValueError(
             f"ranks {n} and {n + 1} form a degenerate cluster at level "
             f"{res.level}; choose n so the cluster is not split")
-    total, yy, xy = np.sum(res.energies[:n], axis=0)
-    return float(yy / total), float(xy / total)
+    total, yy = np.sum(res.energies[:n], axis=0)
+    return float(yy / total)
 
 
 def rayleigh_data(coarse, fine, n):
-    """Extrapolated gamma_n, delta_n from a solve_pair of at least n+1 modes.
+    """Extrapolated gamma_n from a solve_pair of at least n+1 modes.
 
-    The fractions read the first n modes of each level; mode n+1 shows
-    whether they split a degenerate cluster, which is refused (the
-    fractions are basis-dependent inside one).
+    gamma_n is the y-derivative share of the total Dirichlet energy of the
+    first n modes, dimensionless and in [0, 1].  It reads the first n modes
+    of each level; mode n+1 shows whether they split a degenerate cluster,
+    which is refused (the share is basis-dependent inside one).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    (gamma, delta), _ = richardson(np.array(_energy_fractions(coarse, n)),
-                                   np.array(_energy_fractions(fine, n)))
-    return RayleighData(gamma, delta, n)
+    gamma, _ = richardson(_y_share(coarse, n), _y_share(fine, n))
+    if not (0.0 <= gamma <= 1.0):
+        raise ValueError("gamma_n out of [0, 1]")
+    return gamma

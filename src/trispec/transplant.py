@@ -3,12 +3,12 @@
 Pulling the eigenfunctions of one fan triangle back through the affine
 vertex map turns them into trial functions on another, and the resulting
 sum comparison holds whenever an explicit quadratic in the map data,
-weighted by the energy fractions gamma and delta of the source functions,
-stays below a target constant.  The point is that the source
-eigenfunctions never need to be known: a two-branch case split covers
-every possible gamma, one branch comparing against the equilateral
-triangle and the other against the right triangle whose spectrum is the
-antisymmetric equilateral one.  This module implements the sufficient
+weighted by the y-energy share gamma of the source functions, stays below
+a target constant.  The point is that the source eigenfunctions never
+need to be known: a two-branch case split covers every possible gamma,
+one branch comparing against the equilateral triangle and the other
+against the right triangle whose spectrum is the antisymmetric
+equilateral one.  This module implements the sufficient
 condition, the branch selection, the rational functions driving the
 sharpened two-tone comparison, and the end-to-end verification pipelines
 for the diameter-normalized minimality of eigenvalue sums and of the
@@ -39,19 +39,19 @@ RIGHT_APEX = 2.0 * EQUILATERAL_APEX
 GAMMA_BRANCH_SPLIT = 0.75
 
 
-def lemtrace_lhs(a, b, c, d, gamma, delta):
-    """Energy inflation factor of the vertex map from source apex (a, b) to
-    target apex (c, d), given the y-share gamma and the cross-share delta of
-    the source Dirichlet energy.
+def lemtrace_lhs(b, c, d, gamma):
+    """Energy inflation factor of the vertex map from source apex (0, b) to
+    target apex (c, d), given the y-share gamma of the source Dirichlet
+    energy.
 
-    The sum comparison sum(source) > C * sum(target) holds when this value
-    is strictly below 1/C.  Affine in gamma and in delta.
+    For a source apex (a, b) the factor is ((a - c)^2 + d^2)(1 - gamma)
+    + 2 b (a - c) delta + b^2 gamma over d^2, delta the x-y share.  Every
+    source here is the fan T(0, b), so a = 0, and its mirror symmetry makes
+    each eigenfunction even or odd in x, so delta = 0.  The sum comparison
+    sum(source) > C * sum(target) holds when this value is strictly below
+    1/C.  Affine in gamma and even in c.
     """
-    shift = a - c
-    num = ((shift * shift + d * d) * (1.0 - gamma)
-           + 2.0 * b * shift * delta
-           + b * b * gamma)
-    return num / (d * d)
+    return ((c * c + d * d) * (1.0 - gamma) + b * b * gamma) / (d * d)
 
 
 def prop_unknown_branch(b, gamma):
@@ -59,7 +59,8 @@ def prop_unknown_branch(b, gamma):
 
     Below the split value the equilateral target works directly; at or
     above it the right-triangle route is guaranteed by b^2 + 50/(11-8g)
-    exceeding 13, which is checked rather than assumed.
+    exceeding 13, which is checked rather than assumed.  At delta = 0 that
+    guard is exactly the right target's condition b^2 (11-8g) > 93 - 104g.
     """
     if not (b > EQUILATERAL_APEX):
         raise ValueError("branch analysis requires apex height above sqrt(3)")
@@ -74,26 +75,23 @@ def prop_unknown_branch(b, gamma):
     return "right"
 
 
-def _transplant_certificate(b, gamma, delta, n, branch):
+def _transplant_certificate(b, gamma, n, branch):
     """Certifying condition check for the chosen branch, plus the factors
     for every target as side information.
 
     Only the branch's own condition is guaranteed by the case analysis;
     the other target's factor is reported but carries no verdict weight.
+    The right targets T(+-1, 2 sqrt(3)) are mirror images with one factor.
     """
     d2 = 1.0 + b * b
     c_eq = 4.0 / d2
-    lhs_eq = lemtrace_lhs(0.0, b, 0.0, EQUILATERAL_APEX, gamma, delta)
+    lhs_eq = lemtrace_lhs(b, 0.0, EQUILATERAL_APEX, gamma)
     c_right = (6.0 / 11.0) * 16.0 / d2
-    lhs_right = {
-        sign: lemtrace_lhs(0.0, b, sign, RIGHT_APEX, gamma, delta)
-        for sign in (1.0, -1.0)
-    }
+    lhs_right = lemtrace_lhs(b, 1.0, RIGHT_APEX, gamma)
     info = {
         "factor_equilateral": lhs_eq,
         "threshold_equilateral": 1.0 / c_eq,
-        "factor_right_plus": lhs_right[1.0],
-        "factor_right_minus": lhs_right[-1.0],
+        "factor_right": lhs_right,
         "threshold_right": 1.0 / c_right,
     }
     if branch == "equilateral":
@@ -102,13 +100,10 @@ def _transplant_certificate(b, gamma, delta, n, branch):
             f"threshold at n={n}",
             lhs_eq, 1.0 / c_eq, mode="<", branch=branch)
     else:
-        # Both reflections have the same spectrum; the better sign counts.
-        best_sign = min(lhs_right, key=lhs_right.get)
         check = make_report(
-            f"transplant factor to the better-reflected right target below "
-            f"its threshold at n={n}",
-            lhs_right[best_sign], 1.0 / c_right, mode="<", branch=branch,
-            better_sign="+" if best_sign > 0 else "-")
+            f"transplant factor to the right target below its threshold at "
+            f"n={n}",
+            lhs_right, 1.0 / c_right, mode="<", branch=branch)
     return check, info
 
 
@@ -118,11 +113,11 @@ def theorem1_verify(b, n_max, level):
     exact equilateral value; one report per n, in ascending order.
 
     Every n reads the same n_max+1 lowest modes, solved once per level:
-    the sums are partial sums of them, and mode n+1 guards the energy
-    fractions of the first n against splitting a cluster.  Each report
-    holds the FEM comparison under the 3x-error policy, the branch the
-    computed energy fractions land in, and the transplant condition for
-    the selected target (the other targets' factors ride along as data).
+    the sums are partial sums of them, and mode n+1 guards the y-energy
+    share of the first n against splitting a cluster.  Each report holds
+    the FEM comparison under the 3x-error policy, the branch the computed
+    share lands in, and the transplant condition for the selected target
+    (the other targets' factors ride along as data).
     At b = sqrt(3) the comparison is an equality, so the verdict is
     expected to be inconclusive there, never fail.
     """
@@ -138,10 +133,9 @@ def theorem1_verify(b, n_max, level):
 
 def _theorem1_case(b, n, coarse, fine, vals, errs):
     d2 = 1.0 + b * b
-    gamma = delta = None
+    gamma = None
     try:
-        rd = rayleigh_data(coarse, fine, n)
-        gamma, delta = rd.gamma_n, rd.delta_n
+        gamma = rayleigh_data(coarse, fine, n)
     except ValueError:
         pass  # degenerate cluster at this rank; branch analysis not meaningful
     sum_fem = float(np.sum(vals[:n]))
@@ -155,8 +149,7 @@ def _theorem1_case(b, n, coarse, fine, vals, errs):
     factors = None
     if gamma is not None and b > EQUILATERAL_APEX:
         branch = prop_unknown_branch(b, gamma)
-        certificate, factors = _transplant_certificate(b, gamma, delta, n,
-                                                       branch)
+        certificate, factors = _transplant_certificate(b, gamma, n, branch)
         checks.append(certificate)
         # The right-triangle target itself exceeds the equilateral one
         # (6 * antisymmetric sum > 11 * full sum), so either branch lands
@@ -167,7 +160,7 @@ def _theorem1_case(b, n, coarse, fine, vals, errs):
     return combine(
         f"diameter-normalized first-{n} eigenvalue sum of T(0,{b:g}) "
         "at least the equilateral value",
-        checks, branch=branch, gamma_n=gamma, delta_n=delta, n=n,
+        checks, branch=branch, gamma_n=gamma, n=n,
         fem_sum=sum_fem, fem_err=sum_err, diameter_squared=d2,
         target=target, factors=factors)
 

@@ -148,7 +148,25 @@ def test_verify_refuses_a_flag_its_target_ignores(capsys, target, flag):
     code, out, err = run(capsys, "verify", target, flag,
                          SHARED_VERIFY_FLAGS[flag])
     assert code == 64
+    assert err.startswith(f"usage: trispec verify {target} ")
     assert flag in err
+    assert out == ""
+
+
+# Every leaf of the command tree, and the positionals a leaf requires.
+LEAVES = ["spectrum", "lattice", *(f"verify {t}" for t in VERIFY_FLAGS),
+          "fem", "certify", "sweep", "rectangle", "gamma"]
+POSITIONALS = {"fem": ("[[0, 0], [1, 0], [0, 1]]",)}
+
+
+@pytest.mark.parametrize("leaf", LEAVES)
+def test_an_unread_flag_is_reported_by_its_leaf(capsys, leaf):
+    prog = f"trispec {leaf}"
+    code, out, err = run(capsys, *leaf.split(), *POSITIONALS.get(leaf, ()),
+                         "--bogus", "1")
+    assert code == 64
+    assert err.startswith(f"usage: {prog} ")
+    assert f"\n{prog}: error: unrecognized arguments: --bogus 1\n" in err
     assert out == ""
 
 
@@ -480,8 +498,24 @@ def test_gamma(capsys):
     code, out, err = run(capsys, "gamma", "--b", "2.5", "--level", "6")
     assert code == 0
     doc = json.loads(out)
+    assert set(doc) == {"b", "n", "level", "gamma_n"}
     assert 0.0 < doc["gamma_n"] < 1.0
-    assert abs(doc["delta_n"]) < 1e-10  # isosceles symmetry kills the cross term
+
+
+# Fields of the x-y energy share, which vanishes on every fan triangle.
+X_Y_FIELDS = ("delta_n", "better_sign", "factor_right_plus",
+              "factor_right_minus")
+
+
+def test_reports_carry_no_x_y_share(capsys):
+    for argv in (("verify", "theorem1", "--b", "2.5", "--n", "6",
+                  "--level", "5"),
+                 ("gamma", "--b", "2.5", "--n", "6", "--level", "5")):
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 2), argv
+        json.loads(out)
+        for field in X_Y_FIELDS:
+            assert f'"{field}"' not in out, (argv, field)
 
 
 def test_byte_determinism(capsys):

@@ -23,14 +23,12 @@ SQ3 = math.sqrt(3.0)
 
 def test_inflation_identity_map():
     # Mapping a triangle to itself never inflates energy, whatever the
-    # fractions are.
+    # y-share is.
     rng = np.random.default_rng(7)
     for _ in range(50):
-        a = rng.uniform(-2.0, 2.0)
         b = rng.uniform(0.5, 4.0)
         gamma = rng.uniform(0.0, 1.0)
-        delta = rng.uniform(-0.5, 0.5)
-        assert abs(lemtrace_lhs(a, b, a, b, gamma, delta) - 1.0) < 1e-14
+        assert abs(lemtrace_lhs(b, 0.0, b, gamma) - 1.0) < 1e-14
 
 
 def test_inflation_equilateral_target_closed_form():
@@ -40,56 +38,44 @@ def test_inflation_equilateral_target_closed_form():
     for _ in range(50):
         b = rng.uniform(SQ3 + 1e-6, 6.0)
         gamma = rng.uniform(0.0, 1.0)
-        delta = rng.uniform(-0.5, 0.5)
-        lhs = lemtrace_lhs(0.0, b, 0.0, SQ3, gamma, delta)
+        lhs = lemtrace_lhs(b, 0.0, SQ3, gamma)
         closed = (1.0 - gamma) + b * b * gamma / 3.0
         assert abs(lhs - closed) < 1e-12 * max(1.0, closed)
-        # delta never enters when the shift vanishes
-        assert lemtrace_lhs(0.0, b, 0.0, SQ3, gamma, 0.0) == lhs
 
     for b in (1.8, 2.5, 5.0):
         c_eq = 4.0 / (1.0 + b * b)
-        at_split = lemtrace_lhs(0.0, b, 0.0, SQ3, 0.75, 0.0)
+        at_split = lemtrace_lhs(b, 0.0, SQ3, 0.75)
         assert abs(at_split - 1.0 / c_eq) < 1e-12 / c_eq
-        below = lemtrace_lhs(0.0, b, 0.0, SQ3, 0.74, 0.0)
-        above = lemtrace_lhs(0.0, b, 0.0, SQ3, 0.76, 0.0)
+        below = lemtrace_lhs(b, 0.0, SQ3, 0.74)
+        above = lemtrace_lhs(b, 0.0, SQ3, 0.76)
         assert below < 1.0 / c_eq < above
 
 
 def test_inflation_right_target_closed_form():
     # Shift of -+1 against apex height 2 sqrt(3) gives the twelve-
-    # denominator form with the cross term carrying the sign.
+    # denominator form, the same bit for bit for both reflections.
     rng = np.random.default_rng(11)
     for _ in range(50):
         b = rng.uniform(SQ3, 6.0)
         gamma = rng.uniform(0.0, 1.0)
-        delta = rng.uniform(-0.5, 0.5)
-        for sign in (1.0, -1.0):
-            closed = (13.0 * (1.0 - gamma) - sign * 2.0 * b * delta
-                      + b * b * gamma) / 12.0
-            assert abs(lemtrace_lhs(0.0, b, sign, 2.0 * SQ3, gamma, delta)
-                       - closed) < 1e-12
+        closed = (13.0 * (1.0 - gamma) + b * b * gamma) / 12.0
+        plus = lemtrace_lhs(b, 1.0, 2.0 * SQ3, gamma)
+        assert abs(plus - closed) < 1e-12
+        assert lemtrace_lhs(b, -1.0, 2.0 * SQ3, gamma) == plus
 
 
 def test_inflation_affine_in_fractions():
     rng = np.random.default_rng(19)
     for _ in range(25):
-        a = rng.uniform(-1.0, 1.0)
         b = rng.uniform(0.5, 4.0)
         c = rng.uniform(-1.0, 1.0)
         d = rng.uniform(0.5, 4.0)
 
-        def f(gamma, delta):
-            return lemtrace_lhs(a, b, c, d, gamma, delta)
+        def f(gamma):
+            return lemtrace_lhs(b, c, d, gamma)
 
         g0, g1 = sorted(rng.uniform(0.0, 1.0, size=2))
-        dl = rng.uniform(-0.5, 0.5)
-        mid = f((g0 + g1) / 2.0, dl)
-        assert abs(mid - (f(g0, dl) + f(g1, dl)) / 2.0) < 1e-12
-        d0, d1 = sorted(rng.uniform(-0.5, 0.5, size=2))
-        g = rng.uniform(0.0, 1.0)
-        mid = f(g, (d0 + d1) / 2.0)
-        assert abs(mid - (f(g, d0) + f(g, d1)) / 2.0) < 1e-12
+        assert abs(f((g0 + g1) / 2.0) - (f(g0) + f(g1)) / 2.0) < 1e-12
 
 
 def test_branch_selection():
@@ -116,24 +102,23 @@ def test_branch_guard_holds_everywhere():
 
 
 def test_certificate_tracks_branch():
-    check, info = _transplant_certificate(2.5, 0.41, 1e-8, 1, "equilateral")
+    check, info = _transplant_certificate(2.5, 0.41, 1, "equilateral")
     assert check["branch"] == "equilateral"
     assert check["lhs"] == info["factor_equilateral"]
     assert check["rhs"] == info["threshold_equilateral"]
     assert check["verdict"] == "pass"
-    # with this gamma the right factors exceed their threshold, and that
+    # with this gamma the right factor exceeds its threshold, and that
     # is fine: only the selected branch carries a verdict
-    assert info["factor_right_plus"] > info["threshold_right"]
+    assert info["factor_right"] > info["threshold_right"]
 
-    check, info = _transplant_certificate(3.0, 0.9, 0.02, 2, "right")
+    check, info = _transplant_certificate(3.0, 0.9, 2, "right")
     assert check["branch"] == "right"
-    assert check["better_sign"] == "+"
-    assert check["lhs"] == min(info["factor_right_plus"],
-                               info["factor_right_minus"])
+    assert check["lhs"] == info["factor_right"]
+    assert check["rhs"] == info["threshold_right"]
     assert check["verdict"] == "pass"
-    flipped, _ = _transplant_certificate(3.0, 0.9, -0.02, 2, "right")
-    assert flipped["better_sign"] == "-"
-    assert flipped["lhs"] == check["lhs"]
+    # one factor serves both reflections T(+-1, 2 sqrt(3))
+    for sign in (1.0, -1.0):
+        assert lemtrace_lhs(3.0, sign, 2.0 * SQ3, 0.9) == check["lhs"]
 
 
 def test_C_funcs_values():
@@ -215,8 +200,6 @@ def test_theorem1_every_n_reads_one_solve():
             case = cases[n - 1]
             for key in ("fem_sum", "gamma_n"):
                 assert case[key] == pytest.approx(alone[key], rel=1e-12)
-            assert case["delta_n"] == pytest.approx(alone["delta_n"],
-                                                    abs=1e-12)
             assert case["fem_err"] == pytest.approx(alone["fem_err"],
                                                     rel=1e-9)
             assert case["verdict"] == alone["verdict"]
