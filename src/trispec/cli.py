@@ -351,8 +351,12 @@ def _cmd_rectangle(args):
 
 
 def _cmd_gamma(args):
-    gamma = rayleigh_data(*solve_pair(fan_triangle(args.b), args.n + 1,
-                                      args.level), args.n)
+    fan = fan_triangle(args.b)
+    gamma = rayleigh_data(fan, *solve_pair(fan, args.n + 1, args.level))[-1]
+    if gamma is None:
+        raise ValueError(
+            f"ranks {args.n} and {args.n + 1} form a degenerate cluster; "
+            "choose n so the cluster is not split")
     out = {"b": args.b, "n": args.n, "level": args.level, "gamma_n": gamma}
     return to_json(out) + "\n", 0
 

@@ -45,13 +45,6 @@ the fine lattice (_prolong), and solve_family starts each snapshot from a
 neighbouring snapshot or from the member's own Ritz vectors.  The start
 changes how many shift-invert steps a solve takes, not what it converges
 to.
-
-The transplantation conditions are driven by the share of Dirichlet
-energy carried by the y derivative, so each solve also records the
-per-mode total and y-y energies (v^T L_d v combined by the weights of
-those forms).  No x-y form is kept: the only triangle whose share is read
-is the fan T(0, b), and on its mirror-symmetric lattice every mode is even
-or odd in x, so its x-y energy vanishes.
 """
 
 import collections
@@ -257,29 +250,10 @@ def _weights(t):
         a[:, 1] * b[:, 1]])
 
 
-class FemForms:
-    """P1 forms of one triangle on the free vertices of one boundary set.
-
-    free lists the free vertices; stiffness and mass (CSC) are the pencil
-    on them, lumped_mass the full-mesh row sums of the mass there.  Each
-    stiffness form is a weighted sum of the stencil's direction
-    Laplacians, row f of weights for the total (0) and y-y (1) form; only
-    the total is built as a matrix, the y-y form is read through energies.
-    """
-
-    def __init__(self, stencil, weights, element_area):
-        self._stencil = stencil
-        self.free = stencil.free
-        self.weights = weights
-        self.stiffness = _csc(stencil, weights[0] @ stencil.laplacians)
-        self.mass = _csc(stencil, element_area * (stencil.mass / 12.0))
-        self.lumped_mass = element_area * (stencil.lumped / 6.0)
-
-    def energies(self, vecs):
-        """Total and y-y energies of each column of vecs, shape (k, 2)."""
-        quad = [np.sum(vecs * (lap @ vecs), axis=0)
-                for lap in _laplacian_matrices(self._stencil)]
-        return np.column_stack(quad) @ self.weights.T
+# P1 forms of one triangle on the free vertices of one boundary set: free
+# lists the free vertices, stiffness and mass (CSC) are the pencil on them,
+# lumped_mass the full-mesh row sums of the mass there.
+FemForms = collections.namedtuple("FemForms", "free stiffness mass lumped_mass")
 
 
 def assemble(mesh, dirichlet_edges):
@@ -288,21 +262,24 @@ def assemble(mesh, dirichlet_edges):
     With no Dirichlet edges the forms cover every vertex.
     """
     stencil = _stencil(mesh.level, tuple(sorted(dirichlet_edges)))
-    return FemForms(stencil, _weights(mesh.triangle),
-                    mesh.triangle.area / 4 ** mesh.level)
+    weights = _weights(mesh.triangle)
+    element_area = mesh.triangle.area / 4 ** mesh.level
+    return FemForms(stencil.free,
+                    _csc(stencil, weights[0] @ stencil.laplacians),
+                    _csc(stencil, element_area * (stencil.mass / 12.0)),
+                    element_area * (stencil.lumped / 6.0))
 
 
 # Lowest-k discrete eigenpairs of one problem at one mesh level.  values
 # ascend; vectors are coefficient columns on the free vertices (assemble's
 # forms.free), mass-orthonormal.  residuals[j] bounds the mass-inverse norm
 # of K v_j - values[j] M v_j from above by twice its lumped-mass dual norm
-# (see solve_lowest).  energies[j] holds the total and y-y stiffness
-# energies of vectors[:, j].  Every array is per mode, and the leading modes
+# (see solve_lowest).  Every array is per mode, and the leading modes
 # do not depend on how many trailing ones were solved with them (the
 # Cholesky re-orthonormalization is triangular and signs are fixed per
 # column), so one k-mode solve serves every k' < k.
 EigenResult = collections.namedtuple(
-    "EigenResult", "level values vectors residuals energies")
+    "EigenResult", "level values vectors residuals")
 
 
 def _factor(A):
@@ -328,8 +305,6 @@ def solve_lowest(mesh, k, dirichlet_edges=(0, 1, 2), start=None):
     mass dominates a quarter of its lumped mass, so M >= L/4 and this is a
     guaranteed upper bound on the mass-inverse norm sqrt(r^T M^-1 r); since
     M <= L it is at most twice that norm.  No mass factorization is needed.
-    The per-mode stiffness energies (total, y-y) come from the forms
-    assembled here, so the y-energy share needs no second assembly.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -377,7 +352,7 @@ def solve_lowest(mesh, k, dirichlet_edges=(0, 1, 2), start=None):
     r = kk @ vecs - (mm @ vecs) * vals
     resid = 2.0 * np.sqrt(np.sum(r * r / forms.lumped_mass[:, None], axis=0))
 
-    return EigenResult(mesh.level, vals, vecs, resid, forms.energies(vecs))
+    return EigenResult(mesh.level, vals, vecs, resid)
 
 
 def inertia(K, M, sigma):
@@ -612,27 +587,47 @@ def solve_extrapolated(t, k, level):
     return richardson(coarse.values, fine.values)
 
 
-def _y_share(res, n):
-    gap = (res.values[n] - res.values[n - 1]) / res.values[n]
-    if gap < CLUSTER_RTOL:
-        raise ValueError(
-            f"ranks {n} and {n + 1} form a degenerate cluster at level "
-            f"{res.level}; choose n so the cluster is not split")
-    total, yy = np.sum(res.energies[:n], axis=0)
-    return float(yy / total)
+def _energies(mesh, dirichlet_edges, vecs):
+    """Total and y-y stiffness energies of each column of vecs, (k, 2)."""
+    stencil = _stencil(mesh.level, tuple(sorted(dirichlet_edges)))
+    quad = [np.sum(vecs * (lap @ vecs), axis=0)
+            for lap in _laplacian_matrices(stencil)]
+    return np.column_stack(quad) @ _weights(mesh.triangle).T
 
 
-def rayleigh_data(coarse, fine, n):
-    """Extrapolated gamma_n from a solve_pair of at least n+1 modes.
+def _y_shares(t, res):
+    """y-energy share of the first n modes of one level of t, n = 1..k-1;
+    None where modes n and n+1 form a degenerate cluster."""
+    energies = _energies(mesh_triangle(t, res.level), (0, 1, 2), res.vectors)
+    shares = []
+    for n in range(1, res.values.size):
+        if (res.values[n] - res.values[n - 1]) / res.values[n] < CLUSTER_RTOL:
+            shares.append(None)
+        else:
+            total, yy = np.sum(energies[:n], axis=0)
+            shares.append(float(yy / total))
+    return shares
+
+
+def rayleigh_data(t, coarse, fine):
+    """Extrapolated gamma_n, n = 1..k-1, from a k-mode solve_pair of t.
 
     gamma_n is the y-derivative share of the total Dirichlet energy of the
-    first n modes, dimensionless and in [0, 1].  It reads the first n modes
-    of each level; mode n+1 shows whether they split a degenerate cluster,
-    which is refused (the share is basis-dependent inside one).
+    first n modes, dimensionless and in [0, 1]; one outside raises
+    RuntimeError.  It reads the first n modes of each level; mode n+1
+    shows whether they split a degenerate cluster, and gamma_n is None
+    where they do at either level (the share is basis-dependent inside
+    one).  Each level's energies (v^T L_d v combined by the weights of the
+    total and y-y forms) are computed once.  No x-y form is kept: the only
+    triangle whose share is read is the fan T(0, b), and on its
+    mirror-symmetric lattice every mode is even or odd in x, so its x-y
+    energy vanishes.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    gamma, _ = richardson(_y_share(coarse, n), _y_share(fine, n))
-    if not (0.0 <= gamma <= 1.0):
-        raise ValueError("gamma_n out of [0, 1]")
-    return gamma
+    gammas = []
+    for n, shares in enumerate(zip(_y_shares(t, coarse), _y_shares(t, fine)),
+                               start=1):
+        gamma = None if None in shares else richardson(*shares)[0]
+        if gamma is not None and not (0.0 <= gamma <= 1.0):
+            raise RuntimeError(f"gamma_{n} = {gamma!r} out of [0, 1]")
+        gammas.append(gamma)
+    return gammas

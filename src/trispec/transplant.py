@@ -125,19 +125,16 @@ def theorem1_verify(b, n_max, level):
         raise ValueError("requires an apex height b >= sqrt(3)")
     if n_max < 1:
         raise ValueError("n must be >= 1")
-    coarse, fine = solve_pair(fan_triangle(b), n_max + 1, level)
+    fan = fan_triangle(b)
+    coarse, fine = solve_pair(fan, n_max + 1, level)
     vals, errs = richardson(coarse.values, fine.values)
-    return [_theorem1_case(b, n, coarse, fine, vals, errs)
+    gammas = rayleigh_data(fan, coarse, fine)
+    return [_theorem1_case(b, n, gammas[n - 1], vals, errs)
             for n in range(1, n_max + 1)]
 
 
-def _theorem1_case(b, n, coarse, fine, vals, errs):
+def _theorem1_case(b, n, gamma, vals, errs):
     d2 = 1.0 + b * b
-    gamma = None
-    try:
-        gamma = rayleigh_data(coarse, fine, n)
-    except ValueError:
-        pass  # degenerate cluster at this rank; branch analysis not meaningful
     sum_fem = float(np.sum(vals[:n]))
     sum_err = float(np.sum(errs[:n]))
     target = SIGMA_COEFF * exact_sum_q(n)

@@ -502,6 +502,14 @@ def test_gamma(capsys):
     assert 0.0 < doc["gamma_n"] < 1.0
 
 
+def test_gamma_refuses_a_split_cluster(capsys):
+    # ranks 2 and 3 of the equilateral fan are the cluster q = 7, 7
+    code, out, err = run(capsys, "gamma", "--b", "1.7320508075688772",
+                         "--n", "2", "--level", "5")
+    assert code == 64 and out == ""
+    assert "ranks 2 and 3 form a degenerate cluster" in err
+
+
 # Fields of the x-y energy share, which vanishes on every fan triangle.
 X_Y_FIELDS = ("delta_n", "better_sign", "factor_right_plus",
               "factor_right_minus")

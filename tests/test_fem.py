@@ -23,6 +23,8 @@ from trispec.fem import (
 )
 from trispec.geometry import (EQUILATERAL_APEX, Triangle, fan_triangle,
                               half_triangle)
+from trispec.isosceles import sweep
+from trispec.transplant import theorem1_verify
 
 
 def unit_equilateral():
@@ -101,16 +103,16 @@ def test_dirichlet_mask():
     np.testing.assert_array_equal(assemble(mesh, ()).free, np.arange(nv))
 
 
-def polarized(forms):
+def polarized(mesh, edges):
     """Total and y-y matrices recovered from energies by polarization.
 
     E(e_i + e_j) - E(e_i) - E(e_j) = 2 K_ij for each symmetric form K.
     """
-    n = forms.free.size
+    n = assemble(mesh, edges).free.size
     unit = np.eye(n)
     pairs = (unit[:, :, None] + unit[:, None, :]).reshape(n, n * n)
-    single = forms.energies(unit)
-    both = forms.energies(pairs).reshape(n, n, 2)
+    single = fem._energies(mesh, edges, unit)
+    both = fem._energies(mesh, edges, pairs).reshape(n, n, 2)
     return np.moveaxis(both - single[:, None] - single[None, :], 2, 0) / 2.0
 
 
@@ -123,7 +125,7 @@ def test_assemble_single_element():
     m = forms.mass.toarray()
     np.testing.assert_allclose(
         m, (np.ones((3, 3)) + np.eye(3)) / 24.0, atol=1e-16)
-    total, kyy = polarized(forms)
+    total, kyy = polarized(mesh, ())
     np.testing.assert_allclose(total, k, atol=1e-15)
     np.testing.assert_allclose(
         kyy, 0.5 * np.array([[1, 0, -1], [0, 0, 0], [-1, 0, 1]]), atol=1e-15)
@@ -135,12 +137,13 @@ def test_assemble_invariants():
     # constants have zero Dirichlet energy; total mass is the area
     ones = np.ones(forms.free.size)
     np.testing.assert_allclose(forms.stiffness @ ones, 0.0, atol=1e-12)
-    np.testing.assert_allclose(forms.energies(ones[:, None]), 0.0, atol=1e-12)
+    np.testing.assert_allclose(fem._energies(mesh, (), ones[:, None]), 0.0,
+                               atol=1e-12)
     assert ones @ (forms.mass @ ones) == pytest.approx(mesh.triangle.area, rel=1e-12)
     # x-x plus y-y energies add up to the full gradient energy
     rng = np.random.default_rng(0)
     u = rng.normal(size=forms.free.size)
-    (total, yy), = forms.energies(u[:, None])
+    (total, yy), = fem._energies(mesh, (), u[:, None])
     assert total == pytest.approx(u @ (forms.stiffness @ u), rel=1e-12)
     assert total - yy >= 0
     assert yy >= 0
@@ -207,7 +210,7 @@ def test_stencil_forms_match_element_assembly(orientation):
                                        ref["mass"].sum(axis=1)[idx],
                                        rtol=1e-13)
             u = np.random.default_rng(r).normal(size=(idx.size, 2))
-            energies = forms.energies(u)
+            energies = fem._energies(mesh, edges, u)
             for f, name in enumerate(("stiffness", "stiffness_yy")):
                 want = np.sum(u * (ref[name][np.ix_(idx, idx)] @ u), axis=0)
                 np.testing.assert_allclose(energies[:, f], want, rtol=1e-12,
@@ -278,7 +281,7 @@ def test_assembly_equals_the_float_stencil_build(level):
                 element_area * (csc(laplacians.sum(axis=0)).diagonal() / 6.0))
             u = np.random.default_rng(r).normal(size=(n, 3))
             quad = [np.sum(u * (csc(lap) @ u), axis=0) for lap in laplacians]
-            np.testing.assert_array_equal(forms.energies(u),
+            np.testing.assert_array_equal(fem._energies(mesh, edges, u),
                                           np.column_stack(quad) @ weights.T)
 
 
@@ -287,9 +290,10 @@ def test_prolongation_is_the_coarse_function(level):
     # the P1 spaces nest, so every form takes the same value on a coarse
     # vector and on its interpolation one level up
     t = Triangle([(0.1, 0.2), (1.9, -0.1), (0.4, 1.5)])
+    coarse_mesh, fine_mesh = mesh_triangle(t, level - 1), mesh_triangle(t, level)
     for seed, edges in enumerate(((0, 1, 2), (1, 2), (0,))):
-        coarse = assemble(mesh_triangle(t, level - 1), edges)
-        fine = assemble(mesh_triangle(t, level), edges)
+        coarse = assemble(coarse_mesh, edges)
+        fine = assemble(fine_mesh, edges)
         x = np.random.default_rng(seed).normal(size=coarse.free.size)
         px = fem._prolong(level, edges, x)
         assert px.shape == fine.free.shape
@@ -297,8 +301,9 @@ def test_prolongation_is_the_coarse_function(level):
             want = x @ (getattr(coarse, name) @ x)
             got = px @ (getattr(fine, name) @ px)
             assert got == pytest.approx(want, rel=1e-13), name
-        np.testing.assert_allclose(fine.energies(px[:, None]),
-                                   coarse.energies(x[:, None]), rtol=1e-13)
+        np.testing.assert_allclose(
+            fem._energies(fine_mesh, edges, px[:, None]),
+            fem._energies(coarse_mesh, edges, x[:, None]), rtol=1e-13)
 
 
 def counting_eigsh(monkeypatch):
@@ -499,21 +504,71 @@ def test_solve_extrapolated_deterministic():
     np.testing.assert_array_equal(e1, e2)
 
 
+def equilateral_gammas():
+    fan = fan_equilateral()
+    return rayleigh_data(fan, *solve_pair(fan, 7, 5))
+
+
 def test_rayleigh_equilateral():
-    # 3-fold symmetry makes the ground state's energy tensor isotropic
-    gamma = rayleigh_data(*solve_pair(fan_equilateral(), 2, 5), 1)
-    assert gamma == pytest.approx(0.5, abs=1e-6)
+    # 3-fold symmetry makes the energy tensor of every cluster-closed
+    # group of modes isotropic
+    gammas = equilateral_gammas()
+    assert len(gammas) == 6
+    for n, gamma in enumerate(gammas, start=1):
+        if n not in (2, 5):
+            assert gamma == pytest.approx(0.5, abs=1e-12), n
 
 
 def test_rayleigh_subequilateral():
-    assert 0.0 < rayleigh_data(*solve_pair(fan_triangle(2.5), 3, 5), 2) < 1.0
+    fan = fan_triangle(2.5)
+    gammas = rayleigh_data(fan, *solve_pair(fan, 7, 5))
+    assert len(gammas) == 6
+    assert all(0.0 < gamma < 1.0 for gamma in gammas)
 
 
 def test_rayleigh_refuses_cluster():
-    with pytest.raises(ValueError, match="cluster"):
-        rayleigh_data(*solve_pair(fan_equilateral(), 3, 4), 2)
-    with pytest.raises(ValueError):
-        rayleigh_data(*solve_pair(fan_triangle(2.5), 3, 4), 0)
+    # the clusters q = 7, 7 and 13, 13 are ranks 2, 3 and 5, 6 at both
+    # levels; the share is basis-dependent inside one, so it is withheld
+    gammas = equilateral_gammas()
+    assert [n for n, gamma in enumerate(gammas, start=1)
+            if gamma is None] == [2, 5]
+
+
+def test_gamma_out_of_range_is_an_internal_fault(monkeypatch):
+    # a share outside [0, 1] is a fault of the solver, not a degenerate
+    # rank: it must not silently drop the transplant branch
+    energies = fem._energies
+
+    def faulty(mesh, dirichlet_edges, vecs):
+        e = energies(mesh, dirichlet_edges, vecs)
+        e[:, 1] = 2.0 * e[:, 0]
+        return e
+
+    monkeypatch.setattr(fem, "_energies", faulty)
+    with pytest.raises(RuntimeError, match=r"out of \[0, 1\]"):
+        theorem1_verify(2.5, 2, 5)
+
+
+def test_energies_are_computed_only_where_gamma_is_read(monkeypatch):
+    calls = []
+    energies = fem._energies
+
+    def counted(*args):
+        calls.append(args[0].level)
+        return energies(*args)
+
+    monkeypatch.setattr(fem, "_energies", counted)
+    sweep(np.linspace(math.pi / 6, 2 * math.pi / 3, 5), "side", 6)
+    solve_extrapolated(fan_triangle(2.5), 2, 5)
+    assert calls == []
+    for b in (1.8, 2.5):
+        theorem1_verify(b, 6, 5)
+    # one rayleigh_data per apex: each level's energies once
+    assert calls == [4, 5, 4, 5]
+    assert fem.EigenResult._fields == ("level", "values", "vectors",
+                                       "residuals")
+    assert fem.FemForms._fields == ("free", "stiffness", "mass",
+                                    "lumped_mass")
 
 
 # Half triangles of an aperture grid: the Dirichlet half carries the
