@@ -45,9 +45,16 @@ the fine lattice (_prolong), and solve_family starts each snapshot from a
 neighbouring snapshot or from the member's own Ritz vectors.  The start
 changes how many shift-invert steps a solve takes, not what it converges
 to.
+
+A factorization's heap goes back to the OS when its solve ends
+(_release_heap, glibc's malloc_trim): the allocator would otherwise keep
+the large blocks a sparse LU frees, and the next factorization would not
+reuse them.  So a process peaks at its import floor plus its largest
+solve, however many solves it runs.
 """
 
 import collections
+import ctypes
 import functools
 import math
 
@@ -152,43 +159,72 @@ _Stencil = collections.namedtuple(
 # Neighbour slots of lattice vertex (i, j), in ascending vertex order:
 # (i, j-1), (i+1, j-1), (i-1, j), itself, (i+1, j), (i-1, j+1), (i, j+1).
 # The edge to slot s is parallel to input edge _SLOT_EDGES[s]; -1 marks the
-# diagonal.
+# diagonal.  The neighbour in slot s is vertex v + _SLOT_ROWS[s] * (n + 1 - j)
+# + _SLOT_STEPS[s] (see _lattice).
 _SLOT_EDGES = (2, 1, 0, -1, 0, 1, 2)
+_SLOT_ROWS = (-1, -1, 0, 0, 0, 1, 1)
+_SLOT_STEPS = (-1, 0, -1, 0, 1, -1, 0)
 
 
 @functools.lru_cache(maxsize=STENCIL_CACHE_SIZE)
 def _stencil(level, dirichlet_edges):
-    """The _Stencil of one level on the vertices off the Dirichlet edges."""
+    """The _Stencil of one level on the vertices off the Dirichlet edges.
+
+    Built one neighbour slot at a time, so that no work array is larger
+    than one entry per vertex: a first pass counts each column's entries,
+    a second writes each slot's entries after those of the slots before it.
+    """
     n, i, j = _lattice(level)
-    v = np.arange(i.size, dtype=np.int32)
-    row = (n + 1 - j)[:, None]
     on_edge = _on_edges(n, i, j)
     free = ~on_edge[:, list(dirichlet_edges)].any(axis=1)
-    neighbours = v[:, None] \
-        + np.array([-1, -1, 0, 0, 0, 1, 1], dtype=np.int32) * row \
-        + np.array([-1, 0, -1, 0, 1, -1, 0], dtype=np.int32)
-    present = np.column_stack((j > 0, j > 0, i > 0, np.ones_like(free),
-                               i + j < n, i > 0, i + j < n))
+    row = n + 1 - j
+    # Where each slot has a vertex; the diagonal counts at free vertices
+    # only, so that entries(3) lists each free vertex once.
+    below, left, right = j > 0, i > 0, i + j < n
+    present = (below, below, left, free, right, left, right)
+    del i, j
     # A vertex's edges parallel to input edge d lie on that edge exactly
     # when the vertex does: weight 1 there, 2 inside.
     mult = np.where(on_edge, np.int8(1), np.int8(2))
-    lap = np.zeros((3, v.size, len(_SLOT_EDGES)), dtype=np.int8)
+    del on_edge
+
+    def entries(s):
+        """Columns and rows of slot s's entries: both ends free."""
+        cols = np.flatnonzero(free & present[s]).astype(np.int32)
+        rows = cols + (_SLOT_ROWS[s] * row[cols] + _SLOT_STEPS[s])
+        keep = free[rows]
+        return cols[keep], rows[keep]
+
+    renumber = np.cumsum(free, dtype=np.int32) - 1
+    # Entries per column, then where each column's next entry goes.
+    fill = np.zeros(free.size, dtype=np.int32)
+    for s in range(len(_SLOT_EDGES)):
+        fill[entries(s)[0]] += 1
+    indptr = np.concatenate(([0], np.cumsum(fill[free]))).astype(np.int32)
+    fill[free] = indptr[:-1]
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    laplacians = np.zeros((3, indices.size), dtype=np.int8)
+    mass = np.empty(indices.size, dtype=np.int8)
+    # Diagonal of each L_d (the weights of the vertex's direction-d edges)
+    # and of the mass numerators (their sum).
+    diagonal = np.zeros((3, free.size), dtype=np.int8)
     for s, d in enumerate(_SLOT_EDGES):
         if d >= 0:
-            lap[d, :, s] = -mult[:, d] * present[:, s]
-            lap[d, :, 3] -= lap[d, :, s]
-    keep = present & free[:, None] \
-        & free[np.where(present, neighbours, v[:, None])]
-    renumber = np.cumsum(free, dtype=np.int32) - 1
-    laplacians = lap[:, keep]
-    stencil = _Stencil(
-        free=np.flatnonzero(free),
-        indptr=np.concatenate(([0], np.cumsum(keep.sum(axis=1)[free]))
-                              ).astype(np.int32),
-        indices=renumber[neighbours[keep]],
-        laplacians=laplacians,
-        mass=np.abs(laplacians).sum(axis=0, dtype=np.int8),
-        lumped=lap[:, free, 3].sum(axis=0, dtype=np.int8))
+            diagonal[d] += mult[:, d] * present[s]
+    diagonal_mass = diagonal.sum(axis=0, dtype=np.int8)
+    for s, d in enumerate(_SLOT_EDGES):
+        cols, rows = entries(s)
+        at = fill[cols]
+        indices[at] = renumber[rows]
+        if d >= 0:
+            laplacians[d, at] = -mult[cols, d]
+            mass[at] = mult[cols, d]
+        else:
+            laplacians[:, at] = diagonal[:, cols]
+            mass[at] = diagonal_mass[cols]
+        fill[cols] += 1
+    stencil = _Stencil(np.flatnonzero(free), indptr, indices, laplacians,
+                       mass, diagonal_mass[free])
     for array in stencil:
         array.flags.writeable = False
     return stencil
@@ -288,6 +324,30 @@ def _factor(A):
                 options={"SymmetricMode": True})
 
 
+@functools.cache
+def _malloc_trim():
+    """glibc's malloc_trim, or None where the C library has none."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError):  # no C library handle, or not glibc
+        return None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
+def _release_heap():
+    """Give the C heap's free pages back to the OS.
+
+    A sparse LU frees its blocks when it is dropped, but glibc keeps large
+    freed blocks in the heap (its mmap threshold grows with them), and the
+    next factorization does not reuse them: without this, each large solve
+    in a process adds to the peak.  Nothing where malloc_trim is missing.
+    """
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
+
+
 def solve_lowest(mesh, k, dirichlet_edges=(0, 1, 2), start=None):
     """Smallest k eigenpairs of the Dirichlet (or mixed) pencil on the mesh.
 
@@ -335,6 +395,8 @@ def solve_lowest(mesh, k, dirichlet_edges=(0, 1, 2), start=None):
             raise RuntimeError(
                 f"eigensolver did not converge within {ARPACK_MAXITER} "
                 f"iterations at level {mesh.level}") from err
+        del lu
+        _release_heap()
     order = np.argsort(vals)
     vals = np.ascontiguousarray(vals[order])
     vecs = np.ascontiguousarray(vecs[:, order])
@@ -369,7 +431,10 @@ def inertia(K, M, sigma):
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise RuntimeError("the factorization pivoted off the diagonal; "
                            "inertia unknown")
-    return int(np.count_nonzero(lu.U.diagonal() < 0))
+    count = int(np.count_nonzero(lu.U.diagonal() < 0))
+    del lu
+    _release_heap()
+    return count
 
 
 def _family_weights(meshes):

@@ -533,3 +533,37 @@ def test_byte_determinism(capsys):
     a = run(capsys, "verify", "theorem2", "--b", "2.0", "--level", "6")
     b = run(capsys, "verify", "theorem2", "--b", "2.0", "--level", "6")
     assert a == b
+
+
+TWO_SOLVES_SCRIPT = """
+import contextlib, io, json, resource
+from trispec.cli import dispatch
+readings = []
+for triangle in ("[[-1,0],[1,0],[0.3,2.1]]", "[[0,0],[1.2,0.1],[0.4,1.5]]"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = dispatch(["fem", triangle, "--n", "6", "--level", "8"])
+    readings.append([code,
+                     resource.getrusage(resource.RUSAGE_SELF).ru_maxrss])
+print(json.dumps(readings))
+"""
+
+
+def has_malloc_trim():
+    try:
+        return hasattr(ctypes.CDLL(None), "malloc_trim")
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(
+    not has_malloc_trim(),
+    reason="the C library has no malloc_trim, so freed heap stays mapped "
+           "and the peak depends on the allocator")
+def test_a_second_large_solve_does_not_raise_the_peak():
+    # without the release each level-8 factorization left about 11 MB of
+    # heap that the next one did not reuse
+    proc = fresh_python("-c", TWO_SOLVES_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    (code1, peak1), (code2, peak2) = json.loads(proc.stdout)
+    assert code1 == code2 == 0
+    assert peak2 - peak1 < 3 * 1024  # ru_maxrss counts KiB on Linux

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,6 +249,75 @@ def test_stencils_are_small_read_only_integers():
     # a level-8 stencil held its entries as float64 in 8.35 MiB
     assert sum(array.nbytes for array in fem._stencil(8, (0, 1, 2))) \
         <= 3 * 2 ** 20
+
+
+def reference_stencil(level, dirichlet_edges):
+    """fem._stencil built from the full (vertices, 7) neighbour table."""
+    n, i, j = fem._lattice(level)
+    v = np.arange(i.size, dtype=np.int32)
+    row = (n + 1 - j)[:, None]
+    on_edge = fem._on_edges(n, i, j)
+    free = ~on_edge[:, list(dirichlet_edges)].any(axis=1)
+    neighbours = v[:, None] \
+        + np.array([-1, -1, 0, 0, 0, 1, 1], dtype=np.int32) * row \
+        + np.array([-1, 0, -1, 0, 1, -1, 0], dtype=np.int32)
+    present = np.column_stack((j > 0, j > 0, i > 0, np.ones_like(free),
+                               i + j < n, i > 0, i + j < n))
+    mult = np.where(on_edge, np.int8(1), np.int8(2))
+    lap = np.zeros((3, v.size, len(fem._SLOT_EDGES)), dtype=np.int8)
+    for s, d in enumerate(fem._SLOT_EDGES):
+        if d >= 0:
+            lap[d, :, s] = -mult[:, d] * present[:, s]
+            lap[d, :, 3] -= lap[d, :, s]
+    keep = present & free[:, None] \
+        & free[np.where(present, neighbours, v[:, None])]
+    renumber = np.cumsum(free, dtype=np.int32) - 1
+    laplacians = lap[:, keep]
+    return fem._Stencil(
+        free=np.flatnonzero(free),
+        indptr=np.concatenate(([0], np.cumsum(keep.sum(axis=1)[free]))
+                              ).astype(np.int32),
+        indices=renumber[neighbours[keep]],
+        laplacians=laplacians,
+        mass=np.abs(laplacians).sum(axis=0, dtype=np.int8),
+        lumped=lap[:, free, 3].sum(axis=0, dtype=np.int8))
+
+
+@pytest.mark.parametrize("level", range(7))
+def test_stencil_equals_the_neighbour_table_build(level):
+    for r in range(4):
+        for edges in itertools.combinations(range(3), r):
+            got = fem._stencil(level, edges)
+            for name, want in reference_stencil(level, edges)._asdict().items():
+                have = getattr(got, name)
+                assert have.dtype == want.dtype, (level, edges, name)
+                np.testing.assert_array_equal(have, want,
+                                              err_msg=f"{level} {edges} {name}")
+
+
+def test_stencil_build_keeps_only_vertex_length_work_arrays():
+    # the neighbour-table build peaked at 3.3x its result at level 8
+    fem._stencil.cache_clear()
+    tracemalloc.start()
+    try:
+        stencil = fem._stencil(8, (0, 1, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * sum(array.nbytes for array in stencil)
+
+
+def test_heap_release_is_a_no_op_without_malloc_trim(monkeypatch):
+    class NoTrim:  # a C library without malloc_trim (macOS, musl)
+        pass
+
+    monkeypatch.setattr(fem.ctypes, "CDLL", lambda name: NoTrim())
+    fem._malloc_trim.cache_clear()
+    try:
+        assert fem._malloc_trim() is None
+        fem._release_heap()
+    finally:
+        fem._malloc_trim.cache_clear()
 
 
 @pytest.mark.parametrize("level", [3, 6])
