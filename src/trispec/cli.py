@@ -2,7 +2,7 @@
 
 Subcommands
 -----------
-spectrum   exact equilateral tables (CSV)
+spectrum   exact equilateral tables (CSV or JSON)
 lattice    counting oracle against the closed-form bounds (CSV)
 verify     one verification pipeline (JSON report); a target takes only
            the flags it reads, after its name:
@@ -18,7 +18,7 @@ verify     one verification pipeline (JSON report); a target takes only
 fem        single-triangle eigenvalue solve (JSON)
 certify    certified enclosure of the second tone of the apex-5/2 isosceles
            triangle T(0, 5/2), optionally checked against FEM (JSON)
-sweep      isosceles tone curves over an aperture grid (CSV)
+sweep      isosceles tone curves over an aperture grid (CSV or JSON)
 rectangle  diameter-normalized rectangle minimizers (JSON)
 gamma      y-energy share of the low eigenfunctions of a fan triangle (JSON)
 
@@ -37,6 +37,7 @@ thread count, which moved the last digits of level-8 output.
 import argparse
 import contextlib
 import ctypes
+import functools
 import math
 import sys
 
@@ -44,6 +45,7 @@ import numpy as np
 
 from .certify import lemma62_verify
 from .equilateral import (
+    SIGMA_COEFF,
     antisym_counting_upper,
     counting_bounds,
     counting_exact,
@@ -56,7 +58,11 @@ from .geometry import fan_triangle, rectangle_minimizers, triangle_from_json
 from .isosceles import (
     ALPHA_MAX,
     ALPHA_MIN,
+    COLUMNS,
+    OBSERVATION_STEPS,
+    SCALINGS,
     observation_crossing,
+    scaled,
     sweep,
     verify_monotonicity,
 )
@@ -182,7 +188,9 @@ def _verdict(report):
     return to_json(report) + "\n", EXIT_BY_VERDICT[report["verdict"]]
 
 
+@functools.cache
 def _parser():
+    """The command tree, built once per process."""
     p = _Parser(prog="trispec", description=__doc__.split("\n")[0])
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -229,7 +237,7 @@ def _parser():
            "two-tone bound reduced to its endpoint").add_argument(
         "--b", type=_POSITIVE, default=2.5, help="interval endpoint")
     mo = target("monotonicity", lambda args: verify_monotonicity(
-        sweep(_aperture_grid(args), "side", args.level)),
+        sweep(_aperture_grid(args), args.level)),
         "claimed monotone intervals of the isosceles tones")
     mo.add_argument("--level", type=_LEVEL, default=6, help="mesh level")
     _add_window(mo, 80)
@@ -238,8 +246,7 @@ def _parser():
         "second-mode class crossing at pi/3; with no window flag, on 40 "
         "apertures straddling it")
     ob.add_argument("--level", type=_LEVEL, default=7, help="mesh level")
-    # 41 keeps pi/3 off the uniform grid, where the gap degenerates
-    _add_window(ob, 41, _Window)
+    _add_window(ob, OBSERVATION_STEPS, _Window)
     ob.set_defaults(straddle=True)
 
     fe = command(sub, "fem", _cmd_fem, "solve one triangle")
@@ -256,8 +263,8 @@ def _parser():
     sw = command(sub, "sweep", _cmd_sweep, "isosceles tone curves")
     _add_window(sw, 31)
     sw.add_argument("--level", type=_LEVEL, default=6, help="mesh level")
-    sw.add_argument("--scaling", default="side", help="length normalized to 1",
-                    choices=("side", "diameter", "perimeter", "area"))
+    sw.add_argument("--scaling", default="side", choices=SCALINGS,
+                    help="length normalized to 1")
 
     command(sub, "rectangle", _cmd_rectangle,
             "rectangle minimizers below pi/4").add_argument(
@@ -277,12 +284,16 @@ def _parser():
 
 
 def _cmd_spectrum(args):
-    table = enumerate_modes(args.n, args.mode_class)
+    modes = enumerate_modes(args.n, args.mode_class)
     if args.format == "json":
-        rows = [{"j": j, "m": m.m, "n": m.n, "q": m.q}
-                for j, m in enumerate(table.modes, start=1)]
+        rows = [{"j": j, "m": m, "n": n, "q": q}
+                for j, (m, n, q) in enumerate(modes, start=1)]
         return to_json({"class": args.mode_class, "modes": rows}) + "\n", 0
-    return table.to_csv(), 0
+    lines = ["j,m,n,q,lambda,class"]
+    for j, (m, n, q) in enumerate(modes, start=1):
+        lines.append(f"{j},{m},{n},{q},{q * SIGMA_COEFF!r},"
+                     f"{'antisym' if m > n else 'sym'}")
+    return "\n".join(lines) + "\n", 0
 
 
 def _cmd_lattice(args):
@@ -326,15 +337,17 @@ def _cmd_certify(args):
 
 
 def _cmd_sweep(args):
-    table = sweep(_aperture_grid(args), args.scaling, args.level)
+    s = scaled(sweep(_aperture_grid(args), args.level), args.scaling)
     if args.format == "json":
-        payload = {"scaling": table.scaling,
-                   "alpha": list(table.alpha),
-                   "lambda1": list(table.lambda1),
-                   "lambda_a": list(table.lambda_a),
-                   "lambda_s": list(table.lambda_s)}
+        payload = {"scaling": args.scaling, "alpha": s.alpha.tolist(),
+                   **dict(zip(COLUMNS, s.tones.T.tolist()))}
         return to_json(payload) + "\n", 0
-    return table.to_csv(), 0
+    # repr of a Python float is the shortest string that parses back to
+    # the same double; numpy 2 scalars would print np.float64(...).
+    lines = [f"# scaling: {args.scaling}", ",".join(("alpha", *COLUMNS))]
+    lines.extend(",".join(map(repr, row))
+                 for row in np.column_stack((s.alpha, s.tones)).tolist())
+    return "\n".join(lines) + "\n", 0
 
 
 def _cmd_rectangle(args):

@@ -11,6 +11,7 @@ integer verifications the eigenvalue-sum comparisons reduce to.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -18,8 +19,7 @@ from .reports import combine, make_report
 
 __all__ = [
     "SIGMA_COEFF",
-    "ModeIndex",
-    "SpectrumTable",
+    "Mode",
     "enumerate_modes",
     "counting_exact",
     "counting_bounds",
@@ -47,59 +47,9 @@ EIGENVALUE_BOUNDS_MIN_J = 17
 ANTISYM_BOUNDS_MIN_J = 9
 
 
-class ModeIndex:
-    """Lattice index (m, n), both >= 1, of one equilateral eigenfunction."""
-
-    __slots__ = ("m", "n", "q")
-
-    def __init__(self, m, n):
-        m, n = int(m), int(n)
-        if m < 1 or n < 1:
-            raise ValueError("mode indices must be >= 1")
-        self.m = m
-        self.n = n
-        self.q = m * m + m * n + n * n
-
-    @property
-    def symmetry(self):
-        """'antisym' for the strict half m > n, else 'sym'."""
-        return "antisym" if self.m > self.n else "sym"
-
-    def __repr__(self):
-        return f"ModeIndex({self.m}, {self.n})"
-
-
-class SpectrumTable:
-    """Ranked lowest modes of the unit-sidelength equilateral triangle.
-
-    Rows are ordered by exact integer q (ties by ascending m); rank j runs
-    from 1.  Eigenvalues are q * 16 pi^2 / 9.
-    """
-
-    def __init__(self, modes):
-        self.modes = list(modes)
-        qs = [mode.q for mode in self.modes]
-        if any(q2 < q1 for q1, q2 in zip(qs, qs[1:])):
-            raise ValueError("modes must be sorted by nondecreasing q")
-
-    def __len__(self):
-        return len(self.modes)
-
-    def __getitem__(self, j):
-        return self.modes[j]
-
-    def sum_q(self, n):
-        """Exact integer sum of q over the first n modes."""
-        if not (1 <= n <= len(self.modes)):
-            raise ValueError("n out of table range")
-        return sum(mode.q for mode in self.modes[:n])
-
-    def to_csv(self):
-        lines = ["j,m,n,q,lambda,class"]
-        for j, mode in zip(range(1, len(self.modes) + 1), self.modes):
-            lam = mode.q * SIGMA_COEFF
-            lines.append(f"{j},{mode.m},{mode.n},{mode.q},{lam!r},{mode.symmetry}")
-        return "\n".join(lines) + "\n"
+# Lattice index m, n >= 1 of one eigenfunction and its q = m^2 + mn + n^2;
+# the mode is antisymmetric when m > n.
+Mode = namedtuple("Mode", "m n q")
 
 
 def _modes_up_to(qmax, mode_class):
@@ -109,7 +59,7 @@ def _modes_up_to(qmax, mode_class):
         n = 1
         while m * m + m * n + n * n <= qmax:
             if mode_class == "full" or m > n:
-                modes.append(ModeIndex(m, n))
+                modes.append(Mode(m, n, m * m + m * n + n * n))
             n += 1
         m += 1
     modes.sort(key=lambda mode: (mode.q, mode.m))
@@ -117,8 +67,7 @@ def _modes_up_to(qmax, mode_class):
 
 
 def enumerate_modes(n_max, mode_class):
-    """SpectrumTable of the n_max lowest modes of the class, "full" or
-    "antisym".
+    """The n_max lowest modes of the class, "full" or "antisym".
 
     Sorted ascending by exact q, ties by ascending m (rank inside a
     degenerate cluster is conventional, not spectral).
@@ -131,7 +80,7 @@ def enumerate_modes(n_max, mode_class):
     while True:
         modes = _modes_up_to(qmax, mode_class)
         if len(modes) >= n_max:
-            return SpectrumTable(modes[:n_max])
+            return modes[:n_max]
         qmax *= 2
 
 
@@ -219,7 +168,7 @@ def tail_ratio(n):
 
 def exact_sum_q(n, mode_class="full"):
     """Exact integer sum of q over the n lowest modes of the class."""
-    return enumerate_modes(n, mode_class).sum_q(n)
+    return sum(mode.q for mode in enumerate_modes(n, mode_class))
 
 
 def verify_lemma_explicit():
@@ -249,8 +198,8 @@ def verify_lemma_explicit():
                 j=j, q_full=q, q_antisym=qa,
             )
         checks.append(rep)
-    sum_q4 = full.sum_q(4)
-    sum_qa4 = anti.sum_q(4)
+    sum_q4 = sum(mode.q for mode in full[:4])
+    sum_qa4 = sum(mode.q for mode in anti[:4])
     checks.append(make_report(
         "rank-4 partial sums: 6*sum(q_antisym) > 11*sum(q_full)",
         6 * sum_qa4, 11 * sum_q4,

@@ -17,6 +17,7 @@ the grid size.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -26,17 +27,31 @@ from .reports import combine, make_report
 
 __all__ = [
     "SCALINGS",
-    "SweepTable",
+    "COLUMNS",
+    "Sweep",
     "sweep",
+    "scaled",
     "verify_monotonicity",
     "observation_crossing",
 ]
 
 SCALINGS = ("side", "diameter", "perimeter", "area")
 
+# Tone columns of a sweep: the fundamental, the lowest antisymmetric tone
+# and the lowest symmetric tone above the fundamental.
+COLUMNS = ("lambda1", "lambda_a", "lambda_s")
+
+# The n apertures of a sweep and, per aperture, its tones and their error
+# bars, each an (n, 3) array in COLUMNS order.
+Sweep = namedtuple("Sweep", "alpha tones errors")
+
 # Default aperture window of the sweeps; degenerate slivers excluded.
 ALPHA_MIN = math.pi / 6.0
 ALPHA_MAX = 2.0 * math.pi / 3.0
+
+# Apertures of observation's uniform window; 41 keeps pi/3 off the grid,
+# where the two classes degenerate and the gap has no sign.
+OBSERVATION_STEPS = 41
 
 # (k, Dirichlet edges) of the half-triangle solves: the free-axis half
 # gives the fundamental and lambda_s, the Dirichlet half lambda_a.
@@ -69,66 +84,8 @@ def scale_factor(alpha, scaling):
     raise ValueError(f"unknown scaling {scaling!r}")
 
 
-class SweepTable:
-    """Scaled tones per aperture, rows ordered by increasing alpha."""
-
-    def __init__(self, alpha, lambda1, lambda_a, lambda_s, scaling, errors,
-                 level):
-        if scaling not in SCALINGS:
-            raise ValueError(f"unknown scaling {scaling!r}")
-        self.alpha = np.asarray(alpha, dtype=float)
-        self.lambda1 = np.asarray(lambda1, dtype=float)
-        self.lambda_a = np.asarray(lambda_a, dtype=float)
-        self.lambda_s = np.asarray(lambda_s, dtype=float)
-        self.scaling = scaling
-        self.errors = np.asarray(errors, dtype=float)
-        self.level = level
-        if np.any(np.diff(self.alpha) <= 0):
-            raise ValueError("alpha must be strictly increasing")
-        if not (np.all(self.lambda1 > 0) and np.all(self.lambda_a > 0)
-                and np.all(self.lambda_s > 0)):
-            raise ValueError("tones must be positive")
-        if np.any(self.lambda1 >= np.minimum(self.lambda_a, self.lambda_s)):
-            raise ValueError("fundamental tone must stay below both classes")
-
-    def __len__(self):
-        return self.alpha.size
-
-    def column(self, which):
-        if which == "lambda1":
-            return self.lambda1
-        if which == "lambda_a":
-            return self.lambda_a
-        if which == "lambda_s":
-            return self.lambda_s
-        raise ValueError(f"unknown column {which!r}")
-
-    def rescaled(self, scaling):
-        """Exact algebraic transform of the table to another normalization."""
-        old = np.array([scale_factor(a, self.scaling) for a in self.alpha])
-        new = np.array([scale_factor(a, scaling) for a in self.alpha])
-        r = new / old
-        return SweepTable(self.alpha, self.lambda1 * r, self.lambda_a * r,
-                          self.lambda_s * r, scaling, self.errors * r[:, None],
-                          self.level)
-
-    def to_csv(self):
-        lines = [f"# scaling: {self.scaling}",
-                 "alpha,lambda1,lambda_a,lambda_s"]
-        # repr of a Python float is the shortest string that parses back
-        # to the same double; numpy 2 scalars would print np.float64(...).
-        for row in zip(self.alpha, self.lambda1, self.lambda_a,
-                       self.lambda_s):
-            lines.append(",".join(repr(float(x)) for x in row))
-        return "\n".join(lines) + "\n"
-
-    def __repr__(self):
-        return (f"SweepTable({len(self)} rows, scaling={self.scaling!r}, "
-                f"level={self.level!r})")
-
-
-def sweep(alpha_grid, scaling, level):
-    """SweepTable of the three tones over the aperture grid.
+def sweep(alpha_grid, level):
+    """Sweep of the unit-side tones over the aperture grid.
 
     The fundamental is the lowest tone of the free-axis half, lambda_s the
     next one; lambda_a is the lowest tone of the Dirichlet half.  Each half
@@ -151,10 +108,19 @@ def sweep(alpha_grid, scaling, level):
                      for k, edges in HALF_PROBLEMS]
                     for lev in (level, level - 1))
     (sym, sym_err), (anti, anti_err) = map(richardson, coarse, fine)
-    fac = np.array([scale_factor(float(a), scaling) for a in grid])
+    tones = np.column_stack((sym[:, 0], anti[:, 0], sym[:, 1]))
     errors = np.column_stack((sym_err[:, 0], anti_err[:, 0], sym_err[:, 1]))
-    return SweepTable(grid, sym[:, 0] * fac, anti[:, 0] * fac,
-                      sym[:, 1] * fac, scaling, errors * fac[:, None], level)
+    if not np.all(tones[:, 0] > 0):
+        raise ValueError("fundamental tone must be positive")
+    if not np.all(tones[:, 0] < np.minimum(tones[:, 1], tones[:, 2])):
+        raise ValueError("fundamental tone must stay below both classes")
+    return Sweep(grid, tones, errors)
+
+
+def scaled(s, scaling):
+    """The sweep with its tones and error bars under another normalization."""
+    fac = np.array([scale_factor(float(a), scaling) for a in s.alpha])
+    return Sweep(s.alpha, s.tones * fac[:, None], s.errors * fac[:, None])
 
 
 # The monotone intervals claimed for each quantity and scaling: segments
@@ -178,16 +144,15 @@ MONOTONE_CLAIMS = (
 )
 
 
-def _monotone_check(table, quantity, scaling, lo, hi, direction, strict):
+def _monotone_check(s, quantity, scaling, lo, hi, direction, strict):
     # Neighboring apertures share the mesh topology, so the discretization
     # bias drifts smoothly and cancels in successive differences; the raw
     # sign is trusted and the pair error is attached only as context.
-    scaled = table if table.scaling == scaling else table.rescaled(scaling)
     pad = 1e-12
-    inside = (scaled.alpha >= lo - pad) & (scaled.alpha <= hi + pad)
-    vals = scaled.column(quantity)[inside]
-    col = {"lambda1": 0, "lambda_a": 1, "lambda_s": 2}[quantity]
-    errs = scaled.errors[inside, col]
+    inside = (s.alpha >= lo - pad) & (s.alpha <= hi + pad)
+    col = COLUMNS.index(quantity)
+    vals = s.tones[inside, col]
+    errs = s.errors[inside, col]
     word = "decreasing" if direction == "dec" else "increasing"
     claim = (f"{quantity} under {scaling} scaling "
              f"{'strictly ' if strict else ''}{word} "
@@ -205,52 +170,51 @@ def _monotone_check(table, quantity, scaling, lo, hi, direction, strict):
     return make_report(claim, float(diffs[worst]), 0.0,
                        mode="<" if strict else "<=",
                        points=int(vals.size), pair_error=pair_err,
-                       worst_alpha=float(scaled.alpha[inside][worst]))
+                       worst_alpha=float(s.alpha[inside][worst]))
 
 
-def _mirror_check(table):
+def _mirror_check(area):
     """Antisymmetric tone under area scaling agrees at alpha and pi - alpha.
 
     The mirrored aperture rarely lands on a grid point, so its value is
     read off by linear interpolation; the interpolation error is far
     below the half-percent agreement demanded here.
     """
-    scaled = table if table.scaling == "area" else table.rescaled("area")
     claim = "mirrored apertures share the area-scaled antisymmetric tone"
-    lo, hi = scaled.alpha[0], scaled.alpha[-1]
-    mirrored = (scaled.alpha < math.pi / 2.0) & (math.pi - scaled.alpha <= hi)
+    alpha, lambda_a = area.alpha, area.tones[:, 1]
+    mirrored = (alpha < math.pi / 2.0) & (math.pi - alpha <= alpha[-1])
     idx = np.nonzero(mirrored)[0]
     if idx.size == 0:
         return make_report(claim, 0.0, 0.0, mode="<=", fem_err=1.0,
                            pairs=0, note="no mirrored pairs on this grid")
     if idx.size > MIRROR_MAX_PAIRS:
         idx = idx[np.linspace(0, idx.size - 1, MIRROR_MAX_PAIRS).astype(int)]
-    partner = np.interp(math.pi - scaled.alpha[idx],
-                        scaled.alpha, scaled.lambda_a)
-    devs = np.abs(scaled.lambda_a[idx] - partner) / scaled.lambda_a[idx]
+    partner = np.interp(math.pi - alpha[idx], alpha, lambda_a)
+    devs = np.abs(lambda_a[idx] - partner) / lambda_a[idx]
     return make_report(claim, float(np.max(devs)), 0.005, mode="<",
                        pairs=int(idx.size))
 
 
-def verify_monotonicity(table):
+def verify_monotonicity(s):
     """Verify every claimed monotone interval of the first two tones.
 
-    Takes a sweep under any scaling and transforms it exactly to the
-    others, then checks the sign of every successive difference on each
-    claimed interval.  The symmetric tone carries no claim, and neither
-    does the side-scaled fundamental between pi/3 and pi/2, where its
-    interior minimum lives.
+    Scales the unit-side sweep once to each normalization, then checks
+    the sign of every successive difference on each claimed interval.
+    The symmetric tone carries no claim, and neither does the side-scaled
+    fundamental between pi/3 and pi/2, where its interior minimum lives.
     """
-    if float(np.max(np.diff(table.alpha))) > MONOTONE_MAX_SPACING:
+    spacing = float(np.max(np.diff(s.alpha)))
+    if spacing > MONOTONE_MAX_SPACING:
         raise ValueError(
             f"grid spacing exceeds {MONOTONE_MAX_SPACING} rad")
-    checks = [_monotone_check(table, *claim) for claim in MONOTONE_CLAIMS]
-    checks.append(_mirror_check(table))
+    by_scaling = {scaling: scaled(s, scaling) for scaling in SCALINGS}
+    checks = [_monotone_check(by_scaling[claim[1]], *claim)
+              for claim in MONOTONE_CLAIMS]
+    checks.append(_mirror_check(by_scaling["area"]))
     return combine(
         "claimed monotone intervals of the fundamental and antisymmetric "
         "tones hold on the sweep grid",
-        checks, scaling=table.scaling, points=len(table),
-        spacing=float(np.max(np.diff(table.alpha))))
+        checks, scaling="side", points=s.alpha.size, spacing=spacing)
 
 
 def observation_crossing(grid, level):
@@ -266,16 +230,16 @@ def observation_crossing(grid, level):
     strict comparison can be resolved.
     """
     if grid is None:
-        edges = np.linspace(ALPHA_MIN, ALPHA_MAX, 41)
+        edges = np.linspace(ALPHA_MIN, ALPHA_MAX, OBSERVATION_STEPS)
         grid = 0.5 * (edges[:-1] + edges[1:])
     grid = np.asarray(grid, dtype=float)
     if not (grid.min() < math.pi / 3.0 < grid.max()):
         raise ValueError("grid must straddle pi/3")
-    table = sweep(grid, "side", level)
-    gap = table.lambda_a - table.lambda_s
-    err = table.errors[:, 1] + table.errors[:, 2]
-    below = table.alpha < math.pi / 3.0
-    above = table.alpha > math.pi / 3.0
+    s = sweep(grid, level)
+    gap = s.tones[:, 1] - s.tones[:, 2]
+    err = s.errors[:, 1] + s.errors[:, 2]
+    below = s.alpha < math.pi / 3.0
+    above = s.alpha > math.pi / 3.0
 
     def side_check(mask, want_positive, label):
         g = gap[mask] if want_positive else -gap[mask]
@@ -283,7 +247,7 @@ def observation_crossing(grid, level):
         return make_report(
             f"{label} class strictly lower on its side of pi/3",
             float(g[worst]), 0.0, fem_err=float(err[mask][worst]),
-            worst_alpha=float(table.alpha[mask][worst]),
+            worst_alpha=float(s.alpha[mask][worst]),
             points=int(mask.sum()))
 
     checks = [side_check(below, True, "symmetric"),
@@ -293,14 +257,14 @@ def observation_crossing(grid, level):
     crossing = None
     if sign_flip.size:
         i = int(sign_flip[0])
-        a0, a1 = table.alpha[i], table.alpha[i + 1]
+        a0, a1 = s.alpha[i], s.alpha[i + 1]
         g0, g1 = gap[i], gap[i + 1]
         crossing = float(a0 - g0 * (a1 - a0) / (g1 - g0))
-        spacing = float(np.max(np.diff(table.alpha)))
+        spacing = float(np.max(np.diff(s.alpha)))
         checks.append(make_report(
             "estimated class crossing lands at pi/3",
             abs(crossing - math.pi / 3.0), spacing, mode="<"))
     return combine(
         "second-mode symmetry class crosses exactly at the equilateral "
         "aperture",
-        checks, crossing=crossing, points=len(table), level=level)
+        checks, crossing=crossing, points=s.alpha.size, level=level)

@@ -19,8 +19,13 @@ import math
 
 import numpy as np
 
-from .certify import SectorSpec, _sector_ranked_eigenvalue, lemma62_verify
-from .equilateral import SIGMA_COEFF, exact_sum_q
+from .certify import (
+    CERT_APEX,
+    SectorSpec,
+    _sector_ranked_eigenvalue,
+    lemma62_verify,
+)
+from .equilateral import SIGMA_COEFF, enumerate_modes, exact_sum_q
 from .fem import rayleigh_data, richardson, solve_extrapolated, solve_pair
 from .geometry import C_funcs, EQUILATERAL_APEX, fan_triangle, polya_upper
 from .reports import combine, make_report
@@ -201,8 +206,9 @@ def condCh_verify(h):
         checks, endpoint=float(h), ctilde=ctilde)
 
 
-# Endpoint of the interpolation branch; above it a sector bound suffices.
-SECTOR_SPLIT = 2.5
+# Endpoint of the interpolation branch, where the certified enclosure of
+# lemma62_verify sits; above it a sector bound suffices.
+SECTOR_SPLIT = CERT_APEX
 
 
 def theorem2_verify(b, level):
@@ -219,7 +225,8 @@ def theorem2_verify(b, level):
     if not (b >= EQUILATERAL_APEX):
         raise ValueError("requires b >= sqrt(3)")
     d2 = 1.0 + b * b
-    target = 7.0 * SIGMA_COEFF  # second tone times squared diameter, equilateral
+    # second tone times squared diameter of the equilateral triangle
+    target = SIGMA_COEFF * enumerate_modes(2, "full")[1].q
     vals, errs = solve_extrapolated(fan_triangle(b), 2, level)
     checks = [make_report(
         "FEM second tone times squared diameter exceeds the equilateral value",

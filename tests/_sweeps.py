@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from trispec.geometry import Triangle
-from trispec.isosceles import ALPHA_MAX, ALPHA_MIN
+from trispec.isosceles import ALPHA_MAX, ALPHA_MIN, COLUMNS
 
 
 def aperture_triangle(alpha):
@@ -39,17 +39,17 @@ def default_grid(steps=61):
     return out[keep]
 
 
-def find_min(table, which):
-    """Refined minimizer (alpha*, value*) of one column of a sweep.
+def find_min(s, which):
+    """Refined minimizer (alpha*, value*) of one tone column of a sweep.
 
     Fits a parabola through the grid minimum and its neighbors; the
     minimum must be interior to the grid.
     """
-    vals = table.column(which)
+    vals = s.tones[:, COLUMNS.index(which)]
     i = int(np.argmin(vals))
-    if i == 0 or i == len(table) - 1:
+    if i == 0 or i == vals.size - 1:
         raise ValueError(f"minimum of {which} lies at the grid edge")
-    x0, x1, x2 = table.alpha[i - 1:i + 2]
+    x0, x1, x2 = s.alpha[i - 1:i + 2]
     y0, y1, y2 = vals[i - 1:i + 2]
     d01 = (y1 - y0) / (x1 - x0)
     d12 = (y2 - y1) / (x2 - x1)

@@ -12,4 +12,4 @@ MONO_GRID = np.linspace(math.pi / 6.0 + 0.004, 2.0 * math.pi / 3.0 - 0.004, 82)
 
 @pytest.fixture(scope="session")
 def fine_table():
-    return sweep(MONO_GRID, "side", 6)
+    return sweep(MONO_GRID, 6)

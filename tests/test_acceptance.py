@@ -24,7 +24,7 @@ from trispec.equilateral import (
 )
 from trispec.fem import solve_extrapolated
 from trispec.geometry import Triangle, fan_triangle, rectangle_minimizers
-from trispec.isosceles import sweep, verify_monotonicity
+from trispec.isosceles import scaled, sweep, verify_monotonicity
 from trispec.transplant import theorem1_verify
 
 PI = math.pi
@@ -52,9 +52,9 @@ def test_criterion_1_exact_spectrum():
     elapsed = time.perf_counter() - t0
     ok = elapsed < 1.0
     for table, ref in ((full, FULL_MODES), (anti, ANTISYM_MODES)):
-        ours = _clusters([(mode.m, mode.n) for mode in table.modes])
+        ours = _clusters([(mode.m, mode.n) for mode in table])
         ok = ok and ours == _clusters(ref)
-        ok = ok and all(int(mode.q) == mode.q for mode in table.modes)
+        ok = ok and all(int(mode.q) == mode.q for mode in table)
     criterion(1, f"exact spectrum matches the published clusters "
                  f"({elapsed:.2f}s)", ok)
 
@@ -65,7 +65,8 @@ def test_criterion_2_per_rank_comparison():
     ok = all(6 * anti[j - 1].q > 11 * full[j - 1].q
              for j in range(1, 111) if j != 4)
     ok = ok and not (6 * anti[3].q > 11 * full[3].q)
-    ok = ok and 6 * anti.sum_q(4) > 11 * full.sum_q(4)
+    ok = ok and (6 * sum(mode.q for mode in anti[:4])
+                 > 11 * sum(mode.q for mode in full[:4]))
     report = verify_lemma_explicit()
     ok = ok and report["verdict"] == "pass" and report["exception_rank"] == 4
     criterion(2, "per-rank comparison with the single rank-4 exception", ok)
@@ -172,21 +173,24 @@ def test_criterion_10_figure_labels():
     ]
     ok = True
     for scaling, which, (lo, hi, pts), label in targets:
-        _, value = find_min(sweep(np.linspace(lo, hi, pts), scaling, 6), which)
+        _, value = find_min(
+            scaled(sweep(np.linspace(lo, hi, pts), 6), scaling), which)
         ok = ok and abs(value - label) < 0.01 * label
     # dotted-line values: exact constants at the stated apertures
-    side = sweep([PI / 3.0, PI / 2.0], "side", 6)
-    area = side.rescaled("area")
-    per = side.rescaled("perimeter")
+    s = sweep([PI / 3.0, PI / 2.0], 6)
+    side = s.tones
+    area = scaled(s, "area").tones
+    per = scaled(s, "perimeter").tones
+    # columns: lambda1, lambda_a, lambda_s
     dotted = [
-        (side.lambda1[0], 3.0 * SIGMA_COEFF),
-        (side.lambda_a[0], 7.0 * SIGMA_COEFF),
-        (side.lambda_a[1], 10.0 * PI**2),
-        (area.lambda_a[1], 5.0 * PI**2),
-        (area.lambda1[0], 4.0 * PI**2 / SQRT3),
-        (per.lambda_s[0], 112.0 * PI**2),
-        (per.lambda1[0], 48.0 * PI**2),
-        (area.lambda_s[0], 28.0 * PI**2 / (3.0 * SQRT3)),
+        (side[0, 0], 3.0 * SIGMA_COEFF),
+        (side[0, 1], 7.0 * SIGMA_COEFF),
+        (side[1, 1], 10.0 * PI**2),
+        (area[1, 1], 5.0 * PI**2),
+        (area[0, 0], 4.0 * PI**2 / SQRT3),
+        (per[0, 2], 112.0 * PI**2),
+        (per[0, 0], 48.0 * PI**2),
+        (area[0, 2], 28.0 * PI**2 / (3.0 * SQRT3)),
     ]
     for got, exact in dotted:
         ok = ok and abs(got - exact) < 5e-3 * exact
@@ -195,11 +199,12 @@ def test_criterion_10_figure_labels():
 
 
 def test_criterion_11_class_order_and_monotonicity(fine_table):
-    table = sweep(default_grid(), "side", 6)
-    below = table.alpha < PI / 3.0
-    above = table.alpha > PI / 3.0
-    ok = bool(np.all(table.lambda_s[below] < table.lambda_a[below]))
-    ok = ok and bool(np.all(table.lambda_a[above] < table.lambda_s[above]))
+    s = sweep(default_grid(), 6)
+    lambda_a, lambda_s = s.tones[:, 1], s.tones[:, 2]
+    below = s.alpha < PI / 3.0
+    above = s.alpha > PI / 3.0
+    ok = bool(np.all(lambda_s[below] < lambda_a[below]))
+    ok = ok and bool(np.all(lambda_a[above] < lambda_s[above]))
     report = verify_monotonicity(fine_table)
     ok = ok and report["verdict"] == "pass"
     criterion(11, "class order swaps across pi/3; claimed monotone "

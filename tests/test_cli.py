@@ -14,7 +14,8 @@ import scipy
 
 from trispec import cli, fem, isosceles
 from trispec.cli import dispatch
-from trispec.equilateral import enumerate_modes
+from trispec.equilateral import SIGMA_COEFF, enumerate_modes
+from trispec.isosceles import scale_factor
 
 SQRT3 = math.sqrt(3.0)
 
@@ -224,9 +225,76 @@ def test_deep_validation_error(capsys):
 def test_spectrum_matches_table(capsys):
     code, out, err = run(capsys, "spectrum", "--n", "12", "--class", "antisym")
     assert code == 0
-    assert out == enumerate_modes(12, "antisym").to_csv()
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    modes = enumerate_modes(12, "antisym")
+    assert [[int(cell) for cell in row[:4]] for row in rows] == [
+        [j, *mode] for j, mode in enumerate(modes, start=1)]
+    assert [float(row[4]) for row in rows] == [m.q * SIGMA_COEFF for m in modes]
+    assert {row[5] for row in rows} == {"antisym"}
     first = out.splitlines()[1].split(",")
     assert first[:4] == ["1", "2", "1", "7"]
+
+
+SPECTRUM_6_CSV = """\
+j,m,n,q,lambda,class
+1,1,1,3,52.637890139143245,sym
+2,1,2,7,122.82174365800091,sym
+3,2,1,7,122.82174365800091,antisym
+4,2,2,12,210.55156055657298,sym
+5,1,3,13,228.0975239362874,sym
+6,3,1,13,228.0975239362874,antisym
+"""
+
+
+SPECTRUM_6_JSON = """\
+{
+  "class": "full",
+  "modes": [
+    {
+      "j": 1,
+      "m": 1,
+      "n": 1,
+      "q": 3
+    },
+    {
+      "j": 2,
+      "m": 1,
+      "n": 2,
+      "q": 7
+    },
+    {
+      "j": 3,
+      "m": 2,
+      "n": 1,
+      "q": 7
+    },
+    {
+      "j": 4,
+      "m": 2,
+      "n": 2,
+      "q": 12
+    },
+    {
+      "j": 5,
+      "m": 1,
+      "n": 3,
+      "q": 13
+    },
+    {
+      "j": 6,
+      "m": 3,
+      "n": 1,
+      "q": 13
+    }
+  ]
+}
+"""
+
+
+def test_spectrum_text_is_pinned(capsys):
+    assert run(capsys, "spectrum", "--n", "6") == (0, SPECTRUM_6_CSV, "")
+    assert run(capsys, "spectrum", "--n", "6", "--format", "json") == (
+        0, SPECTRUM_6_JSON, "")
 
 
 def test_spectrum_json(capsys):
@@ -320,7 +388,7 @@ def test_output_does_not_depend_on_earlier_runs(capsys):
         assert run(capsys, *argv) == first, argv
 
 
-def test_handlers_run_on_one_blas_thread(capsys, monkeypatch, blas):
+def test_handlers_run_on_one_blas_thread(capsys, monkeypatch, blas, request):
     caller = blas_threads(blas)
     assert caller == [2] * len(blas)
     seen = []
@@ -333,7 +401,11 @@ def test_handlers_run_on_one_blas_thread(capsys, monkeypatch, blas):
             raise RuntimeError("escapes")
         return "ok\n", 0
 
+    # the command tree binds each handler when it is built: build it anew
+    # around the stand-in, and again after the stand-in is gone
     monkeypatch.setattr(cli, "_cmd_lattice", handler)
+    cli._parser.cache_clear()
+    request.addfinalizer(cli._parser.cache_clear)
     assert run(capsys, "lattice", "--n", "1") == (0, "ok\n", "")
     assert blas_threads(blas) == caller
     assert run(capsys, "lattice", "--n", "2") == (
@@ -478,6 +550,29 @@ def test_sweep_csv_and_out(tmp_path, capsys):
     capsys.readouterr()
     assert code2 == 0
     assert path.read_text() == out
+
+
+def test_sweep_scalings_multiply_the_side_columns(capsys):
+    def columns(scaling):
+        code, out, err = run(capsys, "sweep", "--alpha-min", "0.8",
+                             "--alpha-max", "1.9", "--alpha-steps", "3",
+                             "--scaling", scaling, "--level", "6")
+        assert code == 0
+        rows = [[float(cell) for cell in line.split(",")]
+                for line in out.splitlines()[2:]]
+        return np.array(rows).T
+
+    side = columns("side")
+    for scaling in ("diameter", "perimeter", "area"):
+        other = columns(scaling)
+        np.testing.assert_array_equal(other[0], side[0])
+        fac = np.array([scale_factor(a, scaling) for a in side[0].tolist()])
+        for got, unit in zip(other[1:], side[1:]):
+            np.testing.assert_array_equal(got, unit * fac)
+
+
+def test_the_command_tree_is_built_once():
+    assert cli._parser() is cli._parser()
 
 
 def test_rectangle(capsys):

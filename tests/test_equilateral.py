@@ -7,7 +7,7 @@ import pytest
 from trispec.equilateral import (
     COUNTING_GUARD,
     SIGMA_COEFF,
-    ModeIndex,
+    Mode,
     antisym_bounds,
     antisym_counting_upper,
     counting_bounds,
@@ -23,19 +23,19 @@ from trispec.equilateral import (
 from _table1 import ANTISYM_MODES, FULL_MODES
 
 
-def qs(table):
-    """The table's q values in rank order."""
-    return np.array([mode.q for mode in table.modes])
+def qs(modes):
+    """The q values of the modes in rank order."""
+    return np.array([mode.q for mode in modes])
 
 
 def test_mode_index():
-    mode = ModeIndex(3, 1)
-    assert mode.q == 13
-    assert mode.symmetry == "antisym"
-    assert ModeIndex(2, 2).symmetry == "sym"
-    assert ModeIndex(1, 3).symmetry == "sym"
-    with pytest.raises(ValueError):
-        ModeIndex(1, -2)
+    # every mode carries its lattice form; the antisymmetric class is the
+    # strict half m > n
+    for cls in ("full", "antisym"):
+        for m, n, q in enumerate_modes(200, cls):
+            assert m >= 1 and n >= 1
+            assert q == m * m + m * n + n * n
+            assert cls == "full" or m > n
 
 
 def test_enumerate_small():
@@ -235,15 +235,7 @@ def test_verify_compequilateral():
 
 def test_spectrum_table():
     t = enumerate_modes(5, "full")
-    assert len(t) == 5
-    np.testing.assert_array_equal(qs(t), [3, 7, 7, 12, 13])
-    assert t.sum_q(2) == 10
-    with pytest.raises(ValueError):
-        t.sum_q(6)
-    csv = t.to_csv()
-    lines = csv.strip().split("\n")
-    assert lines[0] == "j,m,n,q,lambda,class"
-    assert len(lines) == 6
-    assert lines[1].startswith("1,1,1,3,")
-    assert lines[1].endswith(",sym")
-    assert csv == enumerate_modes(5, "full").to_csv()
+    assert t == [Mode(1, 1, 3), Mode(1, 2, 7), Mode(2, 1, 7), Mode(2, 2, 12),
+                 Mode(1, 3, 13)]
+    assert exact_sum_q(2) == 10
+    assert enumerate_modes(5, "full") == t

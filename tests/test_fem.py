@@ -628,7 +628,7 @@ def test_energies_are_computed_only_where_gamma_is_read(monkeypatch):
         return energies(*args)
 
     monkeypatch.setattr(fem, "_energies", counted)
-    sweep(np.linspace(math.pi / 6, 2 * math.pi / 3, 5), "side", 6)
+    sweep(np.linspace(math.pi / 6, 2 * math.pi / 3, 5), 6)
     solve_extrapolated(fan_triangle(2.5), 2, 5)
     assert calls == []
     for b in (1.8, 2.5):

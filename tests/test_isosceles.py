@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from trispec import fem, isosceles
+from trispec.cli import dispatch
 from trispec.fem import solve_extrapolated
 from trispec.geometry import half_triangle
 from trispec.isosceles import (
-    SweepTable,
+    SCALINGS,
+    Sweep,
     observation_crossing,
     scale_factor,
+    scaled,
     sweep,
     verify_monotonicity,
 )
@@ -36,11 +39,11 @@ def test_scale_factor():
 
 def test_sweep_validation():
     with pytest.raises(ValueError, match="at least two"):
-        sweep([1.0], "side", 6)
+        sweep([1.0], 6)
     with pytest.raises(ValueError, match="inside"):
-        sweep([0.5, PI], "side", 6)
+        sweep([0.5, PI], 6)
     with pytest.raises(ValueError, match="level"):
-        sweep([0.5, 0.6], "side", 5)
+        sweep([0.5, 0.6], 5)
 
 
 def test_sweep_refuses_an_unordered_grid_before_solving(monkeypatch):
@@ -50,19 +53,30 @@ def test_sweep_refuses_an_unordered_grid_before_solving(monkeypatch):
     monkeypatch.setattr(isosceles, "solve_family", refuse)
     for grid in ([1.0, 0.9, 1.1], [1.0, 1.0]):
         with pytest.raises(ValueError, match="strictly increasing"):
-            sweep(grid, "side", 6)
+            sweep(grid, 6)
 
 
-def test_table_invariants():
-    errors = np.zeros((2, 3))
-    with pytest.raises(ValueError, match="increasing"):
-        SweepTable([1.0, 1.0], [1, 1], [2, 2], [3, 3], "side", errors, 6)
-    with pytest.raises(ValueError, match="positive"):
-        SweepTable([1.0, 1.1], [1, -1], [2, 2], [3, 3], "side", errors, 6)
-    with pytest.raises(ValueError, match="below"):
-        SweepTable([1.0, 1.1], [2, 2], [1, 1], [3, 3], "side", errors, 6)
+def test_table_invariants(monkeypatch):
+    # the solves return the tones (lambda1, lambda_a, lambda_s) at both
+    # levels, so the extrapolation hands them on unchanged
+    def solving_to(lambda1, lambda_a, lambda_s):
+        def solve_family(halves, k, level, edges):
+            half = [[lambda1, lambda_s]] if k == 2 else [[lambda_a]]
+            return np.array(half * len(halves), dtype=float)
+        return solve_family
+
+    cases = [((-1.0, 2.0, 3.0), "positive"), ((2.0, 1.0, 3.0), "below"),
+             ((2.0, 3.0, 1.0), "below"), ((2.0, 2.0, 3.0), "below")]
+    for tones, match in cases:
+        monkeypatch.setattr(isosceles, "solve_family", solving_to(*tones))
+        with pytest.raises(ValueError, match=match):
+            sweep([1.0, 1.1], 6)
+    monkeypatch.setattr(isosceles, "solve_family", solving_to(1.0, 2.0, 3.0))
+    s = sweep([1.0, 1.1], 6)
+    np.testing.assert_array_equal(s.tones, [[1.0, 2.0, 3.0]] * 2)
+    np.testing.assert_array_equal(s.errors, np.zeros((2, 3)))
     with pytest.raises(ValueError, match="scaling"):
-        SweepTable([1.0, 1.1], [1, 1], [2, 2], [3, 3], "volume", errors, 6)
+        scaled(s, "volume")
 
 
 def test_sweep_solves_snapshots_on_half_triangles(monkeypatch):
@@ -74,7 +88,7 @@ def test_sweep_solves_snapshots_on_half_triangles(monkeypatch):
         return original(mesh, k, dirichlet_edges, start)
 
     monkeypatch.setattr(fem, "solve_lowest", recording)
-    sweep([0.8, 1.0], "side", 6)
+    sweep([0.8, 1.0], 6)
     # a grid shorter than the snapshot count solves every aperture directly:
     # two apertures, Dirichlet and free-axis half, two levels
     assert len(solved) == 8
@@ -87,74 +101,81 @@ def test_fundamental_is_the_lowest_free_axis_half_tone():
     # the symmetric half reproduces the whole triangle's fundamental well
     # inside the two extrapolation error bars
     grid = [0.7, 1.4, 2.0 * PI / 3.0]
-    tab = sweep(grid, "side", 6)
+    s = sweep(grid, 6)
     for i, a in enumerate(grid):
         full, full_err = solve_extrapolated(aperture_triangle(a), 1, 6)
-        bar = float(full_err[0]) + tab.errors[i, 0]
-        assert abs(tab.lambda1[i] - full[0]) < 0.1 * bar
+        bar = float(full_err[0]) + s.errors[i, 0]
+        assert abs(s.tones[i, 0] - full[0]) < 0.1 * bar
 
 
 def test_sweep_matches_figure_side():
     # figure-grid fixtures; their values carry FEM error of their own,
     # so one percent is the honest bar
-    tab = sweep([PI / 6.0, PI / 3.0, PI / 2.0], "side", 6)
+    s = sweep([PI / 6.0, PI / 3.0, PI / 2.0], 6)
     fig = {
         PI / 6.0: (104.9618, 293.5534, 196.3239),
         PI / 3.0: (52.6405, 122.8361, 122.8361),
         PI / 2.0: (49.3512, 98.7107, 128.3272),
     }
-    for i, a in enumerate(tab.alpha):
-        l1, la, ls = fig[float(a)]
-        assert tab.lambda1[i] == pytest.approx(l1, rel=0.01)
-        assert tab.lambda_a[i] == pytest.approx(la, rel=0.01)
-        assert tab.lambda_s[i] == pytest.approx(ls, rel=0.01)
+    for a, tones in zip(s.alpha, s.tones):
+        assert list(tones) == pytest.approx(fig[float(a)], rel=0.01)
     # dotted-line values are exact
-    assert tab.lambda1[1] == pytest.approx(16.0 * PI ** 2 / 3.0, rel=1e-4)
-    assert tab.lambda_a[1] == pytest.approx(112.0 * PI ** 2 / 9.0, rel=1e-4)
-    assert tab.lambda_a[2] == pytest.approx(10.0 * PI ** 2, rel=1e-4)
+    assert s.tones[1, 0] == pytest.approx(16.0 * PI ** 2 / 3.0, rel=1e-4)
+    assert s.tones[1, 1] == pytest.approx(112.0 * PI ** 2 / 9.0, rel=1e-4)
+    assert s.tones[2, 1] == pytest.approx(10.0 * PI ** 2, rel=1e-4)
 
 
 def test_sweep_exact_values_other_scalings():
-    tab = sweep([PI / 3.0, PI / 2.0], "area", 6)
-    assert tab.lambda1[0] == pytest.approx(4.0 * PI ** 2 / math.sqrt(3.0),
-                                           rel=1e-4)
-    assert tab.lambda_s[0] == pytest.approx(
+    s = sweep([PI / 3.0, PI / 2.0], 6)
+    area = scaled(s, "area").tones
+    assert area[0, 0] == pytest.approx(4.0 * PI ** 2 / math.sqrt(3.0),
+                                       rel=1e-4)
+    assert area[0, 2] == pytest.approx(
         28.0 * PI ** 2 / (3.0 * math.sqrt(3.0)), rel=1e-4)
-    assert tab.lambda_a[1] == pytest.approx(5.0 * PI ** 2, rel=1e-4)
+    assert area[1, 1] == pytest.approx(5.0 * PI ** 2, rel=1e-4)
     # perimeter values from the same raw solves
-    per = tab.rescaled("perimeter")
-    assert per.lambda1[0] == pytest.approx(48.0 * PI ** 2, rel=1e-4)
-    assert per.lambda_s[0] == pytest.approx(112.0 * PI ** 2, rel=1e-4)
+    per = scaled(s, "perimeter").tones
+    assert per[0, 0] == pytest.approx(48.0 * PI ** 2, rel=1e-4)
+    assert per[0, 2] == pytest.approx(112.0 * PI ** 2, rel=1e-4)
 
 
-def test_rescaled_matches_direct_sweep():
-    grid = [0.7, 0.9, 1.2]
-    side = sweep(grid, "side", 6)
-    for scaling in ("diameter", "perimeter", "area"):
-        direct = sweep(grid, scaling, 6)
-        via = side.rescaled(scaling)
-        assert np.allclose(via.lambda1, direct.lambda1, rtol=1e-12)
-        assert np.allclose(via.lambda_a, direct.lambda_a, rtol=1e-12)
-        assert np.allclose(via.lambda_s, direct.lambda_s, rtol=1e-12)
+def test_scaled_multiplies_each_aperture_by_its_factor():
+    # tones and error bars alike, bit for bit; side scaling is the identity
+    s = sweep([0.7, 0.9, 1.2], 6)
+    for scaling in SCALINGS:
+        out = scaled(s, scaling)
+        np.testing.assert_array_equal(out.alpha, s.alpha)
+        for i, a in enumerate(s.alpha):
+            fac = scale_factor(float(a), scaling)
+            np.testing.assert_array_equal(out.tones[i], s.tones[i] * fac)
+            np.testing.assert_array_equal(out.errors[i], s.errors[i] * fac)
+    side = scaled(s, "side")
+    np.testing.assert_array_equal(side.tones, s.tones)
+    np.testing.assert_array_equal(side.errors, s.errors)
 
 
-def test_csv_format():
-    tab = sweep([0.8, 1.0], "side", 6)
-    text = tab.to_csv()
+def sweep_csv(capsys, *flags):
+    argv = ["sweep", "--alpha-min", "0.8", "--alpha-max", "1.0",
+            "--alpha-steps", "2", "--level", "6", *flags]
+    assert dispatch(argv) == 0
+    return capsys.readouterr().out
+
+
+def test_csv_format(capsys):
+    text = sweep_csv(capsys)
     lines = text.strip().split("\n")
     assert lines[0] == "# scaling: side"
     assert lines[1] == "alpha,lambda1,lambda_a,lambda_s"
     assert len(lines) == 4
-    assert text == tab.to_csv()
+    assert text == sweep_csv(capsys)
 
 
-def test_csv_cells_are_the_table_floats():
-    tab = sweep([0.8, 1.0], "side", 6)
+def test_csv_cells_are_the_table_floats(capsys):
+    s = sweep([0.8, 1.0], 6)
     rows = [[float(cell) for cell in line.split(",")]
-            for line in tab.to_csv().strip().split("\n")[2:]]
+            for line in sweep_csv(capsys).strip().split("\n")[2:]]
     columns = np.array(rows).T
-    for got, want in zip(columns, (tab.alpha, tab.lambda1, tab.lambda_a,
-                                   tab.lambda_s)):
+    for got, want in zip(columns, (s.alpha, *s.tones.T)):
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -174,38 +195,36 @@ def test_find_min_figure_labels():
     # the five labeled minima of the tone curves; locations are compared
     # against the printed ones within the source plots' grid spacing
     h_fig = 0.0524
-    tab = sweep(np.linspace(1.30, 1.44, 8), "side", 6)
-    a, v = find_min(tab, "lambda1")
+    s = sweep(np.linspace(1.30, 1.44, 8), 6)
+    a, v = find_min(s, "lambda1")
     assert v == pytest.approx(48.03, rel=0.01)
     assert abs(a - 1.3614) < h_fig
 
-    tab = sweep(np.linspace(1.15, 1.31, 9), "side", 6)
-    a, v = find_min(tab, "lambda_s")
+    s = sweep(np.linspace(1.15, 1.31, 9), 6)
+    a, v = find_min(s, "lambda_s")
     assert v == pytest.approx(120.04, rel=0.01)
     assert abs(a - 1.2243) < h_fig
 
-    tab = sweep(np.linspace(0.77, 0.91, 8), "perimeter", 6)
-    a, v = find_min(tab, "lambda_s")
+    s = scaled(sweep(np.linspace(0.77, 0.91, 8), 6), "perimeter")
+    a, v = find_min(s, "lambda_s")
     assert v == pytest.approx(1071.6, rel=0.01)
     assert abs(a - 0.8378) < h_fig
 
-    tab = sweep(np.linspace(1.19, 1.33, 8), "perimeter", 6)
-    a, v = find_min(tab, "lambda_a")
+    s = scaled(sweep(np.linspace(1.19, 1.33, 8), 6), "perimeter")
+    a, v = find_min(s, "lambda_a")
     assert v == pytest.approx(1073.7, rel=0.01)
     assert abs(a - 1.2566) < h_fig
 
-    tab = sweep(np.linspace(0.54, 0.66, 7), "area", 6)
-    a, v = find_min(tab, "lambda_s")
+    s = scaled(sweep(np.linspace(0.54, 0.66, 7), 6), "area")
+    a, v = find_min(s, "lambda_s")
     assert v == pytest.approx(48.88, rel=0.01)
     assert abs(a - 0.596) < h_fig
 
 
 def test_find_min_validation():
-    tab = sweep(np.linspace(0.6, 0.9, 4), "side", 6)
+    s = sweep(np.linspace(0.6, 0.9, 4), 6)
     with pytest.raises(ValueError, match="edge"):
-        find_min(tab, "lambda_a")  # decreasing through this window
-    with pytest.raises(ValueError, match="column"):
-        tab.column("lambda_x")
+        find_min(s, "lambda_a")  # decreasing through this window
 
 
 def test_monotonicity_report(fine_table):
@@ -220,14 +239,15 @@ def test_monotonicity_report(fine_table):
 
 
 def test_monotone_claim_the_grid_misses_is_inconclusive():
-    # exact tones with every claimed trend on [1.4, 1.8], built under
+    # exact tones with every claimed trend on [1.4, 1.8], given under
     # area scaling and solved at no level; no aperture lies in [0, pi/3]
     alpha = np.linspace(1.4, 1.8, 25)
-    tab = SweepTable(alpha, 30.0 + 10.0 * alpha,
-                     100.0 + 50.0 * (alpha - PI / 2.0) ** 2,
-                     np.full(alpha.size, 200.0), "area",
-                     np.zeros((alpha.size, 3)), None)
-    r = verify_monotonicity(tab)
+    area = np.column_stack((30.0 + 10.0 * alpha,
+                            100.0 + 50.0 * (alpha - PI / 2.0) ** 2,
+                            np.full(alpha.size, 200.0)))
+    fac = np.array([scale_factor(float(a), "area") for a in alpha])
+    r = verify_monotonicity(Sweep(alpha, area / fac[:, None],
+                                  np.zeros((alpha.size, 3))))
     missed = [c for c in r["checks"] if c.get("points") == 0]
     assert len(missed) == 5
     assert all(c["verdict"] == "inconclusive" for c in missed)
@@ -237,9 +257,9 @@ def test_monotone_claim_the_grid_misses_is_inconclusive():
 
 
 def test_monotonicity_spacing_guard():
-    tab = sweep(np.linspace(0.7, 1.0, 4), "side", 6)
+    s = sweep(np.linspace(0.7, 1.0, 4), 6)
     with pytest.raises(ValueError, match="spacing"):
-        verify_monotonicity(tab)
+        verify_monotonicity(s)
 
 
 def test_corner_at_equilateral_aperture():

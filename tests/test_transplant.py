@@ -221,7 +221,7 @@ def test_theorem1_min_target_invariant():
         # sidelength-4 equilateral: q * SIGMA_COEFF / 16
         anti = enumerate_modes(n, mode_class="antisym")
         right_target = (6.0 / 11.0) * 16.0 * sum(
-            m.q * SIGMA_COEFF / 16.0 for m in anti.modes)
+            m.q * SIGMA_COEFF / 16.0 for m in anti)
         assert eq_target < right_target
         assert r["target"] == pytest.approx(min(eq_target, right_target))
         lhs = r["fem_sum"] * r["diameter_squared"]
