@@ -4,19 +4,21 @@ An exact Helmholtz solution that nearly vanishes on the boundary of a
 domain pins down a true Dirichlet eigenvalue: some eigenvalue lies within
 a relative distance epsilon of the trial frequency, where epsilon is the
 boundary sup norm over the interior L2 norm times the square root of the
-area.  The trial functions here are short cosine-Bessel sums on the
-circular sector matching an isosceles triangle's aperture; they vanish
+area (Moler and Payne).  A trial is a short cosine-Bessel sum on the
+circular sector matching an isosceles triangle's aperture; it vanishes
 exactly on the two equal sides, so only the short side contributes to the
 sup norm.  That sup is bounded cell by cell along the short side, from the
 sampled values and a bound on the second derivative built from Bessel
 envelopes.  Sector eigenvalues come from Bessel zeros: a scan finds each
-sign change, and bisection narrows it to two adjacent floats.  Everything
-feeds the certified enclosure of the second eigenvalue of the
-aperture-0.761 isosceles triangle that the second-tone verification
-pipeline needs.  The enclosure stays flagged heuristic: the
+sign change, and bisection narrows it to two adjacent floats.  Sectors,
+trials and enclosures are plain records; `moler_payne` alone builds an
+enclosure.  Everything feeds the certified enclosure of the second
+eigenvalue of the aperture-0.761 isosceles triangle that the second-tone
+verification pipeline needs.  The enclosure stays flagged heuristic: the
 L2 lower bound and the Bessel values themselves are unverified floats.
 """
 
+import collections
 import math
 
 import numpy as np
@@ -26,12 +28,13 @@ from .geometry import C_funcs, fan_triangle
 from .reports import combine, make_report
 
 __all__ = [
-    "SectorSpec",
-    "TrialFunction",
-    "CertifiedInterval",
+    "Sector",
+    "Trial",
+    "Enclosure",
     "bessel_j",
     "bessel_zero",
     "sector_eigenvalue",
+    "ranked_sector_eigenvalue",
     "trial_eval",
     "l2_lower",
     "boundary_sup",
@@ -124,38 +127,22 @@ def _bisect_sign_change(nu, lo, hi, f_lo, f_hi):
             hi, f_hi = mid, f_mid
 
 
-class SectorSpec:
-    """Circular sector of given radius and aperture, axis along +x."""
-
-    def __init__(self, radius, aperture):
-        if not (radius > 0):
-            raise ValueError("radius must be positive")
-        if not (0 < aperture < math.pi):
-            raise ValueError("aperture must lie in (0, pi)")
-        self.radius = float(radius)
-        self.aperture = float(aperture)
-
-    @property
-    def order(self):
-        """Angular order nu = pi/aperture of the lowest Dirichlet family."""
-        return math.pi / self.aperture
-
-    def __repr__(self):
-        return f"SectorSpec(radius={self.radius!r}, aperture={self.aperture!r})"
+# Circular sector of radius > 0 and aperture in (0, pi), axis along +x.
+Sector = collections.namedtuple("Sector", "radius aperture")
 
 
 def sector_eigenvalue(s, k, j):
-    """Dirichlet sector eigenvalue (j_{k nu, j} / radius)^2.
+    """Dirichlet sector eigenvalue (j_{k nu, j} / radius)^2, nu = pi/aperture.
 
     k counts the angular family (k = 1 is even about the axis, k = 2 odd,
     and so on), j the radial overtone.
     """
     if k < 1 or j < 1:
         raise ValueError("angular family and radial index must be >= 1")
-    return (bessel_zero(k * s.order, j) / s.radius) ** 2
+    return (bessel_zero(k * (math.pi / s.aperture), j) / s.radius) ** 2
 
 
-def _sector_ranked_eigenvalue(s, rank):
+def ranked_sector_eigenvalue(s, rank):
     """The rank-th lowest Dirichlet eigenvalue of sector s.
 
     Walks the families k and overtones j in order, keeping the `rank`
@@ -163,9 +150,10 @@ def _sector_ranked_eigenvalue(s, rank):
     j_{mu,1} > mu no family with (k nu / radius)^2 above the current
     rank-th value can contribute, which ends the walk.
     """
+    nu = math.pi / s.aperture
     lowest = []
     k = 1
-    while len(lowest) < rank or (k * s.order / s.radius) ** 2 < lowest[-1]:
+    while len(lowest) < rank or (k * nu / s.radius) ** 2 < lowest[-1]:
         j = 1
         while True:
             lam = sector_eigenvalue(s, k, j)
@@ -177,44 +165,17 @@ def _sector_ranked_eigenvalue(s, rank):
     return lowest[-1]
 
 
-class TrialFunction:
-    """Sum of terms coeff * J_{k nu}(kappa r) cos(k nu theta), k odd.
+# Trial sum over i of coeffs[i] * J_mu(kappa r) cos(mu theta), mu = (2i+1) nu,
+# for an angular order nu > 1 and a frequency kappa > 0.  Each term solves
+# the Helmholtz equation at frequency kappa, and the odd multiple makes its
+# angular factor vanish at theta = +-pi/(2 nu), so the sum is an exact
+# eigenfunction candidate on the rays of the sector of aperture pi/nu.
+Trial = collections.namedtuple("Trial", "nu kappa coeffs")
 
-    Each term solves the Helmholtz equation at frequency kappa, and odd k
-    makes the angular factor vanish at theta = +-pi/(2 nu), so the sum is
-    an exact eigenfunction candidate on the sector rays.
-    """
 
-    def __init__(self, terms, kappa):
-        if not (kappa > 0):
-            raise ValueError("frequency must be positive")
-        packed = []
-        for coeff, k, nu in terms:
-            k = int(k)
-            if k < 1 or k % 2 == 0:
-                raise ValueError("order multiples must be odd positive integers")
-            if not (nu > 1):
-                raise ValueError("angular order must exceed 1")
-            packed.append((float(coeff), k, float(nu)))
-        if not packed:
-            raise ValueError("term list must be nonempty")
-        orders = {nu for _, _, nu in packed}
-        if len(orders) != 1:
-            raise ValueError("terms must share one base angular order")
-        self.terms = tuple(packed)
-        self.kappa = float(kappa)
-
-    @property
-    def order(self):
-        """Common base angular order nu of the terms."""
-        return self.terms[0][2]
-
-    @property
-    def aperture(self):
-        return math.pi / self.order
-
-    def __repr__(self):
-        return f"TrialFunction(terms={self.terms!r}, kappa={self.kappa!r})"
+def _terms(tf):
+    """(coeff, mu) of each term of the trial sum."""
+    return [(coeff, (2 * i + 1) * tf.nu) for i, coeff in enumerate(tf.coeffs)]
 
 
 def trial_eval(tf, r, theta):
@@ -224,8 +185,8 @@ def trial_eval(tf, r, theta):
         raise ValueError("radius must be nonnegative")
     th = np.asarray(theta, dtype=float)
     out = np.zeros(np.broadcast_shapes(r_arr.shape, th.shape))
-    for coeff, k, nu in tf.terms:
-        out = out + coeff * bessel_j(k * nu, tf.kappa * r_arr) * np.cos(k * nu * th)
+    for coeff, mu in _terms(tf):
+        out = out + coeff * bessel_j(mu, tf.kappa * r_arr) * np.cos(mu * th)
     return float(out) if out.ndim == 0 else out
 
 
@@ -296,7 +257,7 @@ def _bessel_bounds(mu, xa, xb):
 def _second_derivative_terms(tf, h, a, b):
     """Bounds over [a, b] on the four parts of d^2/dtheta^2 trial(h/cos, .).
 
-    Per term c J_mu(kappa r) cos(mu theta), mu = k nu, the second derivative
+    Per term c J_mu(kappa r) cos(mu theta), the second derivative
     is c [kappa r'' J' cos + (kappa r')^2 J'' cos - 2 mu kappa r' J' sin
     - mu^2 J cos]; row i of the result sums |c| times a bound on part i.
     Cells lie in [0, half-aperture], where r = h/cos, r' and r'' increase,
@@ -309,8 +270,7 @@ def _second_derivative_terms(tf, h, a, b):
     xa = tf.kappa * h / np.cos(a)
     xb = tf.kappa * h / cb
     total = np.zeros((4,) + np.shape(b))
-    for coeff, k, nu in tf.terms:
-        mu = k * nu
+    for coeff, mu in _terms(tf):
         j0, j1, j2 = _bessel_bounds(mu, xa, xb)
         total += abs(coeff) * np.array([
             tf.kappa * r2 * j1, (tf.kappa * r1) ** 2 * j2,
@@ -340,7 +300,7 @@ def _sup_cells(tf, h, num):
                 f"boundary sup not resolved within {SUP_MAX_EVALS} evaluations")
         return np.abs(trial_eval(tf, h / np.cos(theta), theta))
 
-    theta = np.linspace(0.0, 0.5 * tf.aperture, int(num))
+    theta = np.linspace(0.0, 0.5 * (math.pi / tf.nu), int(num))
     vals = absval(theta)
     peak = float(np.max(vals))
     a, b, fa, fb = theta[:-1], theta[1:], vals[:-1], vals[1:]
@@ -377,32 +337,15 @@ def boundary_sup(tf, h, num=SUP_GRID):
     return float(np.max(bound)), evals
 
 
-class CertifiedInterval:
-    """Two-sided enclosure of a Dirichlet eigenvalue near a trial frequency.
-
-    lower = lambda_bar/(1+epsilon) and upper = lambda_bar/(1-epsilon); some
-    true eigenvalue of the domain lies inside.  provenance, empty here,
-    is where the caller records how the sup and L2 bounds were obtained.
-    """
-
-    def __init__(self, lambda_bar, epsilon):
-        if not (0.0 < epsilon < 1.0):
-            raise ValueError("epsilon must lie in (0, 1)")
-        if not (lambda_bar > 0):
-            raise ValueError("lambda_bar must be positive")
-        self.lambda_bar = float(lambda_bar)
-        self.epsilon = float(epsilon)
-        self.lower = self.lambda_bar / (1.0 + self.epsilon)
-        self.upper = self.lambda_bar / (1.0 - self.epsilon)
-        self.provenance = {}
-
-    def __repr__(self):
-        return (f"CertifiedInterval(lambda_bar={self.lambda_bar!r}, "
-                f"epsilon={self.epsilon!r})")
+# Two-sided enclosure lower = lambda_bar/(1+epsilon), upper =
+# lambda_bar/(1-epsilon) of a Dirichlet eigenvalue near a trial frequency,
+# with the L2 and boundary sup bounds it was built from.
+Enclosure = collections.namedtuple(
+    "Enclosure", "lambda_bar epsilon lower upper l2_lower boundary_sup")
 
 
 def moler_payne(lambda_bar, sup_bound, l2_bound, area):
-    """Certified interval from the boundary-defect bound.
+    """Certified enclosure from the boundary-defect bound.
 
     epsilon = sqrt(area) * sup / l2; raises when epsilon >= 1, since then
     the defect is too large to certify anything.
@@ -412,7 +355,8 @@ def moler_payne(lambda_bar, sup_bound, l2_bound, area):
     eps = math.sqrt(area) * sup_bound / l2_bound
     if eps >= 1.0:
         raise ValueError(f"certification failed: epsilon = {eps:.3g} >= 1")
-    return CertifiedInterval(lambda_bar, eps)
+    return Enclosure(lambda_bar, eps, lambda_bar / (1.0 + eps),
+                     lambda_bar / (1.0 - eps), l2_bound, sup_bound)
 
 
 def certify_second_eigenvalue():
@@ -421,29 +365,15 @@ def certify_second_eigenvalue():
     The triangle, of aperture 2 arctan(1/h) with h = CERT_APEX, has its apex
     at the origin, axis along +x, apex height h over a half-base of 1 in
     the original placement, so area h and short side r = h/cos(theta).
-    The trial sum has the coefficients CERT_COEFFS.  Returns the
-    CertifiedInterval; the inscribed sector of radius h supplies the L2
-    lower bound.
+    The trial sum has the coefficients CERT_COEFFS, and the inscribed
+    sector of radius h supplies the L2 lower bound.
     """
     h = CERT_APEX
     aperture = 2.0 * math.atan(1.0 / h)
-    nu = math.pi / aperture
-    tf = TrialFunction([(c, 2 * i + 1, nu) for i, c in enumerate(CERT_COEFFS)],
-                       CERT_KAPPA)
-    inner = SectorSpec(h, aperture)
-    l2 = l2_lower(tf, inner)
-    sup, evals = boundary_sup(tf, h)
-    interval = moler_payne(CERT_KAPPA ** 2, sup, l2, h)
-    interval.provenance.update({
-        "l2_lower": l2,
-        "boundary_sup": sup,
-        "boundary_sup_method": "cellwise interpolation bound, bisected",
-        "boundary_evaluations": evals,
-        "quadrature_orders": [L2_QUAD_RADIAL, L2_QUAD_ANGULAR],
-        "area": float(h),
-        "heuristic": True,
-    })
-    return interval
+    tf = Trial(math.pi / aperture, CERT_KAPPA, CERT_COEFFS)
+    l2 = l2_lower(tf, Sector(h, aperture))
+    sup, _ = boundary_sup(tf, h)
+    return moler_payne(CERT_KAPPA ** 2, sup, l2, h)
 
 
 def lemma62_verify(fem_level=None):
@@ -457,12 +387,11 @@ def lemma62_verify(fem_level=None):
     """
     h = CERT_APEX
     interval = certify_second_eigenvalue()
-    prov = interval.provenance
     checks = [
         make_report("sector L2 lower bound exceeds 0.25",
-                    prov["l2_lower"], 0.25),
+                    interval.l2_lower, 0.25),
         make_report("short-side sup bound below 0.0013",
-                    prov["boundary_sup"], 0.0013, mode="<"),
+                    interval.boundary_sup, 0.0013, mode="<"),
         make_report("defect ratio epsilon below 0.009",
                     interval.epsilon, 0.009, mode="<"),
         make_report("enclosure lower end above 19.65",
@@ -480,8 +409,8 @@ def lemma62_verify(fem_level=None):
     # Exclusion: the triangle sits in the sector of radius sqrt(1+h^2), so
     # its third eigenvalue is at least the sector's, which must exceed the
     # enclosure; the enclosed eigenvalue is therefore the first or second.
-    outer = SectorSpec(math.sqrt(1.0 + h * h), 2.0 * math.atan(1.0 / h))
-    exclusion = _sector_ranked_eigenvalue(outer, 3)
+    outer = Sector(math.sqrt(1.0 + h * h), 2.0 * math.atan(1.0 / h))
+    exclusion = ranked_sector_eigenvalue(outer, 3)
     checks.append(make_report(
         "third outer-sector eigenvalue excludes ranks three and up",
         exclusion, interval.upper, exclusion_value=exclusion))

@@ -23,9 +23,11 @@ rectangle  diameter-normalized rectangle minimizers (JSON)
 gamma      y-energy share of the low eigenfunctions of a fan triangle (JSON)
 
 `--help` after a subcommand or target lists its flags and their defaults.
-Exit codes: 0 all checks pass, 1 any check fails, 2 inconclusive (margin
-inside the FEM error bar), 64 usage error (also a flag out of range, or
-one the subcommand does not read).  Identical invocations produce
+`--level` lies in [3, 10]: each FEM command also solves level - 1, and
+level 2 is the coarsest mesh with an interior vertex.  Exit codes: 0 all
+checks pass, 1 any check fails, 2 inconclusive (margin inside the FEM
+error bar), 64 usage error (also a flag out of range, or one the
+subcommand does not read).  Identical invocations produce
 byte-identical output on any core count; there is no environment-variable
 configuration.  Each subcommand runs with every OpenBLAS in the process
 (numpy's and scipy's) at one thread, and the caller's thread counts come
@@ -53,7 +55,7 @@ from .equilateral import (
     verify_compequilateral,
     verify_lemma_explicit,
 )
-from .fem import rayleigh_data, solve_extrapolated, solve_pair
+from .fem import MAX_LEVEL, rayleigh_data, solve_extrapolated, solve_pair
 from .geometry import fan_triangle, rectangle_minimizers, triangle_from_json
 from .isosceles import (
     ALPHA_MAX,
@@ -151,7 +153,10 @@ def _checked(convert, accepts, requirement):
 
 
 _COUNT = _checked(int, lambda n: n >= 1, ">= 1")
-_LEVEL = _checked(int, lambda level: level >= 2, ">= 2")
+# every FEM command also solves level - 1, and level 2 is the coarsest mesh
+# with an interior vertex
+_LEVEL = _checked(int, lambda level: 3 <= level <= MAX_LEVEL,
+                  f"in [3, {MAX_LEVEL}]")
 _STEPS = _checked(int, lambda steps: steps >= 2, ">= 2")
 # NaN fails both comparisons, so these refuse it too
 _POSITIVE = _checked(float, lambda x: x > 0, "positive")

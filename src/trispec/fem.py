@@ -622,13 +622,16 @@ def solve_pair(t, k, level):
     """The lowest k Dirichlet modes of t at level-1 and at level, as
     (coarse, fine).
 
-    The fine solve starts from the sum of the coarse modes, interpolated.
+    Both levels are meshed before either is solved, so a level past
+    MAX_LEVEL is refused before the coarse solve.  The fine solve starts
+    from the sum of the coarse modes, interpolated.
     """
     if level < 1:
         raise ValueError("extrapolated solve needs level >= 1")
+    fine_mesh = mesh_triangle(t, level)
     coarse = solve_lowest(mesh_triangle(t, level - 1), k)
     start = _prolong(level, (0, 1, 2), coarse.vectors.sum(axis=1))
-    return coarse, solve_lowest(mesh_triangle(t, level), k, start=start)
+    return coarse, solve_lowest(fine_mesh, k, start=start)
 
 
 def richardson(coarse, fine):

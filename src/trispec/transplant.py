@@ -21,9 +21,9 @@ import numpy as np
 
 from .certify import (
     CERT_APEX,
-    SectorSpec,
-    _sector_ranked_eigenvalue,
+    Sector,
     lemma62_verify,
+    ranked_sector_eigenvalue,
 )
 from .equilateral import SIGMA_COEFF, enumerate_modes, exact_sum_q
 from .fem import rayleigh_data, richardson, solve_extrapolated, solve_pair
@@ -238,8 +238,8 @@ def theorem2_verify(b, level):
         branch = "sector"
         aperture = 2.0 * math.atan(1.0 / SECTOR_SPLIT)
         nu = math.pi / aperture
-        sector = SectorSpec(math.sqrt(d2), aperture)
-        lam2_sector = _sector_ranked_eigenvalue(sector, 2)
+        sector = Sector(math.sqrt(d2), aperture)
+        lam2_sector = ranked_sector_eigenvalue(sector, 2)
         # One constant settles every b at or beyond the split: the sector
         # second tone scales exactly like the target under the diameter.
         checks.append(make_report(

@@ -12,7 +12,7 @@ import numpy as np
 
 from _sweeps import default_grid, find_min
 from _table1 import ANTISYM_MODES, FULL_MODES
-from trispec.certify import SectorSpec, bessel_zero, lemma62_verify, sector_eigenvalue
+from trispec.certify import Sector, bessel_zero, lemma62_verify, sector_eigenvalue
 from trispec.equilateral import (
     SIGMA_COEFF,
     antisym_counting_upper,
@@ -144,7 +144,7 @@ def test_criterion_8_certified_enclosure():
     ok = ok and 19.65 < iv["lower"] and iv["upper"] < 20.03
     ok = ok and iv["lower"] > 19.35
     h = 2.5
-    outer = SectorSpec(math.sqrt(1.0 + h * h), 2.0 * math.atan(1.0 / h))
+    outer = Sector(math.sqrt(1.0 + h * h), 2.0 * math.atan(1.0 / h))
     exclusion = sector_eigenvalue(outer, 2, 1)
     ok = ok and abs(exclusion / 21.6 - 1.0) < 0.01
     fem_checks = [c for c in report["checks"] if c["claim"].startswith("FEM")]

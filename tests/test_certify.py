@@ -13,12 +13,10 @@ from trispec.certify import (
     CERT_COEFFS,
     CERT_KAPPA,
     SUP_GRID,
-    CertifiedInterval,
-    SectorSpec,
-    TrialFunction,
+    Sector,
+    Trial,
     _bessel_bounds,
     _second_derivative_terms,
-    _sector_ranked_eigenvalue,
     _sup_cells,
     bessel_j,
     bessel_zero,
@@ -27,16 +25,19 @@ from trispec.certify import (
     l2_lower,
     lemma62_verify,
     moler_payne,
+    ranked_sector_eigenvalue,
     sector_eigenvalue,
     trial_eval,
 )
 
 
 def cert_trial():
-    aperture = 2.0 * math.atan(1.0 / CERT_APEX)
-    nu = math.pi / aperture
-    return TrialFunction(
-        [(c, 2 * i + 1, nu) for i, c in enumerate(CERT_COEFFS)], CERT_KAPPA)
+    return Trial(math.pi / (2.0 * math.atan(1.0 / CERT_APEX)), CERT_KAPPA,
+                 CERT_COEFFS)
+
+
+def half_aperture(tf):
+    return 0.5 * (math.pi / tf.nu)
 
 
 def test_half_order_closed_form():
@@ -119,18 +120,9 @@ def test_zero_on_a_scan_point_counts(monkeypatch):
         bessel_zero(0.0, 4)
 
 
-def test_sector_spec():
-    s = SectorSpec(2.0, math.pi / 3.0)
-    assert s.order == pytest.approx(3.0)
-    with pytest.raises(ValueError):
-        SectorSpec(0.0, 1.0)
-    with pytest.raises(ValueError):
-        SectorSpec(1.0, math.pi)
-
-
 def test_sector_eigenvalue_scaling():
-    s1 = SectorSpec(1.0, 0.7)
-    s2 = SectorSpec(2.0, 0.7)
+    s1 = Sector(1.0, 0.7)
+    s2 = Sector(2.0, 0.7)
     # doubling the radius quarters every eigenvalue
     for k, j in ((1, 1), (1, 2), (2, 1)):
         assert sector_eigenvalue(s2, k, j) == pytest.approx(
@@ -142,35 +134,18 @@ def test_sector_eigenvalue_scaling():
 
 
 def test_sector_ranked_eigenvalue_sorts_families():
-    s = SectorSpec(math.sqrt(1.0 + CERT_APEX ** 2), 2.0 * math.atan(0.4))
+    s = Sector(math.sqrt(1.0 + CERT_APEX ** 2), 2.0 * math.atan(0.4))
     table = sorted(sector_eigenvalue(s, k, j)
                    for k in range(1, 5) for j in range(1, 5))
     for rank in range(1, 7):
-        assert _sector_ranked_eigenvalue(s, rank) == table[rank - 1]
+        assert ranked_sector_eigenvalue(s, rank) == table[rank - 1]
     # family (2, 1) is the third value here, between (1, 2) and (1, 3)
-    assert _sector_ranked_eigenvalue(s, 3) == sector_eigenvalue(s, 2, 1)
-
-
-def test_trial_validation():
-    nu = 4.0
-    with pytest.raises(ValueError, match="odd"):
-        TrialFunction([(1.0, 2, nu)], 1.0)
-    with pytest.raises(ValueError, match="angular order"):
-        TrialFunction([(1.0, 1, 0.5)], 1.0)
-    with pytest.raises(ValueError, match="share"):
-        TrialFunction([(1.0, 1, 4.0), (1.0, 3, 5.0)], 1.0)
-    with pytest.raises(ValueError, match="nonempty"):
-        TrialFunction([], 1.0)
-    with pytest.raises(ValueError, match="frequency"):
-        TrialFunction([(1.0, 1, nu)], 0.0)
-    tf = cert_trial()
-    assert tf.kappa == pytest.approx(334.0 / 75.0)
-    assert tf.aperture == pytest.approx(2.0 * math.atan(0.4))
+    assert ranked_sector_eigenvalue(s, 3) == sector_eigenvalue(s, 2, 1)
 
 
 def test_trial_vanishes_on_rays():
     tf = cert_trial()
-    half = tf.aperture / 2.0
+    half = half_aperture(tf)
     r = np.linspace(0.1, 2.5, 9)
     for sign in (1.0, -1.0):
         vals = trial_eval(tf, r, np.full_like(r, sign * half))
@@ -187,7 +162,7 @@ def test_trial_solves_helmholtz():
         return trial_eval(tf, math.hypot(x, y), math.atan2(y, x))
 
     for _ in range(5):
-        th = rng.uniform(-0.3, 0.3) * tf.aperture / 2.0
+        th = rng.uniform(-0.3, 0.3) * half_aperture(tf)
         rr = rng.uniform(0.5, 2.0)
         x, y = rr * math.cos(th), rr * math.sin(th)
         lap = (u(x + step, y) + u(x - step, y) + u(x, y + step)
@@ -208,8 +183,8 @@ def test_l2_single_term_angular_factor():
     # squared norm splits into that factor times a radial integral
     nu = 4.0
     kappa = 3.0
-    s = SectorSpec(1.5, math.pi / nu)
-    tf = TrialFunction([(1.0, 1, nu)], kappa)
+    s = Sector(1.5, math.pi / nu)
+    tf = Trial(nu, kappa, (1.0,))
     radial, _ = quad(
         lambda r: r * bessel_j(nu, kappa * r) ** 2, 0.0, s.radius)
     exact = radial * s.aperture / 2.0
@@ -218,7 +193,7 @@ def test_l2_single_term_angular_factor():
 
 def test_l2_quadrature_converged():
     tf = cert_trial()
-    inner = SectorSpec(CERT_APEX, tf.aperture)
+    inner = Sector(CERT_APEX, 2.0 * math.atan(1.0 / CERT_APEX))
     # the certified value is already at quadrature convergence, so any
     # reasonable re-evaluation agrees to far better than the 1e-6 guard
     a = l2_lower(tf, inner)
@@ -234,7 +209,7 @@ def boundary_values(tf, theta, h=CERT_APEX):
 def test_boundary_sup_bounds_dense_samples():
     tf = cert_trial()
     bound, evals = boundary_sup(tf, CERT_APEX)
-    half = tf.aperture / 2.0
+    half = half_aperture(tf)
     theta = np.linspace(-half, half, 2000001)
     assert bound >= np.max(np.abs(boundary_values(tf, theta)))
     assert bound < 0.0013
@@ -243,7 +218,7 @@ def test_boundary_sup_bounds_dense_samples():
 
 def test_boundary_trace_is_even():
     tf = cert_trial()
-    theta = np.linspace(0.0, tf.aperture / 2.0, 1001)
+    theta = np.linspace(0.0, half_aperture(tf), 1001)
     np.testing.assert_allclose(boundary_values(tf, -theta),
                                boundary_values(tf, theta), rtol=0, atol=1e-15)
 
@@ -266,8 +241,8 @@ def second_derivative_parts(tf, theta, h):
     r2 = r * (1.0 + 2.0 * np.tan(theta) ** 2)
     x = tf.kappa * r
     parts = np.zeros((4,) + theta.shape)
-    for coeff, k, nu in tf.terms:
-        mu = k * nu
+    for i, coeff in enumerate(tf.coeffs):
+        mu = (2 * i + 1) * tf.nu
         c, s = np.cos(mu * theta), np.sin(mu * theta)
         j0, j1, j2 = (jvp(mu, x, n) for n in (0, 1, 2))
         parts += np.abs(coeff * np.array([
@@ -276,32 +251,26 @@ def second_derivative_parts(tf, theta, h):
     return parts
 
 
-# The certified trial and single terms where the second-derivative bound
-# is nearly attained (small Bessel arguments) or its parts trade places.
+# (trial, apex height): the certified trial and single terms where the
+# second-derivative bound is nearly attained (small Bessel arguments) or
+# its parts trade places; zero coefficients pad a term to its odd multiple.
 SUP_CASES = [
-    (None, CERT_APEX),
-    (((1.0, 5, 9.55),), 0.55, 0.42),
-    (((1.0, 1, 10.0),), 0.5, 1.0),
-    (((1.0, 1, 1.2),), 20.0, 0.5),
-    (((1.0, 3, 1.1),), 0.5, 1.0),
-    (((1.0, 1, 1.05),), 0.3, 0.2),
-    (((1.0, 1, 2.0),), 3.0, 1.0),
+    (cert_trial(), CERT_APEX),
+    (Trial(9.55, 0.55, (0.0, 0.0, 1.0)), 0.42),
+    (Trial(10.0, 0.5, (1.0,)), 1.0),
+    (Trial(1.2, 20.0, (1.0,)), 0.5),
+    (Trial(1.1, 0.5, (0.0, 1.0)), 1.0),
+    (Trial(1.05, 0.3, (1.0,)), 0.2),
+    (Trial(2.0, 3.0, (1.0,)), 1.0),
 ]
-
-
-def sup_case(case):
-    if case[0] is None:
-        return cert_trial(), case[1]
-    terms, kappa, h = case
-    return TrialFunction(terms, kappa), h
 
 
 @pytest.mark.parametrize("case", SUP_CASES)
 def test_second_derivative_bound_on_final_cells(case):
-    tf, h = sup_case(case)
+    tf, h = case
     (a, b, m2, bound), _ = _sup_cells(tf, h, SUP_GRID)
     assert np.all(a < b) and a.min() == 0.0
-    assert b.max() == pytest.approx(tf.aperture / 2.0, rel=1e-15)
+    assert b.max() == pytest.approx(half_aperture(tf), rel=1e-15)
     # second differences on a sub-grid of every cell, reflected at 0
     step = (b - a) / 16.0
     t = a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, 17)
@@ -331,17 +300,17 @@ def test_boundary_sup_budget_and_validation(monkeypatch):
 
 
 def test_interval_arithmetic():
-    iv = CertifiedInterval(100.0, 0.01)
+    # sqrt(4) * 0.01 / 2 = 0.01
+    iv = moler_payne(100.0, 0.01, 2.0, 4.0)
+    assert iv.epsilon == 0.01
+    assert (iv.l2_lower, iv.boundary_sup) == (2.0, 0.01)
     assert iv.lower * (1.0 + iv.epsilon) == pytest.approx(100.0, rel=1e-12)
     assert iv.upper * (1.0 - iv.epsilon) == pytest.approx(100.0, rel=1e-12)
     assert iv.lower < 100.0 < iv.upper
     assert 98.0 < iv.lower
+    # epsilon exactly 1 certifies nothing
     with pytest.raises(ValueError, match="epsilon"):
-        CertifiedInterval(100.0, 0.0)
-    with pytest.raises(ValueError, match="epsilon"):
-        CertifiedInterval(100.0, 1.0)
-    with pytest.raises(ValueError, match="lambda_bar"):
-        CertifiedInterval(-1.0, 0.5)
+        moler_payne(100.0, 0.5, 1.0, 4.0)
 
 
 def test_moler_payne():
@@ -358,27 +327,18 @@ def test_certified_enclosure_numbers():
     assert iv.lambda_bar == pytest.approx((334.0 / 75.0) ** 2, rel=1e-14)
     assert iv.epsilon < 0.009
     assert 19.65 < iv.lower < iv.upper < 20.03
-    assert iv.provenance["l2_lower"] > 0.25
-    assert iv.provenance["boundary_sup"] < 0.0013
-    assert iv.provenance["boundary_evaluations"] < 1000
-    assert iv.provenance["heuristic"] is True
-
-
-def test_certify_returns_a_fresh_interval():
-    first, second = certify_second_eigenvalue(), certify_second_eigenvalue()
-    assert first is not second
-    first.provenance["heuristic"] = False
-    assert second.provenance["heuristic"] is True
-    assert (first.lower, first.upper) == (second.lower, second.upper)
+    assert iv.l2_lower > 0.25
+    assert iv.boundary_sup < 0.0013
+    assert iv.epsilon == math.sqrt(CERT_APEX) * iv.boundary_sup / iv.l2_lower
 
 
 def test_certification_degrades_off_frequency():
     # detuning the frequency breaks the near-vanishing boundary trace, so
     # the defect ratio blows up and the enclosure widens drastically
     base = certify_second_eigenvalue()
-    tf = TrialFunction(cert_trial().terms, 4.6)
+    tf = cert_trial()._replace(kappa=4.6)
     sup, _ = boundary_sup(tf, CERT_APEX)
-    l2 = l2_lower(tf, SectorSpec(CERT_APEX, tf.aperture))
+    l2 = l2_lower(tf, Sector(CERT_APEX, math.pi / tf.nu))
     detuned = moler_payne(4.6 ** 2, sup, l2, CERT_APEX)
     assert detuned.epsilon > 10.0 * base.epsilon
     assert detuned.upper - detuned.lower > 10.0 * (base.upper - base.lower)

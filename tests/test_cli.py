@@ -111,6 +111,19 @@ def test_bad_flag_value(capsys):
         assert out == ""
 
 
+def test_a_level_past_the_cap_is_refused_before_solving(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_lowest called")
+
+    monkeypatch.setattr(fem, "solve_lowest", refuse)
+    for argv in (("fem", "[[0,0],[1,0],[0,1]]", "--level", "11"),
+                 ("verify", "theorem1", "--b", "2.5", "--level", "11")):
+        code, out, err = run(capsys, *argv)
+        assert code == 64, argv
+        assert f"argument --level: must be in [3, {fem.MAX_LEVEL}]" in err
+        assert out == ""
+
+
 def test_one_sided_window_is_refused_before_solving(capsys, monkeypatch):
     # verify fills the unset end from the default window [pi/6, 2pi/3]
     def refuse(*args):
@@ -168,6 +181,21 @@ def test_an_unread_flag_is_reported_by_its_leaf(capsys, leaf):
     assert code == 64
     assert err.startswith(f"usage: {prog} ")
     assert f"\n{prog}: error: unrecognized arguments: --bogus 1\n" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("leaf", [
+    "fem", "certify", "sweep", "gamma", "verify theorem1", "verify theorem2",
+    "verify monotonicity", "verify observation"])
+def test_level_2_gets_the_leaf_usage_line(capsys, leaf):
+    # level 1, which a level-2 solve also meshes, has no interior vertex
+    prog = f"trispec {leaf}"
+    code, out, err = run(capsys, *leaf.split(), *POSITIONALS.get(leaf, ()),
+                         "--level", "2")
+    assert code == 64
+    assert err.startswith(f"usage: {prog} ")
+    assert (f"\n{prog}: error: argument --level: must be in "
+            f"[3, {fem.MAX_LEVEL}]\n") in err
     assert out == ""
 
 

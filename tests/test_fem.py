@@ -566,6 +566,15 @@ def test_extrapolate_validation():
         solve_extrapolated(unit_equilateral(), 1, 0)
 
 
+def test_pair_meshes_the_fine_level_before_solving(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_lowest called")
+
+    monkeypatch.setattr(fem, "solve_lowest", refuse)
+    with pytest.raises(ValueError, match="level must be in"):
+        solve_pair(unit_equilateral(), 1, fem.MAX_LEVEL + 1)
+
+
 def test_solve_extrapolated_deterministic():
     t = unit_equilateral()
     v1, e1 = solve_extrapolated(t, 2, 5)

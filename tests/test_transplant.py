@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from trispec import certify
-from trispec.certify import SectorSpec
+from trispec.certify import Sector
 from trispec.equilateral import SIGMA_COEFF, enumerate_modes, exact_sum_q
 from trispec.geometry import C_funcs
 from trispec.transplant import (
@@ -260,7 +260,7 @@ def test_theorem2_sector_branch_ranks_the_sector_spectrum(monkeypatch):
     r = theorem2_verify(b, 4)
     sector_check = next(c for c in r["checks"]
                         if c["claim"].startswith("containing-sector"))
-    sector = SectorSpec(math.sqrt(1.0 + b * b), 2.0 * math.atan(1.0 / 2.5))
+    sector = Sector(math.sqrt(1.0 + b * b), 2.0 * math.atan(1.0 / 2.5))
     assert sector_check["lhs"] == pytest.approx(
         0.99 * original(sector, 1, 2) * (1.0 + b * b), rel=1e-14)
 
