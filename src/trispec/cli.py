@@ -24,7 +24,8 @@ gamma      y-energy share of the low eigenfunctions of a fan triangle (JSON)
 
 `--help` after a subcommand or target lists its flags and their defaults.
 `--level` lies in [3, 10]: each FEM command also solves level - 1, and
-level 2 is the coarsest mesh with an interior vertex.  Exit codes: 0 all
+level 2 is the coarsest mesh with an interior vertex; sweep, monotonicity
+and observation take [6, 10], the levels a sweep accepts.  Exit codes: 0 all
 checks pass, 1 any check fails, 2 inconclusive (margin inside the FEM
 error bar), 64 usage error (also a flag out of range, or one the
 subcommand does not read).  Identical invocations produce
@@ -63,6 +64,7 @@ from .isosceles import (
     COLUMNS,
     OBSERVATION_STEPS,
     SCALINGS,
+    SWEEP_MIN_LEVEL,
     observation_crossing,
     scaled,
     sweep,
@@ -153,10 +155,19 @@ def _checked(convert, accepts, requirement):
 
 
 _COUNT = _checked(int, lambda n: n >= 1, ">= 1")
+
+
+def _levels(lowest):
+    """argparse type of a --level that lies in [lowest, MAX_LEVEL]."""
+    return _checked(int, lambda level: lowest <= level <= MAX_LEVEL,
+                    f"in [{lowest}, {MAX_LEVEL}]")
+
+
 # every FEM command also solves level - 1, and level 2 is the coarsest mesh
 # with an interior vertex
-_LEVEL = _checked(int, lambda level: 3 <= level <= MAX_LEVEL,
-                  f"in [3, {MAX_LEVEL}]")
+_LEVEL = _levels(3)
+# the leaves that run isosceles.sweep, which refuses coarser levels
+_SWEEP_LEVEL = _levels(SWEEP_MIN_LEVEL)
 _STEPS = _checked(int, lambda steps: steps >= 2, ">= 2")
 # NaN fails both comparisons, so these refuse it too
 _POSITIVE = _checked(float, lambda x: x > 0, "positive")
@@ -244,13 +255,15 @@ def _parser():
     mo = target("monotonicity", lambda args: verify_monotonicity(
         sweep(_aperture_grid(args), args.level)),
         "claimed monotone intervals of the isosceles tones")
-    mo.add_argument("--level", type=_LEVEL, default=6, help="mesh level")
+    mo.add_argument("--level", type=_SWEEP_LEVEL, default=6,
+                    help="mesh level")
     _add_window(mo, 80)
     ob = target("observation", lambda args: observation_crossing(
         None if args.straddle else _aperture_grid(args), args.level),
         "second-mode class crossing at pi/3; with no window flag, on 40 "
         "apertures straddling it")
-    ob.add_argument("--level", type=_LEVEL, default=7, help="mesh level")
+    ob.add_argument("--level", type=_SWEEP_LEVEL, default=7,
+                    help="mesh level")
     _add_window(ob, OBSERVATION_STEPS, _Window)
     ob.set_defaults(straddle=True)
 
@@ -267,7 +280,8 @@ def _parser():
 
     sw = command(sub, "sweep", _cmd_sweep, "isosceles tone curves")
     _add_window(sw, 31)
-    sw.add_argument("--level", type=_LEVEL, default=6, help="mesh level")
+    sw.add_argument("--level", type=_SWEEP_LEVEL, default=6,
+                    help="mesh level")
     sw.add_argument("--scaling", default="side", choices=SCALINGS,
                     help="length normalized to 1")
 

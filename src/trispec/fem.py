@@ -31,12 +31,17 @@ of them on one lattice (the half triangles of an aperture sweep) is solved
 at once by solve_family: a Rayleigh-Ritz projection onto the eigenvectors
 of direct solves at a few members.  Its values are upper bounds on the P1
 values, as a direct solve's are.  Each pass over the members works on
-blocks of them: one batched eigh of the reduced pencils, and the residuals
-of all the block's Ritz vectors from a few sparse products with many
-columns.  That no mode was skipped is proven by Sylvester inertia counts
-of K - sigma M (inertia), carried from member to member by the Loewner
-order of their stiffnesses; the counts go to the anchors that carry the
-longest runs of members.
+blocks of them: the k+1 lowest eigenpairs of each reduced pencil, and the
+residuals of all the block's Ritz vectors from a few sparse products with
+many columns.  That no mode was skipped is proven by Sylvester inertia
+counts of K - sigma M (inertia), carried from member to member by the
+Loewner order of their stiffnesses; the counts go to the anchors that
+carry the longest runs of members.  So a snapshot needs only the accuracy
+of a basis direction, not of an eigenpair: the Ritz values are upper
+bounds whatever the basis, a basis too poor for a member shows in that
+member's Ritz residual, and the inertia cover proves completeness.
+Snapshots are therefore solved to SNAPSHOT_RTOL with a short Krylov
+basis, every other solve to machine precision.
 
 Lanczos starts from the constant vector unless the caller holds a close
 guess of the wanted modes.  Uniform refinement nests the P1 spaces, so a
@@ -60,7 +65,7 @@ import math
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigh
+from scipy.linalg import eigh, get_lapack_funcs
 from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
                                  splu)
 
@@ -97,15 +102,19 @@ STENCIL_CACHE_SIZE = 16
 FAMILY_SNAPSHOTS = 8
 # Largest residual / Ritz value the family basis may leave on any member.
 FAMILY_RTOL = 1e-5
+# Relative tolerance of a family's snapshot solves: a snapshot only spans
+# basis directions, which must be accurate well inside the residual gate's
+# FAMILY_RTOL, not to machine precision.
+SNAPSHOT_RTOL = FAMILY_RTOL / 1000
 # Mass norm below which a unit snapshot direction counts as in the basis.
 BASIS_DROP = 1e-8
 # Where an inertia count puts its shift, as a fraction of the way from the
 # top claimed eigenvalue to the next Ritz value: far enough to carry the
 # count over many members, short of the next eigenvalue.
 ANCHOR_SHIFT = 0.9
-# Members per block of a family's Ritz pass: one batched eigh and one set
-# of many-column residual products each; few enough that the block's
-# vectors add little to peak memory.
+# Members per block of a family's Ritz pass: one set of many-column
+# residual products each; few enough that the block's vectors add little
+# to peak memory.
 _RITZ_BLOCK = 8
 
 
@@ -348,7 +357,7 @@ def _release_heap():
         trim(0)
 
 
-def solve_lowest(mesh, k, dirichlet_edges=(0, 1, 2), start=None):
+def solve_lowest(mesh, k, dirichlet_edges=(0, 1, 2), start=None, rtol=None):
     """Smallest k eigenpairs of the Dirichlet (or mixed) pencil on the mesh.
 
     Edges listed in dirichlet_edges carry the zero condition; the rest are
@@ -359,6 +368,12 @@ def solve_lowest(mesh, k, dirichlet_edges=(0, 1, 2), start=None):
     vector is fixed by the arguments and ARPACK's restart generator by
     ARPACK_SEED; values ascend, vectors are M-orthonormalized and each
     sign is fixed by the largest component.
+
+    rtol None converges Lanczos to machine precision with eigsh's default
+    Krylov basis.  A solve whose modes only span a basis (solve_family's
+    snapshots) passes a relative tolerance instead, and Lanczos then keeps
+    a basis of 2k + 1 vectors, eigsh's default without its floor of 20,
+    and stops at that tolerance; the dense path ignores it.
 
     The reported residual of mode j is 2 ||r_j|| in the dual norm of the
     lumped (row-sum) mass L, r_j = K v_j - lambda_j M v_j.  Each element
@@ -384,13 +399,17 @@ def solve_lowest(mesh, k, dirichlet_edges=(0, 1, 2), start=None):
         lu = _factor(kk)
         if start is None:
             start = np.full(nfree, 1.0 / math.sqrt(nfree))
+        # eigsh's defaults (ncv = max(2k + 1, 20), tol = 0) unless a
+        # tolerance asks for a short basis.
+        short = ({} if rtol is None
+                 else {"ncv": min(2 * k + 1, nfree), "tol": rtol})
         try:
             vals, vecs = eigsh(
                 kk, k=k, M=mm, sigma=0.0, which="LM", v0=start,
                 maxiter=ARPACK_MAXITER,
                 rng=np.random.default_rng(ARPACK_SEED),
                 OPinv=LinearOperator(kk.shape, matvec=lu.solve,
-                                     dtype=kk.dtype))
+                                     dtype=kk.dtype), **short)
         except ArpackNoConvergence as err:
             raise RuntimeError(
                 f"eigensolver did not converge within {ARPACK_MAXITER} "
@@ -524,6 +543,23 @@ def _orthonormal_extension(basis, vecs, mass):
     return np.hstack((basis, vecs))
 
 
+def _lowest_eigenpairs(matrices, count):
+    """The count lowest eigenpairs of each symmetric matrix of a stack.
+
+    LAPACK's syevr on one matrix at a time, asked for those pairs only;
+    values (matrices, count) ascend, vectors are (matrices, n, count).
+    """
+    syevr = get_lapack_funcs("syevr", (matrices,))
+    values = np.empty((len(matrices), count))
+    vectors = np.empty((len(matrices), matrices.shape[1], count))
+    for a, w, z in zip(matrices, values, vectors):
+        pairs = syevr(a, range="I", iu=count, lower=1)
+        if pairs[-1] != 0:
+            raise RuntimeError(f"syevr failed with info {pairs[-1]}")
+        w[:], z[:] = pairs[0][:count], pairs[1]
+    return values, vectors
+
+
 def solve_family(triangles, k, level, dirichlet_edges):
     """Lowest k P1 eigenvalues of every triangle, from one reduced basis.
 
@@ -539,8 +575,9 @@ def solve_family(triangles, k, level, dirichlet_edges):
     by the member's stencil forms: a Gram expansion of ||r||^2 cancels at
     small residuals and may round below the true one, and the gate's
     bound must stay an upper bound.  A pass over the members goes by
-    blocks of _RITZ_BLOCK: one batched eigh of the weighted reduced
-    Laplacians, then the block's Ritz vectors side by side through three
+    blocks of _RITZ_BLOCK: the k+1 lowest eigenpairs of each member's
+    weighted reduced Laplacians (_lowest_eigenpairs, which computes no
+    others), then the block's Ritz vectors side by side through three
     Laplacian products and one mass product.  The block size changes how
     many columns each product has, no decision, and values only by
     rounding.  Each initial snapshot solve starts from the modes of the
@@ -550,6 +587,14 @@ def solve_family(triangles, k, level, dirichlet_edges):
     No mode may be skipped: _first_unproven certifies every member with
     inertia counts transported in the Loewner order.  A member it refutes
     becomes a snapshot; a snapshot it refutes raises RuntimeError.
+
+    A snapshot's modes only span basis directions.  Whatever the basis, the
+    Ritz values are upper bounds, the residual gate measures each member's
+    Ritz pairs themselves and the inertia cover proves that none was
+    skipped; so each snapshot is solved to SNAPSHOT_RTOL, well inside
+    FAMILY_RTOL, with a short Krylov basis (solve_lowest's rtol), not to
+    machine precision.
+
     Returns the values as an array (len(triangles), k).
     """
     if k < 1:
@@ -571,7 +616,7 @@ def solve_family(triangles, k, level, dirichlet_edges):
     start = None
     while True:
         for i in todo:
-            res = solve_lowest(meshes[i], k + 1, edges, start)
+            res = solve_lowest(meshes[i], k + 1, edges, start, SNAPSHOT_RTOL)
             start = res.vectors.sum(axis=1)
             basis = _orthonormal_extension(
                 basis, res.vectors * math.sqrt(scale[i]), mass)
@@ -584,15 +629,17 @@ def solve_family(triangles, k, level, dirichlet_edges):
         for lo in range(0, len(meshes), _RITZ_BLOCK):
             block = slice(lo, lo + _RITZ_BLOCK)
             w = weights[block]
-            # Ritz pairs of (K, M_ref); the values of (K, M) are mu / e.
-            mu, y = np.linalg.eigh(np.einsum("bd,dij->bij", w, reduced))
-            ritz_sums[block] = y[:, :, :k + 1].sum(axis=2)
+            # The k+1 lowest Ritz pairs of (K, M_ref); the values of (K, M)
+            # are mu / e.
+            mu, y = _lowest_eigenpairs(
+                np.einsum("bd,dij->bij", w, reduced), k + 1)
+            ritz_sums[block] = y.sum(axis=2)
             # The block's k lowest Ritz vectors side by side, member-major.
             u = basis @ y[:, :, :k].transpose(1, 0, 2).reshape(dim, -1)
             r = sum(c * (lap @ u)
                     for c, lap in zip(np.repeat(w, k, axis=0).T, laplacians))
             r -= (mass @ u) * mu[:, :k].ravel()
-            values[block] = mu[:, :k + 1] / scale[block, None]
+            values[block] = mu / scale[block, None]
             resid[block] = 2.0 / scale[block, None] * np.sqrt(
                 np.sum(r * r / lumped[:, None], axis=0)).reshape(-1, k)
         rel = np.max(resid / values[:, :k], axis=1)

@@ -53,6 +53,9 @@ ALPHA_MAX = 2.0 * math.pi / 3.0
 # where the two classes degenerate and the gap has no sign.
 OBSERVATION_STEPS = 41
 
+# Coarsest mesh level a sweep accepts.
+SWEEP_MIN_LEVEL = 6
+
 # (k, Dirichlet edges) of the half-triangle solves: the free-axis half
 # gives the fundamental and lambda_s, the Dirichlet half lambda_a.
 HALF_PROBLEMS = ((2, (1, 2)), (1, (0, 1, 2)))
@@ -99,8 +102,8 @@ def sweep(alpha_grid, level):
         raise ValueError("apertures must lie strictly inside (0, pi)")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("alpha must be strictly increasing")
-    if level < 6:
-        raise ValueError("level must be at least 6")
+    if level < SWEEP_MIN_LEVEL:
+        raise ValueError(f"level must be at least {SWEEP_MIN_LEVEL}")
     halves = [half_triangle(float(a)) for a in grid]
     # The order of the levels does not move the peak memory: a level-6
     # sweep peaks at about 69 MB with either level first.

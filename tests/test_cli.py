@@ -184,19 +184,42 @@ def test_an_unread_flag_is_reported_by_its_leaf(capsys, leaf):
     assert out == ""
 
 
+# The leaves that run isosceles.sweep, and so take its coarsest level.
+SWEEP_LEAVES = ("sweep", "verify monotonicity", "verify observation")
+
+
 @pytest.mark.parametrize("leaf", [
     "fem", "certify", "sweep", "gamma", "verify theorem1", "verify theorem2",
     "verify monotonicity", "verify observation"])
 def test_level_2_gets_the_leaf_usage_line(capsys, leaf):
     # level 1, which a level-2 solve also meshes, has no interior vertex
     prog = f"trispec {leaf}"
+    lowest = isosceles.SWEEP_MIN_LEVEL if leaf in SWEEP_LEAVES else 3
     code, out, err = run(capsys, *leaf.split(), *POSITIONALS.get(leaf, ()),
                          "--level", "2")
     assert code == 64
     assert err.startswith(f"usage: {prog} ")
     assert (f"\n{prog}: error: argument --level: must be in "
-            f"[3, {fem.MAX_LEVEL}]\n") in err
+            f"[{lowest}, {fem.MAX_LEVEL}]\n") in err
     assert out == ""
+
+
+@pytest.mark.parametrize("leaf", SWEEP_LEAVES)
+def test_a_sweep_leaf_refuses_a_coarse_level_with_its_usage_line(
+        capsys, monkeypatch, leaf):
+    # the form of a level past the cap, before any solve
+    def refuse(*args):
+        raise AssertionError("solve_family called")
+
+    monkeypatch.setattr(isosceles, "solve_family", refuse)
+    prog = f"trispec {leaf}"
+    for level in (isosceles.SWEEP_MIN_LEVEL - 1, 4, fem.MAX_LEVEL + 1):
+        code, out, err = run(capsys, *leaf.split(), "--level", str(level))
+        assert code == 64, level
+        assert err.startswith(f"usage: {prog} "), level
+        assert (f"\n{prog}: error: argument --level: must be in "
+                f"[{isosceles.SWEEP_MIN_LEVEL}, {fem.MAX_LEVEL}]\n") in err
+        assert out == ""
 
 
 @pytest.mark.parametrize("target, defaults", [

@@ -689,12 +689,39 @@ def test_loewner_transport_bounds_neighbouring_apertures():
 
 @pytest.mark.parametrize("level", [5, 6])
 def test_solve_family_matches_direct_solves(level):
+    windows = [(math.pi / 6.0, 2.0 * math.pi / 3.0)]
+    if level == 6:
+        # the equilateral, where lambda_s and lambda_a cross, in the middle
+        windows.append((math.pi / 3.0 - 0.2, math.pi / 3.0 + 0.2))
+    for lo, hi in windows:
+        family = halves(np.linspace(lo, hi, 21))
+        for edges, k in HALF_PROBLEMS:
+            values = solve_family(family, k, level, edges)
+            direct = np.array([solve_lowest(mesh_triangle(t, level), k,
+                                            edges).values for t in family])
+            np.testing.assert_allclose(values, direct, rtol=1e-10)
+
+
+def test_only_family_snapshots_stop_early_on_a_short_basis(monkeypatch):
+    # a snapshot only spans basis directions; every other solve keeps
+    # eigsh's default basis and converges to machine precision
+    calls = counting_eigsh(monkeypatch)
     family = halves(np.linspace(math.pi / 6.0, 2.0 * math.pi / 3.0, 21))
     for edges, k in HALF_PROBLEMS:
-        values = solve_family(family, k, level, edges)
-        direct = np.array([solve_lowest(mesh_triangle(t, level), k,
-                                        edges).values for t in family])
-        np.testing.assert_allclose(values, direct, rtol=1e-10)
+        del calls[:]
+        solve_family(family, k, 5, edges)
+        assert len(calls) >= fem.FAMILY_SNAPSHOTS
+        for call in calls:
+            assert call["k"] == k + 1
+            assert call["ncv"] == 2 * (k + 1) + 1
+            assert call["tol"] == fem.SNAPSHOT_RTOL
+    del calls[:]
+    fan = fan_triangle(2.5)
+    solve_pair(fan, 3, 6)
+    solve_lowest(mesh_triangle(fan, 6), 3)
+    assert len(calls) == 3
+    for call in calls:
+        assert "ncv" not in call and "tol" not in call
 
 
 def test_warm_started_family_keeps_its_snapshots(monkeypatch):
@@ -709,10 +736,10 @@ def test_warm_started_family_keeps_its_snapshots(monkeypatch):
         for warm in (True, False):
             starts = []
 
-            def solve(mesh, k, dirichlet_edges=(0, 1, 2), start=None):
+            def solve(mesh, k, dirichlet_edges=(0, 1, 2), start=None, rtol=None):
                 starts.append(start)
                 return original(mesh, k, dirichlet_edges,
-                                start if warm else None)
+                                start if warm else None, rtol)
 
             monkeypatch.setattr(fem, "solve_lowest", solve)
             del calls[:]
@@ -800,6 +827,21 @@ def test_gate_covers_the_family_with_fewer_counts(monkeypatch):
         assert len(counts) < scan
 
 
+def test_lowest_eigenpairs_match_the_full_eigh():
+    # the Ritz pass solves only the pairs it reads; the full eigh is the
+    # reference, vectors up to sign
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((5, 12, 12))
+    stack = a @ a.transpose(0, 2, 1) + np.eye(12)
+    values, vectors = fem._lowest_eigenpairs(stack, 3)
+    full_values, full_vectors = np.linalg.eigh(stack)
+    # backward-stable solvers: errors of a few eps times the largest value
+    np.testing.assert_allclose(values, full_values[:, :3], rtol=0,
+                               atol=1e-13 * full_values.max())
+    overlap = np.einsum("bij,bij->bj", vectors, full_vectors[:, :, :3])
+    np.testing.assert_allclose(np.abs(overlap), 1.0, rtol=1e-12)
+
+
 @pytest.mark.parametrize("size", [21, 1])
 def test_ritz_block_size_changes_no_decision(size, monkeypatch):
     family = halves(np.linspace(math.pi / 6.0, 2.0 * math.pi / 3.0, size))
@@ -809,9 +851,9 @@ def test_ritz_block_size_changes_no_decision(size, monkeypatch):
         for block in (fem._RITZ_BLOCK, 1, 5):
             calls = []
 
-            def solve(mesh, k, dirichlet_edges=(0, 1, 2), start=None):
+            def solve(mesh, k, dirichlet_edges=(0, 1, 2), start=None, rtol=None):
                 calls.append((family.index(mesh.triangle), start))
-                return original(mesh, k, dirichlet_edges, start)
+                return original(mesh, k, dirichlet_edges, start, rtol)
 
             monkeypatch.setattr(fem, "solve_lowest", solve)
             monkeypatch.setattr(fem, "_RITZ_BLOCK", block)
@@ -831,9 +873,9 @@ def test_refuted_member_becomes_a_snapshot(monkeypatch):
     solved, gated = [], []
     original_solve, original_gate = fem.solve_lowest, fem._first_unproven
 
-    def solve(mesh, k, dirichlet_edges=(0, 1, 2), start=None):
+    def solve(mesh, k, dirichlet_edges=(0, 1, 2), start=None, rtol=None):
         solved.append(mesh.triangle)
-        return original_solve(mesh, k, dirichlet_edges, start)
+        return original_solve(mesh, k, dirichlet_edges, start, rtol)
 
     def gate(*args):
         # member 10 is neither a Chebyshev nor a greedy snapshot here

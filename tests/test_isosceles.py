@@ -83,9 +83,9 @@ def test_sweep_solves_snapshots_on_half_triangles(monkeypatch):
     solved = []
     original = fem.solve_lowest
 
-    def recording(mesh, k, dirichlet_edges=(0, 1, 2), start=None):
+    def recording(mesh, k, dirichlet_edges=(0, 1, 2), start=None, rtol=None):
         solved.append(mesh.triangle.vertices)
-        return original(mesh, k, dirichlet_edges, start)
+        return original(mesh, k, dirichlet_edges, start, rtol)
 
     monkeypatch.setattr(fem, "solve_lowest", recording)
     sweep([0.8, 1.0], 6)
