@@ -169,9 +169,11 @@ _LEVEL = _levels(3)
 # the leaves that run isosceles.sweep, which refuses coarser levels
 _SWEEP_LEVEL = _levels(SWEEP_MIN_LEVEL)
 _STEPS = _checked(int, lambda steps: steps >= 2, ">= 2")
-# NaN fails both comparisons, so these refuse it too
-_POSITIVE = _checked(float, lambda x: x > 0, "positive")
-_NONNEGATIVE = _checked(float, lambda x: x >= 0, "nonnegative")
+# NaN fails every comparison, so these refuse it too; an infinite value
+# would only reach the report as an invalid JSON number
+_POSITIVE = _checked(float, lambda x: 0 < x < math.inf, "positive and finite")
+_NONNEGATIVE = _checked(float, lambda x: 0 <= x < math.inf,
+                        "nonnegative and finite")
 
 
 class _Window(argparse.Action):

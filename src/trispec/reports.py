@@ -94,5 +94,9 @@ def _json_default(x):
 
 
 def to_json(report):
-    """Serialize a report (or any nested dict) deterministically."""
-    return json.dumps(report, indent=2, default=_json_default, sort_keys=False)
+    """Serialize a report (or any nested dict) deterministically.
+
+    NaN and infinities are refused (ValueError): JSON has no such numbers.
+    """
+    return json.dumps(report, indent=2, default=_json_default,
+                      sort_keys=False, allow_nan=False)

@@ -178,6 +178,10 @@ def condCh_verify(h):
     """
     if not (h > EQUILATERAL_APEX):
         raise ValueError("endpoint must exceed sqrt(3)")
+    # the largest product rhs forms on the grid, 10 h^2 (b^2 + 1) with b < h
+    if not math.isfinite(10.0 * (h * h) * (h * h + 1.0)):
+        raise ValueError(f"endpoint {h!r} is too large: the reduced "
+                         "inequality overflows in floating point")
     b_grid = np.geomspace(EQUILATERAL_APEX, h, 52)[1:-1]
     if np.any(b_grid <= EQUILATERAL_APEX) or np.any(b_grid >= h):
         raise ValueError(f"endpoint {h!r} is too close to sqrt(3) for a "

@@ -3,8 +3,6 @@
 import ctypes
 import json
 import math
-import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -16,6 +14,9 @@ from trispec import cli, fem, isosceles
 from trispec.cli import dispatch
 from trispec.equilateral import SIGMA_COEFF, enumerate_modes
 from trispec.isosceles import scale_factor
+from trispec.reports import to_json
+
+from _fresh import fresh_python
 
 SQRT3 = math.sqrt(3.0)
 
@@ -103,6 +104,15 @@ def test_bad_flag_value(capsys):
         # the endpoint one float above sqrt(3) leaves no grid between them
         (("verify", "condch", "--b", "1.7320508075688774"),
          "too close to sqrt(3)"),
+        # an infinite value is refused on the leaf's usage line; condch
+        # warned and blamed sqrt(3), and rectangle printed -Infinity
+        (("verify", "condch", "--b", "inf"), "trispec verify condch: error: "
+         "argument --b: must be positive and finite"),
+        (("gamma", "--b", "inf"), "argument --b: must be positive and finite"),
+        (("rectangle", "--tol", "inf"),
+         "argument --tol: must be nonnegative and finite"),
+        # 1e200 squared overflows, which printed NaN nine times under exit 1
+        (("verify", "condch", "--b", "1e200"), "too large"),
     ]
     for argv, flag in cases:
         code, out, err = run(capsys, *argv)
@@ -385,6 +395,13 @@ def test_reports_share_one_shape(capsys):
         assert keys[:4] == ["claim", "branch", "verdict", "checks"], argv
 
 
+def test_to_json_refuses_numbers_json_lacks():
+    for value in (math.nan, math.inf, -math.inf, np.float64("nan")):
+        with pytest.raises(ValueError, match="JSON"):
+            to_json({"claim": "c", "lhs": value})
+    assert json.loads(to_json({"lhs": np.float64(1.5)})) == {"lhs": 1.5}
+
+
 def test_verify_exit_codes(capsys):
     code, out, err = run(capsys, "verify", "condch")
     assert code == 0
@@ -488,16 +505,6 @@ def test_output_does_not_depend_on_blas_threads(capsys, blas):
     two = run(capsys, *argv)
     assert one[0] == 0
     assert one == two
-
-
-def fresh_python(*args):
-    """Run a new interpreter that imports trispec from this checkout."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env, timeout=120)
 
 
 def test_module_entry_point():
@@ -681,15 +688,19 @@ def test_byte_determinism(capsys):
     assert a == b
 
 
+# The peak is VmHWM: ru_maxrss would start at the forking test process's
+# peak, which exec carries over, and hide both solves under it.
 TWO_SOLVES_SCRIPT = """
-import contextlib, io, json, resource
+import contextlib, io, json
 from trispec.cli import dispatch
 readings = []
 for triangle in ("[[-1,0],[1,0],[0.3,2.1]]", "[[0,0],[1.2,0.1],[0.4,1.5]]"):
     with contextlib.redirect_stdout(io.StringIO()):
         code = dispatch(["fem", triangle, "--n", "6", "--level", "8"])
-    readings.append([code,
-                     resource.getrusage(resource.RUSAGE_SELF).ru_maxrss])
+    with open("/proc/self/status") as fh:
+        peak = next(int(line.split()[1]) for line in fh
+                    if line.startswith("VmHWM:"))
+    readings.append([code, peak])
 print(json.dumps(readings))
 """
 
@@ -705,6 +716,8 @@ def has_malloc_trim():
     not has_malloc_trim(),
     reason="the C library has no malloc_trim, so freed heap stays mapped "
            "and the peak depends on the allocator")
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the peak from /proc")
 def test_a_second_large_solve_does_not_raise_the_peak():
     # without the release each level-8 factorization left about 11 MB of
     # heap that the next one did not reuse
@@ -712,4 +725,4 @@ def test_a_second_large_solve_does_not_raise_the_peak():
     assert proc.returncode == 0, proc.stderr
     (code1, peak1), (code2, peak2) = json.loads(proc.stdout)
     assert code1 == code2 == 0
-    assert peak2 - peak1 < 3 * 1024  # ru_maxrss counts KiB on Linux
+    assert peak2 - peak1 < 3 * 1024  # KiB

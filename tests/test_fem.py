@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -26,6 +28,8 @@ from trispec.geometry import (EQUILATERAL_APEX, Triangle, fan_triangle,
                               half_triangle)
 from trispec.isosceles import sweep
 from trispec.transplant import theorem1_verify
+
+from _fresh import fresh_python
 
 
 def unit_equilateral():
@@ -318,6 +322,31 @@ def test_heap_release_is_a_no_op_without_malloc_trim(monkeypatch):
         fem._release_heap()
     finally:
         fem._malloc_trim.cache_clear()
+
+
+FACTOR_PEAK_SCRIPT = """
+import json
+from trispec import fem
+from trispec.geometry import Triangle
+mesh = fem.mesh_triangle(Triangle([[-1, 0], [1, 0], [0.3, 2.1]]), 8)
+stiffness = fem.assemble(mesh, (0, 1, 2)).stiffness  # held, as solve_lowest does
+lu = fem._factor(stiffness)
+with open("/proc/self/status") as fh:
+    kib = dict(line.split()[:2] for line in fh if line.startswith("Vm"))
+print(json.dumps([int(kib["VmHWM:"]), int(kib["VmRSS:"])]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the peak and resident set from /proc")
+def test_factorization_peaks_at_the_lu_it_leaves():
+    # SuperLU's default panel work arrays peaked 10.7 MB above the level-8
+    # LU.  A fresh process, so no earlier solve has set the peak; VmHWM, not
+    # ru_maxrss, which exec carries over from the forking test process.
+    proc = fresh_python("-c", FACTOR_PEAK_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    peak, resident = json.loads(proc.stdout)
+    assert peak - resident <= 2 * 1024  # KiB
 
 
 @pytest.mark.parametrize("level", [3, 6])
@@ -671,6 +700,15 @@ def test_inertia_counts_eigenvalues_below_the_shift(level):
             assert vals[j] - vals[j - 1] > 1e-6 * vals[j]
             shift = 0.5 * (vals[j - 1] + vals[j])
             assert inertia(forms.stiffness, forms.mass, shift) == j
+
+
+def test_inertia_refuses_a_factorization_that_left_the_diagonal():
+    # K - M has a zero diagonal block, so no diagonal pivot exists there
+    K = sparse.csc_matrix([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
+    M = sparse.identity(3, format="csc")
+    with pytest.raises(RuntimeError, match="off the diagonal"):
+        inertia(K, M, 1.0)
+    assert [inertia(K, M, s) for s in (-2.0, 0.5, 3.5)] == [0, 1, 3]
 
 
 def test_loewner_transport_bounds_neighbouring_apertures():

@@ -151,6 +151,12 @@ def test_condCh_report():
         condCh_verify(math.nextafter(SQ3, 3))
     with pytest.raises(ValueError, match="endpoint"):
         condCh_verify(SQ3)
+    # refused before any float overflows into a NaN report; 1e100 squared
+    # is finite, but the grid's right side overflowed
+    for h in (math.inf, 1e200, 1e100):
+        with pytest.raises(ValueError, match="too large"):
+            condCh_verify(h)
+    assert condCh_verify(1e8)["verdict"] == "pass"
 
 
 def test_theorem1_validation():
