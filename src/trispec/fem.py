@@ -47,10 +47,14 @@ basis, every other solve to machine precision.
 Lanczos starts from the constant vector unless the caller holds a close
 guess of the wanted modes.  Uniform refinement nests the P1 spaces, so a
 solve_pair starts its fine solve from the coarse modes interpolated onto
-the fine lattice (_prolong), and solve_family starts each snapshot from a
-neighbouring snapshot or from the member's own Ritz vectors.  The start
-changes how many shift-invert steps a solve takes, not what it converges
-to.
+the fine lattice (_prolong).  A solve_family starts each Chebyshev snapshot
+from the one before it and each later one from the member's own Ritz
+vectors.  solve_family_pair solves the coarse family first; the fine one
+then takes the coarse snapshot members first, each started from its own
+coarse Ritz vectors, interpolated, so it needs fewer Ritz passes and
+shift-invert steps.  A start changes how many steps a solve takes, not
+what it converges to, and the coarse family only chooses the fine
+family's first snapshots: every fine value passes the same gates.
 
 A factorization's heap goes back to the OS when its solve ends
 (_release_heap, glibc's malloc_trim): the allocator would otherwise keep
@@ -82,7 +86,7 @@ __all__ = [
     "solve_lowest",
     "solve_pair",
     "inertia",
-    "solve_family",
+    "solve_family_pair",
     "richardson",
     "solve_extrapolated",
     "rayleigh_data",
@@ -591,9 +595,10 @@ def solve_family(triangles, k, level, dirichlet_edges):
     others), then the block's Ritz vectors side by side through three
     Laplacian products and one mass product.  The block size changes how
     many columns each product has, no decision, and values only by
-    rounding.  Each initial snapshot solve starts from the modes of the
+    rounding.  Each Chebyshev snapshot solve starts from the modes of the
     one before it, and a member that joins later from its own Ritz
-    vectors.
+    vectors.  solve_family_pair solves two levels, the fine one from what
+    the coarse one found.
 
     No mode may be skipped: _first_unproven certifies every member with
     inertia counts transported in the Loewner order.  A member it refutes
@@ -608,10 +613,45 @@ def solve_family(triangles, k, level, dirichlet_edges):
 
     Returns the values as an array (len(triangles), k).
     """
+    meshes = [mesh_triangle(t, level) for t in triangles]
+    return _solve_family(meshes, k, level, dirichlet_edges, None)[0]
+
+
+def solve_family_pair(triangles, k, level, dirichlet_edges):
+    """solve_family at level-1 and at level, as (coarse, fine).
+
+    Both levels are meshed before either is solved, as in solve_pair.  The
+    fine family takes the coarse family's snapshot members first, in the
+    order the coarse one took them, each started from its own final coarse
+    Ritz vectors, summed and interpolated (_prolong); members the gates
+    add later start from their fine Ritz vectors.  The coarse solve only
+    chooses those snapshots and starts: every fine value comes from the
+    fine basis, under the same residual gate and inertia cover.
+    """
+    if level < 1:
+        raise ValueError("family pair needs level >= 1")
+    edges = tuple(sorted(dirichlet_edges))
+    fine_meshes = [mesh_triangle(t, level) for t in triangles]
+    coarse, (taken, basis, ritz_sums) = _solve_family(
+        [mesh_triangle(t, level - 1) for t in triangles], k, level - 1,
+        edges, None)
+    first = [(i, _prolong(level, edges, basis @ ritz_sums[i])) for i in taken]
+    del taken, basis, ritz_sums
+    return coarse, _solve_family(fine_meshes, k, level, edges, first)[0]
+
+
+def _solve_family(meshes, k, level, dirichlet_edges, first):
+    """solve_family of meshes of one level, and its record.
+
+    first lists (member, start vector) snapshots to solve before any
+    other; None takes the Chebyshev members, each started from the modes
+    of the one before it.  The record is (taken, basis, ritz_sums): the
+    snapshot members in the order taken, the final basis, and per member
+    the basis coefficients of its final k+1 Ritz vectors summed.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     edges = tuple(sorted(dirichlet_edges))
-    meshes = [mesh_triangle(t, level) for t in triangles]
     weights = _family_weights(meshes)
     areas = np.array([mesh.triangle.area for mesh in meshes])
     scale = areas / 4 ** level
@@ -623,15 +663,18 @@ def solve_family(triangles, k, level, dirichlet_edges):
     values = np.empty((len(meshes), k + 1))
     resid = np.empty((len(meshes), k))
     taken = []
-    todo = _chebyshev_members(len(meshes), FAMILY_SNAPSHOTS)
-    start = None
+    todo = first or [(i, None) for i in
+                     _chebyshev_members(len(meshes), FAMILY_SNAPSHOTS)]
+    previous = None
     while True:
-        for i in todo:
-            res = solve_lowest(meshes[i], k + 1, edges, start, SNAPSHOT_RTOL)
-            start = res.vectors.sum(axis=1)
+        for i, start in todo:
+            res = solve_lowest(meshes[i], k + 1, edges,
+                               previous if start is None else start,
+                               SNAPSHOT_RTOL)
+            previous = res.vectors.sum(axis=1)
             basis = _orthonormal_extension(
                 basis, res.vectors * math.sqrt(scale[i]), mass)
-        taken.extend(todo)
+        taken.extend(i for i, _ in todo)
         dim = basis.shape[1]
         reduced = np.array([basis.T @ (lap @ basis) for lap in laplacians])
         # Per member, the basis coefficients of its k+1 Ritz vectors summed:
@@ -660,20 +703,18 @@ def solve_family(triangles, k, level, dirichlet_edges):
                 raise RuntimeError(
                     f"reduced basis stalled at family member {worst} at "
                     f"level {level}")
-            todo = [worst]
-            start = basis @ ritz_sums[worst]
+            todo = [(worst, basis @ ritz_sums[worst])]
             continue
         bad = _first_unproven(meshes, edges, k,
                               np.max(values[:, :k] + resid, axis=1),
                               values[:, k], weights, areas)
         if bad is None:
-            return values[:, :k].copy()
+            return values[:, :k].copy(), (taken, basis, ritz_sums)
         if bad in taken:
             raise RuntimeError(
                 f"mode completeness not proven for family member {bad} at "
                 f"level {level}")
-        todo = [bad]
-        start = basis @ ritz_sums[bad]
+        todo = [(bad, basis @ ritz_sums[bad])]
 
 
 def solve_pair(t, k, level):

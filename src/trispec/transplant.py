@@ -174,7 +174,8 @@ def condCh_verify(h):
     strictly exceeds 3(h^2+17)/(20h^2) + 7(h^2-3)/(10h^2(b^2+1)) for every
     b strictly between sqrt(3) and h, with equality exactly at b = sqrt(3).
     It is checked on a geometric grid of 50 points strictly inside that
-    interval, where the right side must also decrease in b.
+    interval.  The right side must also decrease in b, which is decided
+    from the exact sign of h^2 - 3.
     """
     if not (h > EQUILATERAL_APEX):
         raise ValueError("endpoint must exceed sqrt(3)")
@@ -202,9 +203,15 @@ def condCh_verify(h):
         "reduced inequality strict on the grid",
         ctilde, float(vals[worst]), worst_b=float(b_grid[worst]),
         grid_size=int(b_grid.size)))
+    # The b-dependent term is 7 (h^2 - 3) / (10 h^2 (b^2 + 1)), so the
+    # right side decreases in b exactly when h^2 > 3.  Its values on the
+    # grid saturate in floating point for large h, so h^2 - 3 is taken
+    # from the exact ratio p / q = h: integer arithmetic, then one
+    # correctly rounded division, which keeps the sign.
+    p, q = h.as_integer_ratio()
     checks.append(make_report(
-        "right side strictly decreasing along the grid",
-        float(np.max(np.diff(vals))), 0.0, mode="<"))
+        "right side strictly decreasing in b: h^2 - 3 > 0",
+        (p * p - 3 * q * q) / (q * q), 0.0))
     return combine(
         f"endpoint two-tone bound at h={h:g} propagates to every smaller b",
         checks, endpoint=float(h), ctilde=ctilde)

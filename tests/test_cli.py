@@ -137,9 +137,9 @@ def test_a_level_past_the_cap_is_refused_before_solving(capsys, monkeypatch):
 def test_one_sided_window_is_refused_before_solving(capsys, monkeypatch):
     # verify fills the unset end from the default window [pi/6, 2pi/3]
     def refuse(*args):
-        raise AssertionError("solve_family called")
+        raise AssertionError("solve_family_pair called")
 
-    monkeypatch.setattr(isosceles, "solve_family", refuse)
+    monkeypatch.setattr(isosceles, "solve_family_pair", refuse)
     cases = [(("verify", "monotonicity", "--alpha-min", "2.5"), "--alpha-min"),
              (("verify", "observation", "--alpha-max", "0.3"), "--alpha-max")]
     for argv, flag in cases:
@@ -219,9 +219,9 @@ def test_a_sweep_leaf_refuses_a_coarse_level_with_its_usage_line(
         capsys, monkeypatch, leaf):
     # the form of a level past the cap, before any solve
     def refuse(*args):
-        raise AssertionError("solve_family called")
+        raise AssertionError("solve_family_pair called")
 
-    monkeypatch.setattr(isosceles, "solve_family", refuse)
+    monkeypatch.setattr(isosceles, "solve_family_pair", refuse)
     prog = f"trispec {leaf}"
     for level in (isosceles.SWEEP_MIN_LEVEL - 1, 4, fem.MAX_LEVEL + 1):
         code, out, err = run(capsys, *leaf.split(), "--level", str(level))
@@ -405,6 +405,13 @@ def test_to_json_refuses_numbers_json_lacks():
 def test_verify_exit_codes(capsys):
     code, out, err = run(capsys, "verify", "condch")
     assert code == 0
+    # large endpoints up to the overflow refusal pass; 1e100 is refused
+    for b in ("1e10", "1e60"):
+        code, out, err = run(capsys, "verify", "condch", "--b", b)
+        assert code == 0, b
+        assert json.loads(out)["verdict"] == "pass", b
+    code, out, err = run(capsys, "verify", "condch", "--b", "1e100")
+    assert code == 64 and "too large" in err and out == ""
     # equality endpoint: margin sits inside the error bar by design
     code, out, err = run(capsys, "verify", "theorem1",
                          "--b", repr(SQRT3), "--n", "1", "--level", "6")

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import math
@@ -21,6 +22,7 @@ from trispec.fem import (
     richardson,
     solve_extrapolated,
     solve_family,
+    solve_family_pair,
     solve_lowest,
     solve_pair,
 )
@@ -930,6 +932,132 @@ def test_refuted_member_becomes_a_snapshot(monkeypatch):
     monkeypatch.setattr(fem, "_first_unproven", lambda *args: 0)
     with pytest.raises(RuntimeError, match="not proven"):
         solve_family(family, 1, 5, (0, 1, 2))
+
+
+@pytest.mark.parametrize("window", [
+    (math.pi / 6.0, 2.0 * math.pi / 3.0),
+    # the equilateral, where lambda_s and lambda_a cross, in the middle
+    (math.pi / 3.0 - 0.2, math.pi / 3.0 + 0.2)])
+def test_solve_family_pair_matches_direct_solves(window):
+    family = halves(np.linspace(*window, 21))
+    for edges, k in HALF_PROBLEMS:
+        pair = solve_family_pair(family, k, 6, edges)
+        for level, values in zip((5, 6), pair):
+            direct = np.array([solve_lowest(mesh_triangle(t, level), k,
+                                            edges).values for t in family])
+            np.testing.assert_allclose(values, direct, rtol=1e-10)
+
+
+def recording_solves(monkeypatch, family):
+    """Patch fem.solve_lowest to record (level, member, start) per call."""
+    calls = []
+    original = fem.solve_lowest
+
+    def solve(mesh, k, dirichlet_edges=(0, 1, 2), start=None, rtol=None):
+        calls.append((mesh.level, family.index(mesh.triangle), start))
+        return original(mesh, k, dirichlet_edges, start, rtol)
+
+    monkeypatch.setattr(fem, "solve_lowest", solve)
+    return calls
+
+
+def restricted(level, edges, vector):
+    """A free-vertex vector of level at the vertices of level-1."""
+    _, i, j = fem._lattice(level)
+    free = fem._stencil(level, edges).free
+    return vector[(i[free] % 2 == 0) & (j[free] % 2 == 0)]
+
+
+def test_fine_family_starts_from_the_coarse_snapshots(monkeypatch):
+    family = halves(np.linspace(math.pi / 6.0, 2.0 * math.pi / 3.0, 21))
+    for edges, k in HALF_PROBLEMS:
+        calls = recording_solves(monkeypatch, family)
+        solve_family_pair(family, k, 6, edges)
+        coarse = [member for level, member, _ in calls if level == 5]
+        fine = [(member, start) for level, member, start in calls
+                if level == 6]
+        assert [level for level, _, _ in calls] == \
+            [5] * len(coarse) + [6] * len(fine)
+        assert [member for member, _ in fine[:len(coarse)]] == coarse
+        for _, start in fine[:len(coarse)]:
+            # a P1 function of the coarse lattice, interpolated
+            np.testing.assert_allclose(
+                fem._prolong(6, edges, restricted(6, edges, start)), start,
+                rtol=0, atol=1e-14 * np.max(np.abs(start)))
+        # members the gates add later start from their fine Ritz vectors
+        assert all(start is not None for _, start in fine)
+
+
+def test_fine_family_needs_fewer_ritz_passes(monkeypatch):
+    family = halves(np.linspace(math.pi / 6.0, 2.0 * math.pi / 3.0, 80))
+    original_solve, original_pairs = fem.solve_lowest, fem._lowest_eigenpairs
+    solving, blocks = [], collections.Counter()
+
+    def solve(mesh, *args):
+        solving[:] = [mesh.level]
+        return original_solve(mesh, *args)
+
+    def pairs(matrices, count):
+        # a Ritz pass follows a snapshot solve of its own level and makes
+        # one call per block of members, the same number in every pass
+        blocks[solving[0]] += 1
+        return original_pairs(matrices, count)
+
+    monkeypatch.setattr(fem, "solve_lowest", solve)
+    monkeypatch.setattr(fem, "_lowest_eigenpairs", pairs)
+    for edges, k in HALF_PROBLEMS:
+        blocks.clear()
+        solve_family_pair(family, k, 6, edges)
+        warm = blocks[6]
+        blocks.clear()
+        solve_family(family, k, 6, edges)
+        assert 0 < warm < blocks[6]
+
+
+def test_refuted_fine_member_becomes_a_snapshot(monkeypatch):
+    family = halves(np.linspace(0.6, 2.0, 21))
+    gated = []
+    original_gate = fem._first_unproven
+    calls = recording_solves(monkeypatch, family)
+
+    def gate(meshes, *args):
+        # member 10 is a snapshot at neither level here
+        first_fine = meshes[0].level == 6 and not gated
+        if meshes[0].level == 6:
+            gated.append(args)
+        return 10 if first_fine else original_gate(meshes, *args)
+
+    monkeypatch.setattr(fem, "_first_unproven", gate)
+    pair = solve_family_pair(family, 1, 6, (0, 1, 2))
+    assert [member for level, member, _ in calls].count(10) == 1
+    assert (6, 10) in [(level, member) for level, member, _ in calls]
+    assert len(gated) == 2
+    monkeypatch.undo()
+    for level, values in zip((5, 6), pair):
+        direct = [solve_lowest(mesh_triangle(t, level), 1).values
+                  for t in family]
+        np.testing.assert_allclose(values, direct, rtol=1e-10)
+    # the fine family took the coarse snapshots, so a refuted one is not
+    # solved again
+    monkeypatch.setattr(
+        fem, "_first_unproven",
+        lambda meshes, *args: 0 if meshes[0].level == 6
+        else original_gate(meshes, *args))
+    with pytest.raises(RuntimeError, match="not proven"):
+        solve_family_pair(family, 1, 6, (0, 1, 2))
+
+
+def test_solve_family_pair_validation(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("solve_lowest called")
+
+    monkeypatch.setattr(fem, "solve_lowest", refuse)
+    family = halves([1.0, 1.2])
+    with pytest.raises(ValueError, match="level >= 1"):
+        solve_family_pair(family, 1, 0, (0, 1, 2))
+    # the fine level is refused before the coarse family is solved
+    with pytest.raises(ValueError, match="level must be in"):
+        solve_family_pair(family, 1, MAX_LEVEL + 1, (0, 1, 2))
 
 
 def test_solve_family_validation():

@@ -48,9 +48,9 @@ def test_sweep_validation():
 
 def test_sweep_refuses_an_unordered_grid_before_solving(monkeypatch):
     def refuse(*args):
-        raise AssertionError("solve_family called")
+        raise AssertionError("solve_family_pair called")
 
-    monkeypatch.setattr(isosceles, "solve_family", refuse)
+    monkeypatch.setattr(isosceles, "solve_family_pair", refuse)
     for grid in ([1.0, 0.9, 1.1], [1.0, 1.0]):
         with pytest.raises(ValueError, match="strictly increasing"):
             sweep(grid, 6)
@@ -60,18 +60,19 @@ def test_table_invariants(monkeypatch):
     # the solves return the tones (lambda1, lambda_a, lambda_s) at both
     # levels, so the extrapolation hands them on unchanged
     def solving_to(lambda1, lambda_a, lambda_s):
-        def solve_family(halves, k, level, edges):
+        def solve_family_pair(halves, k, level, edges):
             half = [[lambda1, lambda_s]] if k == 2 else [[lambda_a]]
-            return np.array(half * len(halves), dtype=float)
-        return solve_family
+            values = np.array(half * len(halves), dtype=float)
+            return values, values.copy()
+        return solve_family_pair
 
     cases = [((-1.0, 2.0, 3.0), "positive"), ((2.0, 1.0, 3.0), "below"),
              ((2.0, 3.0, 1.0), "below"), ((2.0, 2.0, 3.0), "below")]
     for tones, match in cases:
-        monkeypatch.setattr(isosceles, "solve_family", solving_to(*tones))
+        monkeypatch.setattr(isosceles, "solve_family_pair", solving_to(*tones))
         with pytest.raises(ValueError, match=match):
             sweep([1.0, 1.1], 6)
-    monkeypatch.setattr(isosceles, "solve_family", solving_to(1.0, 2.0, 3.0))
+    monkeypatch.setattr(isosceles, "solve_family_pair", solving_to(1.0, 2.0, 3.0))
     s = sweep([1.0, 1.1], 6)
     np.testing.assert_array_equal(s.tones, [[1.0, 2.0, 3.0]] * 2)
     np.testing.assert_array_equal(s.errors, np.zeros((2, 3)))
