@@ -42,7 +42,14 @@ of a basis direction, not of an eigenpair: the Ritz values are upper
 bounds whatever the basis, a basis too poor for a member shows in that
 member's Ritz residual, and the inertia cover proves completeness.
 Snapshots are therefore solved to SNAPSHOT_RTOL with a short Krylov
-basis, every other solve to machine precision.
+basis, every other solve to machine precision, and a snapshot solve
+returns its sorted values and vectors as Lanczos (or the dense eigh)
+leaves them: no mass re-orthonormalization, no sign convention and no
+residuals, since the family re-orthonormalizes every snapshot against its
+basis and gates its own Ritz residuals.  A family assembles its reduced
+forms only from the direction Laplacians some member weights: a right
+angle leaves its hypotenuse's direction unweighted, so a family of half
+triangles needs two of the three.
 
 Lanczos starts from the constant vector unless the caller holds a close
 guess of the wanted modes.  Uniform refinement nests the P1 spaces, so a
@@ -278,9 +285,10 @@ def _csc(stencil, data):
                              shape=(n, n))
 
 
-def _laplacian_matrices(stencil):
-    """The three direction Laplacians of the stencil as float CSCs."""
-    return [_csc(stencil, lap.astype(float)) for lap in stencil.laplacians]
+def _laplacian_matrices(stencil, directions=slice(None)):
+    """The stencil's direction Laplacians (those selected) as float CSCs."""
+    return [_csc(stencil, lap.astype(float))
+            for lap in stencil.laplacians[directions]]
 
 
 def _weights(t):
@@ -330,7 +338,10 @@ def assemble(mesh, dirichlet_edges):
 # (see solve_lowest).  Every array is per mode, and the leading modes
 # do not depend on how many trailing ones were solved with them (the
 # Cholesky re-orthonormalization is triangular and signs are fixed per
-# column), so one k-mode solve serves every k' < k.
+# column), so one k-mode solve serves every k' < k.  A family snapshot's
+# result (solve_lowest with rtol) is the one exception: residuals is None
+# and its vectors have no sign convention and only the solver's
+# orthonormality.
 EigenResult = collections.namedtuple(
     "EigenResult", "level values vectors residuals")
 
@@ -388,7 +399,10 @@ def solve_lowest(mesh, k, dirichlet_edges=(0, 1, 2), start=None, rtol=None):
     Krylov basis.  A solve whose modes only span a basis (solve_family's
     snapshots) passes a relative tolerance instead, and Lanczos then keeps
     a basis of 2k + 1 vectors, eigsh's default without its floor of 20,
-    and stops at that tolerance; the dense path ignores it.
+    and stops at that tolerance; the dense path solves as always.  Either
+    path then returns as soon as the values are sorted: ascending values,
+    the vectors as Lanczos or eigh leaves them (M-orthonormal to the
+    solver's accuracy, signs arbitrary) and residuals None.
 
     The reported residual of mode j is 2 ||r_j|| in the dual norm of the
     lumped (row-sum) mass L, r_j = K v_j - lambda_j M v_j.  Each element
@@ -434,6 +448,8 @@ def solve_lowest(mesh, k, dirichlet_edges=(0, 1, 2), start=None, rtol=None):
     order = np.argsort(vals)
     vals = np.ascontiguousarray(vals[order])
     vecs = np.ascontiguousarray(vecs[:, order])
+    if rtol is not None:
+        return EigenResult(mesh.level, vals, vecs, None)
 
     # Re-orthonormalize in the mass inner product; ARPACK is close already,
     # a Cholesky of the small Gram matrix tightens it to machine precision.
@@ -592,13 +608,13 @@ def solve_family(triangles, k, level, dirichlet_edges):
     bound must stay an upper bound.  A pass over the members goes by
     blocks of _RITZ_BLOCK: the k+1 lowest eigenpairs of each member's
     weighted reduced Laplacians (_lowest_eigenpairs, which computes no
-    others), then the block's Ritz vectors side by side through three
-    Laplacian products and one mass product.  The block size changes how
-    many columns each product has, no decision, and values only by
-    rounding.  Each Chebyshev snapshot solve starts from the modes of the
-    one before it, and a member that joins later from its own Ritz
-    vectors.  solve_family_pair solves two levels, the fine one from what
-    the coarse one found.
+    others), then the block's Ritz vectors side by side through one
+    product per weighted direction Laplacian and one mass product.  The
+    block size changes how many columns each product has, no decision,
+    and values only by rounding.  Each Chebyshev snapshot solve starts
+    from the modes of the one before it, and a member that joins later
+    from its own Ritz vectors.  solve_family_pair solves two levels, the
+    fine one from what the coarse one found.
 
     No mode may be skipped: _first_unproven certifies every member with
     inertia counts transported in the Loewner order.  A member it refutes
@@ -609,7 +625,8 @@ def solve_family(triangles, k, level, dirichlet_edges):
     Ritz pairs themselves and the inertia cover proves that none was
     skipped; so each snapshot is solved to SNAPSHOT_RTOL, well inside
     FAMILY_RTOL, with a short Krylov basis (solve_lowest's rtol), not to
-    machine precision.
+    machine precision, and returns before the re-orthonormalization, sign
+    fixing and residuals of a direct solve, which the family never reads.
 
     Returns the values as an array (len(triangles), k).
     """
@@ -648,6 +665,14 @@ def _solve_family(meshes, k, level, dirichlet_edges, first):
     of the one before it.  The record is (taken, basis, ritz_sums): the
     snapshot members in the order taken, the final basis, and per member
     the basis coefficients of its final k+1 Ritz vectors summed.
+
+    Snapshots enter the basis through _orthonormal_extension, which
+    normalizes them itself, so their signs and scale do not matter; the
+    start they give the next snapshot changes only its step count.  The
+    reduced matrices, the Ritz blocks and the residual products keep only
+    the directions d with w_d > 0 at some member (a direction no member
+    weights adds nothing to any stiffness); _first_unproven reads every
+    weight.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -656,7 +681,9 @@ def _solve_family(meshes, k, level, dirichlet_edges, first):
     areas = np.array([mesh.triangle.area for mesh in meshes])
     scale = areas / 4 ** level
     stencil = _stencil(level, edges)
-    laplacians = _laplacian_matrices(stencil)
+    used = np.any(weights > 0, axis=0)
+    laplacians = _laplacian_matrices(stencil, used)
+    used_weights = weights[:, used]
     mass = _csc(stencil, stencil.mass / 12.0)
     lumped = stencil.lumped / 6.0
     basis = np.zeros((stencil.free.size, 0))
@@ -682,7 +709,7 @@ def _solve_family(meshes, k, level, dirichlet_edges, first):
         ritz_sums = np.empty((len(meshes), dim))
         for lo in range(0, len(meshes), _RITZ_BLOCK):
             block = slice(lo, lo + _RITZ_BLOCK)
-            w = weights[block]
+            w = used_weights[block]
             # The k+1 lowest Ritz pairs of (K, M_ref); the values of (K, M)
             # are mu / e.
             mu, y = _lowest_eigenpairs(

@@ -71,7 +71,12 @@ def make_report(claim, lhs, rhs, mode=">", tol=0.0, fem_err=0.0, branch=None, **
 
 
 def combine(claim, checks, branch=None, **extra):
-    """Roll subreports into one: fail dominates, then inconclusive."""
+    """Roll subreports into one: fail dominates, then inconclusive.
+
+    A report that rests on a heuristic check is heuristic too: it ends with
+    heuristic=True when any check carries it, unless the caller passes its
+    own heuristic value.
+    """
     verdicts = [c["verdict"] for c in checks]
     if "fail" in verdicts:
         verdict = "fail"
@@ -82,6 +87,8 @@ def combine(claim, checks, branch=None, **extra):
     rep = {"claim": claim, "branch": branch, "verdict": verdict, "checks": checks}
     for key, val in extra.items():
         rep[key] = _clean(val)
+    if "heuristic" not in rep and any(c.get("heuristic") for c in checks):
+        rep["heuristic"] = True
     return rep
 
 

@@ -14,7 +14,7 @@ from trispec import cli, fem, isosceles
 from trispec.cli import dispatch
 from trispec.equilateral import SIGMA_COEFF, enumerate_modes
 from trispec.isosceles import scale_factor
-from trispec.reports import to_json
+from trispec.reports import combine, make_report, to_json
 
 from _fresh import fresh_python
 
@@ -393,6 +393,23 @@ def test_reports_share_one_shape(capsys):
         assert code == 0, argv
         keys = list(json.loads(out))
         assert keys[:4] == ["claim", "branch", "verdict", "checks"], argv
+
+
+def test_a_heuristic_check_makes_its_report_heuristic(capsys):
+    # the certified endpoint of theorem2's chain is a heuristic enclosure
+    code, out, err = run(capsys, "verify", "theorem2", "--b", "2.0",
+                         "--level", "5")
+    report = json.loads(out)
+    assert report["checks"][3]["heuristic"] is True
+    assert list(report)[-1] == "heuristic" and report["heuristic"] is True
+    # the caller's value wins; with no heuristic check there is no key
+    checks = [make_report("a", 1.0, 0.0), combine("b", [], heuristic=True)]
+    assert combine("c", checks, heuristic=False)["heuristic"] is False
+    assert "heuristic" not in combine("c", checks[:1])
+    for argv in (("verify", "observation"),
+                 ("verify", "theorem1", "--n", "2", "--level", "5")):
+        code, out, err = run(capsys, *argv)
+        assert '"heuristic"' not in out, argv
 
 
 def test_to_json_refuses_numbers_json_lacks():

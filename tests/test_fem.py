@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.linalg import eigh
+from scipy.linalg import eigh, subspace_angles
 from scipy.sparse.linalg import LinearOperator, splu
 
 from trispec import fem
@@ -762,6 +762,69 @@ def test_only_family_snapshots_stop_early_on_a_short_basis(monkeypatch):
     assert len(calls) == 3
     for call in calls:
         assert "ncv" not in call and "tol" not in call
+
+
+def test_family_reads_snapshots_as_basis_directions_only(monkeypatch):
+    # an rtol solve stops at sorted values: no sign convention, no
+    # residuals, on the dense path (level 4) and on Lanczos's (level 6)
+    t = half_triangle(1.0)
+    for edges, k in HALF_PROBLEMS:
+        for level in (4, 6):
+            mesh = mesh_triangle(t, level)
+            snapshot = solve_lowest(mesh, k + 1, edges,
+                                    rtol=fem.SNAPSHOT_RTOL)
+            full = solve_lowest(mesh, k + 1, edges)
+            assert snapshot.residuals is None
+            assert np.all(np.diff(snapshot.values) > 0)
+            assert np.max(subspace_angles(snapshot.vectors,
+                                          full.vectors)) < 1e-6
+    # so the family's values do not depend on the signs or the scale of
+    # the snapshot vectors
+    family = halves(np.linspace(math.pi / 6.0, 2.0 * math.pi / 3.0, 21))
+    original = fem.solve_lowest
+
+    def solve(mesh, k, dirichlet_edges=(0, 1, 2), start=None, rtol=None):
+        res = original(mesh, k, dirichlet_edges, start, rtol)
+        # column j scaled by (-2.5)^(j+1): alternating signs, no unit norm
+        return res._replace(vectors=res.vectors
+                            * (-2.5) ** np.arange(1, k + 1))
+
+    for edges, k in HALF_PROBLEMS:
+        values = solve_family(family, k, 6, edges)
+        monkeypatch.setattr(fem, "solve_lowest", solve)
+        np.testing.assert_allclose(solve_family(family, k, 6, edges), values,
+                                   rtol=1e-10)
+        monkeypatch.undo()
+
+
+def test_families_skip_the_directions_no_member_weights(monkeypatch):
+    # right triangles with the right angle at vertex 0, 1 and 2: each leaves
+    # another direction unweighted, together they weight all three; half
+    # triangles never weight their hypotenuse's (direction 2)
+    heights = np.linspace(0.8, 1.25, 4)
+    right = ([Triangle([(0, 0), (1, 0), (0, h)]) for h in heights]
+             + [Triangle([(0, 0), (1, 0), (1, h)]) for h in heights]
+             + [Triangle([(0, 0), (1, h), (0, h)]) for h in heights])
+    half = halves(np.linspace(math.pi / 6.0, 2.0 * math.pi / 3.0, 21))
+    built = []
+    original = fem._laplacian_matrices
+
+    def laplacians(*args):
+        matrices = original(*args)
+        built.append(len(matrices))
+        return matrices
+
+    monkeypatch.setattr(fem, "_laplacian_matrices", laplacians)
+    for family, edges, k, used in ((right, (0, 1, 2), 2, 3),
+                                   (half, (1, 2), 2, 2)):
+        weights = fem._family_weights([mesh_triangle(t, 5) for t in family])
+        assert np.count_nonzero(np.any(weights > 0, axis=0)) == used
+        del built[:]
+        values = solve_family(family, k, 5, edges)
+        assert built == [used]
+        direct = np.array([solve_lowest(mesh_triangle(t, 5), k,
+                                        edges).values for t in family])
+        np.testing.assert_allclose(values, direct, rtol=1e-10)
 
 
 def test_warm_started_family_keeps_its_snapshots(monkeypatch):
