@@ -329,12 +329,12 @@ def boundary_sup(tf, h, num=SUP_GRID):
     this side matters, and the trial sum is even in theta, so the half
     window [0, half-aperture] suffices.  `num` points of a uniform grid are
     bisected until every cell's interpolation bound is within SUP_RTOL of
-    the largest sampled value; returns (bound, evaluations).  The bound is
-    proven up to the float evaluation of J_nu and of the bound itself.
-    Raises RuntimeError past SUP_MAX_EVALS evaluations.
+    the largest sampled value; returns the bound.  It is proven up to the
+    float evaluation of J_nu and of the bound itself.  Raises RuntimeError
+    past SUP_MAX_EVALS evaluations.
     """
-    (_, _, _, bound), evals = _sup_cells(tf, h, num)
-    return float(np.max(bound)), evals
+    (_, _, _, bound), _ = _sup_cells(tf, h, num)
+    return float(np.max(bound))
 
 
 # Two-sided enclosure lower = lambda_bar/(1+epsilon), upper =
@@ -372,7 +372,7 @@ def certify_second_eigenvalue():
     aperture = 2.0 * math.atan(1.0 / h)
     tf = Trial(math.pi / aperture, CERT_KAPPA, CERT_COEFFS)
     l2 = l2_lower(tf, Sector(h, aperture))
-    sup, _ = boundary_sup(tf, h)
+    sup = boundary_sup(tf, h)
     return moler_payne(CERT_KAPPA ** 2, sup, l2, h)
 
 

@@ -29,34 +29,35 @@ kept on the free vertices only, in the order of the forms.
 
 Triangles without an obtuse angle have nonnegative weights w_d, so a family
 of them on one lattice (the half triangles of an aperture sweep) is solved
-at once by solve_family: a Rayleigh-Ritz projection onto the eigenvectors
-of direct solves at a few members.  Its values are upper bounds on the P1
-values, as a direct solve's are.  Each pass over the members works on
-blocks of them: the k+1 lowest eigenpairs of each reduced pencil, and the
-residuals of all the block's Ritz vectors from a few sparse products with
-many columns.  That no mode was skipped is proven by Sylvester inertia
-counts of K - sigma M (inertia), carried from member to member by the
-Loewner order of their stiffnesses; the counts go to the anchors that
-carry the longest runs of members.  So a snapshot needs only the accuracy
-of a basis direction, not of an eigenpair: the Ritz values are upper
-bounds whatever the basis, a basis too poor for a member shows in that
-member's Ritz residual, and the inertia cover proves completeness.
-Snapshots are therefore solved to SNAPSHOT_RTOL with a short Krylov
-basis, every other solve to machine precision, and a snapshot solve
-returns its sorted values and vectors as Lanczos (or the dense eigh)
-leaves them: no mass re-orthonormalization, no sign convention and no
-residuals, since the family re-orthonormalizes every snapshot against its
-basis and gates its own Ritz residuals.  A family assembles its reduced
-forms only from the direction Laplacians some member weights: a right
-angle leaves its hypotenuse's direction unweighted, so a family of half
-triangles needs two of the three.
+at once by solve_family_pair, at two consecutive levels, each level by a
+Rayleigh-Ritz projection onto the eigenvectors of direct solves at a few
+members (_solve_family).  Its values are upper bounds on the P1 values, as
+a direct solve's are.  Each pass over the members works on blocks of them:
+the k+1 lowest eigenpairs of each reduced pencil, and the residuals of all
+the block's Ritz vectors from a few sparse products with many columns.
+That no mode was skipped is proven by Sylvester inertia counts of
+K - sigma M (inertia), carried from member to member by the Loewner order
+of their stiffnesses; the counts go to the anchors that carry the longest
+runs of members.  So a snapshot needs only the accuracy of a basis
+direction, not of an eigenpair: the Ritz values are upper bounds whatever
+the basis, a basis too poor for a member shows in that member's Ritz
+residual, and the inertia cover proves completeness.  Snapshots are
+therefore solved to SNAPSHOT_RTOL with a short Krylov basis, every other
+solve to machine precision, and a snapshot solve returns its sorted values
+and vectors as Lanczos (or the dense eigh) leaves them: no mass
+re-orthonormalization and no sign convention, since the family
+re-orthonormalizes every snapshot against its basis and gates its own
+Ritz residuals.  A family assembles its reduced forms only from the
+direction Laplacians some member weights: a right angle leaves its
+hypotenuse's direction unweighted, so a family of half triangles needs two
+of the three.
 
 Lanczos starts from the constant vector unless the caller holds a close
 guess of the wanted modes.  Uniform refinement nests the P1 spaces, so a
 solve_pair starts its fine solve from the coarse modes interpolated onto
-the fine lattice (_prolong).  A solve_family starts each Chebyshev snapshot
-from the one before it and each later one from the member's own Ritz
-vectors.  solve_family_pair solves the coarse family first; the fine one
+the fine lattice (_prolong).  A family starts each Chebyshev snapshot from
+the one before it and each later one from the member's own Ritz vectors.
+solve_family_pair solves the coarse family first; the fine one
 then takes the coarse snapshot members first, each started from its own
 coarse Ritz vectors, interpolated, so it needs fewer Ritz passes and
 shift-invert steps.  A start changes how many steps a solve takes, not
@@ -174,7 +175,8 @@ def mesh_triangle(t, level):
 # over them (indptr, indices), the entries of the direction Laplacians
 # (laplacians[d], shape (3, nnz)) and the numerators of sum_d |L_d| / 12
 # (mass); lumped holds the numerators of that mass's full-mesh row sums at
-# the free vertices, whose denominator is 6.  All three are int8: an L_d
+# the free vertices, whose denominator is 6 (the lumped mass of a family's
+# residual bound, _solve_family).  All three are int8: an L_d
 # entry is at most 4 in size, a numerator at most 12.  Masses are for
 # elements of unit area.
 _Stencil = collections.namedtuple(
@@ -312,9 +314,8 @@ def _weights(t):
 
 
 # P1 forms of one triangle on the free vertices of one boundary set: free
-# lists the free vertices, stiffness and mass (CSC) are the pencil on them,
-# lumped_mass the full-mesh row sums of the mass there.
-FemForms = collections.namedtuple("FemForms", "free stiffness mass lumped_mass")
+# lists the free vertices, stiffness and mass (CSC) are the pencil on them.
+FemForms = collections.namedtuple("FemForms", "free stiffness mass")
 
 
 def assemble(mesh, dirichlet_edges):
@@ -327,23 +328,18 @@ def assemble(mesh, dirichlet_edges):
     element_area = mesh.triangle.area / 4 ** mesh.level
     return FemForms(stencil.free,
                     _csc(stencil, weights[0] @ stencil.laplacians),
-                    _csc(stencil, element_area * (stencil.mass / 12.0)),
-                    element_area * (stencil.lumped / 6.0))
+                    _csc(stencil, element_area * (stencil.mass / 12.0)))
 
 
 # Lowest-k discrete eigenpairs of one problem at one mesh level.  values
 # ascend; vectors are coefficient columns on the free vertices (assemble's
-# forms.free), mass-orthonormal.  residuals[j] bounds the mass-inverse norm
-# of K v_j - values[j] M v_j from above by twice its lumped-mass dual norm
-# (see solve_lowest).  Every array is per mode, and the leading modes
+# forms.free), mass-orthonormal.  Both are per mode, and the leading modes
 # do not depend on how many trailing ones were solved with them (the
 # Cholesky re-orthonormalization is triangular and signs are fixed per
 # column), so one k-mode solve serves every k' < k.  A family snapshot's
-# result (solve_lowest with rtol) is the one exception: residuals is None
-# and its vectors have no sign convention and only the solver's
-# orthonormality.
-EigenResult = collections.namedtuple(
-    "EigenResult", "level values vectors residuals")
+# result (solve_lowest with rtol) is the one exception: its vectors have
+# no sign convention and only the solver's orthonormality.
+EigenResult = collections.namedtuple("EigenResult", "level values vectors")
 
 
 # Columns per SuperLU panel.  Its panel work arrays take the panel width
@@ -396,19 +392,12 @@ def solve_lowest(mesh, k, dirichlet_edges=(0, 1, 2), start=None, rtol=None):
     sign is fixed by the largest component.
 
     rtol None converges Lanczos to machine precision with eigsh's default
-    Krylov basis.  A solve whose modes only span a basis (solve_family's
+    Krylov basis.  A solve whose modes only span a basis (a family's
     snapshots) passes a relative tolerance instead, and Lanczos then keeps
     a basis of 2k + 1 vectors, eigsh's default without its floor of 20,
     and stops at that tolerance; the dense path solves as always.  Either
-    path then returns as soon as the values are sorted: ascending values,
-    the vectors as Lanczos or eigh leaves them (M-orthonormal to the
-    solver's accuracy, signs arbitrary) and residuals None.
-
-    The reported residual of mode j is 2 ||r_j|| in the dual norm of the
-    lumped (row-sum) mass L, r_j = K v_j - lambda_j M v_j.  Each element
-    mass dominates a quarter of its lumped mass, so M >= L/4 and this is a
-    guaranteed upper bound on the mass-inverse norm sqrt(r^T M^-1 r); since
-    M <= L it is at most twice that norm.  No mass factorization is needed.
+    path then returns the values sorted and the vectors as Lanczos or eigh
+    leaves them: M-orthonormal to the solver's accuracy, signs arbitrary.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -448,23 +437,18 @@ def solve_lowest(mesh, k, dirichlet_edges=(0, 1, 2), start=None, rtol=None):
     order = np.argsort(vals)
     vals = np.ascontiguousarray(vals[order])
     vecs = np.ascontiguousarray(vecs[:, order])
-    if rtol is not None:
-        return EigenResult(mesh.level, vals, vecs, None)
-
-    # Re-orthonormalize in the mass inner product; ARPACK is close already,
-    # a Cholesky of the small Gram matrix tightens it to machine precision.
-    gram = vecs.T @ (mm @ vecs)
-    chol = np.linalg.cholesky((gram + gram.T) / 2.0)
-    vecs = np.linalg.solve(chol, vecs.T).T
-    for col in range(vecs.shape[1]):
-        pivot = int(np.argmax(np.abs(vecs[:, col])))
-        if vecs[pivot, col] < 0:
-            vecs[:, col] = -vecs[:, col]
-
-    r = kk @ vecs - (mm @ vecs) * vals
-    resid = 2.0 * np.sqrt(np.sum(r * r / forms.lumped_mass[:, None], axis=0))
-
-    return EigenResult(mesh.level, vals, vecs, resid)
+    if rtol is None:
+        # Re-orthonormalize in the mass inner product; ARPACK is close
+        # already, a Cholesky of the small Gram matrix tightens it to
+        # machine precision.
+        gram = vecs.T @ (mm @ vecs)
+        chol = np.linalg.cholesky((gram + gram.T) / 2.0)
+        vecs = np.linalg.solve(chol, vecs.T).T
+        for col in range(vecs.shape[1]):
+            pivot = int(np.argmax(np.abs(vecs[:, col])))
+            if vecs[pivot, col] < 0:
+                vecs[:, col] = -vecs[:, col]
+    return EigenResult(mesh.level, vals, vecs)
 
 
 def inertia(K, M, sigma):
@@ -487,13 +471,16 @@ def inertia(K, M, sigma):
     return count
 
 
-def _family_weights(meshes):
-    """Stiffness weights (members, 3) of a family; refuses negative ones."""
-    weights = np.array([_weights(mesh.triangle)[0] for mesh in meshes])
+def _family_weights(triangles):
+    """Stiffness weights (members, 3) and areas (members,) of a family.
+
+    Both are the same at every level.  Refuses negative weights.
+    """
+    weights = np.array([_weights(t)[0] for t in triangles])
     if np.any(weights < 0):
         raise ValueError("a family solve needs triangles without obtuse "
                          "angles (every stiffness weight >= 0)")
-    return weights
+    return weights, np.array([t.area for t in triangles])
 
 
 def _first_unproven(meshes, dirichlet_edges, k, top, above, weights, areas):
@@ -591,30 +578,72 @@ def _lowest_eigenpairs(matrices, count):
     return values, vectors
 
 
-def solve_family(triangles, k, level, dirichlet_edges):
-    """Lowest k P1 eigenvalues of every triangle, from one reduced basis.
+def solve_family_pair(triangles, k, level, dirichlet_edges):
+    """Lowest k P1 eigenvalues of every triangle at level-1 and at level.
 
     Every triangle of one level and boundary set has its pencil on the same
     lattice: K = sum_d w_d L_d and M = e M_ref, e the element area.  The
-    triangles must have no obtuse angle (w_d >= 0).  The basis starts from
-    direct solve_lowest solves of k+1 modes at up to FAMILY_SNAPSHOTS
-    Chebyshev-spaced members (all of them in a shorter family); then the
-    member whose worst Ritz pair has the largest residual / value joins it
-    until none exceeds FAMILY_RTOL.  The Ritz values are upper bounds on
-    the P1 values (the basis is a subspace of the P1 space).  Residuals are
-    the lumped-mass bound of solve_lowest, computed from each Ritz vector
-    by the member's stencil forms: a Gram expansion of ||r||^2 cancels at
-    small residuals and may round below the true one, and the gate's
-    bound must stay an upper bound.  A pass over the members goes by
-    blocks of _RITZ_BLOCK: the k+1 lowest eigenpairs of each member's
-    weighted reduced Laplacians (_lowest_eigenpairs, which computes no
-    others), then the block's Ritz vectors side by side through one
-    product per weighted direction Laplacian and one mass product.  The
-    block size changes how many columns each product has, no decision,
-    and values only by rounding.  Each Chebyshev snapshot solve starts
-    from the modes of the one before it, and a member that joins later
-    from its own Ritz vectors.  solve_family_pair solves two levels, the
-    fine one from what the coarse one found.
+    triangles must have no obtuse angle (w_d >= 0).  Their weights and
+    areas are the same at every level, so they are computed once, and both
+    levels are meshed before either is solved, as in solve_pair.  Each
+    level is one reduced-basis family (_solve_family).  The coarse family
+    starts from its Chebyshev members.  The fine family takes the coarse
+    family's snapshot members first, in the order the coarse one took them,
+    each started from its own final coarse Ritz vectors, summed and
+    interpolated (_prolong); members the gates add later start from their
+    fine Ritz vectors.  The coarse solve only chooses those snapshots and
+    starts: every fine value comes from the fine basis, under the same
+    residual gate and inertia cover.
+
+    Returns (coarse, fine), each an array (len(triangles), k).
+    """
+    if level < 1:
+        raise ValueError("family pair needs level >= 1")
+    edges = tuple(sorted(dirichlet_edges))
+    fine_meshes = [mesh_triangle(t, level) for t in triangles]
+    weights, areas = _family_weights(triangles)
+    coarse, (taken, basis, ritz_sums) = _solve_family(
+        [mesh_triangle(t, level - 1) for t in triangles], k, edges,
+        weights, areas, None)
+    first = [(i, _prolong(level, edges, basis @ ritz_sums[i])) for i in taken]
+    del taken, basis, ritz_sums
+    return coarse, _solve_family(fine_meshes, k, edges, weights, areas,
+                                 first)[0]
+
+
+def _solve_family(meshes, k, dirichlet_edges, weights, areas, first):
+    """Lowest k P1 eigenvalues of each mesh of one level, and the record.
+
+    weights and areas are the family's (_family_weights).  The basis starts
+    from direct solve_lowest solves of k+1 modes: at the (member, start
+    vector) pairs first lists, in that order, or where first is None at up
+    to FAMILY_SNAPSHOTS Chebyshev-spaced members (all of them in a shorter
+    family), each started from the modes of the one before it.  Then the
+    member whose worst Ritz pair has the largest residual / value joins it,
+    started from its own Ritz vectors, until none exceeds FAMILY_RTOL.  The
+    Ritz values are upper bounds on the P1 values (the basis is a subspace
+    of the P1 space).
+
+    The residual of a Ritz pair (lambda, v) is 2 ||r|| in the dual norm of
+    the lumped (row-sum) mass L at the free vertices (_Stencil.lumped),
+    r = K v - lambda M v.  Each element mass dominates a quarter of its
+    lumped mass, so M >= L/4 and this is a guaranteed upper bound on the
+    mass-inverse norm sqrt(r^T M^-1 r); since M <= L it is at most twice
+    that norm, and no mass factorization is needed.  It is computed from
+    each Ritz vector by the member's stencil forms: a Gram expansion of
+    ||r||^2 cancels at small residuals and may round below the true one,
+    and the gate's bound must stay an upper bound.
+
+    A pass over the members goes by blocks of _RITZ_BLOCK: the k+1 lowest
+    eigenpairs of each member's weighted reduced Laplacians
+    (_lowest_eigenpairs, which computes no others), then the block's Ritz
+    vectors side by side through one product per weighted direction
+    Laplacian and one mass product.  The block size changes how many
+    columns each product has, no decision, and values only by rounding.
+    The reduced matrices, the Ritz blocks and the residual products keep
+    only the directions d with w_d > 0 at some member (a direction no
+    member weights adds nothing to any stiffness); _first_unproven reads
+    every weight.
 
     No mode may be skipped: _first_unproven certifies every member with
     inertia counts transported in the Loewner order.  A member it refutes
@@ -625,60 +654,21 @@ def solve_family(triangles, k, level, dirichlet_edges):
     Ritz pairs themselves and the inertia cover proves that none was
     skipped; so each snapshot is solved to SNAPSHOT_RTOL, well inside
     FAMILY_RTOL, with a short Krylov basis (solve_lowest's rtol), not to
-    machine precision, and returns before the re-orthonormalization, sign
-    fixing and residuals of a direct solve, which the family never reads.
-
-    Returns the values as an array (len(triangles), k).
-    """
-    meshes = [mesh_triangle(t, level) for t in triangles]
-    return _solve_family(meshes, k, level, dirichlet_edges, None)[0]
-
-
-def solve_family_pair(triangles, k, level, dirichlet_edges):
-    """solve_family at level-1 and at level, as (coarse, fine).
-
-    Both levels are meshed before either is solved, as in solve_pair.  The
-    fine family takes the coarse family's snapshot members first, in the
-    order the coarse one took them, each started from its own final coarse
-    Ritz vectors, summed and interpolated (_prolong); members the gates
-    add later start from their fine Ritz vectors.  The coarse solve only
-    chooses those snapshots and starts: every fine value comes from the
-    fine basis, under the same residual gate and inertia cover.
-    """
-    if level < 1:
-        raise ValueError("family pair needs level >= 1")
-    edges = tuple(sorted(dirichlet_edges))
-    fine_meshes = [mesh_triangle(t, level) for t in triangles]
-    coarse, (taken, basis, ritz_sums) = _solve_family(
-        [mesh_triangle(t, level - 1) for t in triangles], k, level - 1,
-        edges, None)
-    first = [(i, _prolong(level, edges, basis @ ritz_sums[i])) for i in taken]
-    del taken, basis, ritz_sums
-    return coarse, _solve_family(fine_meshes, k, level, edges, first)[0]
-
-
-def _solve_family(meshes, k, level, dirichlet_edges, first):
-    """solve_family of meshes of one level, and its record.
-
-    first lists (member, start vector) snapshots to solve before any
-    other; None takes the Chebyshev members, each started from the modes
-    of the one before it.  The record is (taken, basis, ritz_sums): the
-    snapshot members in the order taken, the final basis, and per member
-    the basis coefficients of its final k+1 Ritz vectors summed.
-
+    machine precision, and returns before the re-orthonormalization and
+    sign fixing of a direct solve, which the family never reads.
     Snapshots enter the basis through _orthonormal_extension, which
     normalizes them itself, so their signs and scale do not matter; the
-    start they give the next snapshot changes only its step count.  The
-    reduced matrices, the Ritz blocks and the residual products keep only
-    the directions d with w_d > 0 at some member (a direction no member
-    weights adds nothing to any stiffness); _first_unproven reads every
-    weight.
+    start they give the next snapshot changes only its step count.
+
+    Returns the values (len(meshes), k) and the record (taken, basis,
+    ritz_sums): the snapshot members in the order taken, the final basis,
+    and per member the basis coefficients of its final k+1 Ritz vectors
+    summed.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    level = meshes[0].level
     edges = tuple(sorted(dirichlet_edges))
-    weights = _family_weights(meshes)
-    areas = np.array([mesh.triangle.area for mesh in meshes])
     scale = areas / 4 ** level
     stencil = _stencil(level, edges)
     used = np.any(weights > 0, axis=0)

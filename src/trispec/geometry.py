@@ -52,6 +52,14 @@ class Triangle:
             raise ValueError(f"expected three planar vertices, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("vertices must be finite")
+        # In Python floats, which overflow to inf without a warning.  The
+        # area is at most the squared diameter, so it is finite too.
+        corners = v.tolist()
+        longest = max(math.hypot(p[0] - q[0], p[1] - q[1])
+                      for p, q in zip(corners, corners[1:] + corners[:1]))
+        if not math.isfinite(longest * longest):
+            raise ValueError("triangle too large: its squared diameter "
+                             "overflows")
         self.vertices = v
         d = self.diameter
         if d == 0.0 or abs(self.signed_area) < DEGENERACY_RTOL * d * d:

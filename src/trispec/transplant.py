@@ -243,7 +243,8 @@ def theorem2_verify(b, level):
         "FEM second tone times squared diameter exceeds the equilateral value",
         float(vals[1]) * d2, target, fem_err=float(errs[1]) * d2)]
     checks.append(make_report(
-        "FEM tones are ordered", float(vals[0]), float(vals[1]), mode="<="))
+        "FEM tones are ordered", float(vals[0]), float(vals[1]), mode="<=",
+        fem_err=float(errs[0] + errs[1])))
 
     if b >= SECTOR_SPLIT:
         branch = "sector"

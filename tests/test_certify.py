@@ -208,11 +208,13 @@ def boundary_values(tf, theta, h=CERT_APEX):
 
 def test_boundary_sup_bounds_dense_samples():
     tf = cert_trial()
-    bound, evals = boundary_sup(tf, CERT_APEX)
+    bound = boundary_sup(tf, CERT_APEX)
     half = half_aperture(tf)
     theta = np.linspace(-half, half, 2000001)
     assert bound >= np.max(np.abs(boundary_values(tf, theta)))
     assert bound < 0.0013
+    (_, _, _, cells), evals = _sup_cells(tf, CERT_APEX, SUP_GRID)
+    assert float(np.max(cells)) == bound
     assert evals < 1000
 
 
@@ -337,7 +339,7 @@ def test_certification_degrades_off_frequency():
     # the defect ratio blows up and the enclosure widens drastically
     base = certify_second_eigenvalue()
     tf = cert_trial()._replace(kappa=4.6)
-    sup, _ = boundary_sup(tf, CERT_APEX)
+    sup = boundary_sup(tf, CERT_APEX)
     l2 = l2_lower(tf, Sector(CERT_APEX, math.pi / tf.nu))
     detuned = moler_payne(4.6 ** 2, sup, l2, CERT_APEX)
     assert detuned.epsilon > 10.0 * base.epsilon

@@ -113,6 +113,9 @@ def test_bad_flag_value(capsys):
          "argument --tol: must be nonnegative and finite"),
         # 1e200 squared overflows, which printed NaN nine times under exit 1
         (("verify", "condch", "--b", "1e200"), "too large"),
+        # a triangle whose squared diameter overflows
+        (("fem", "[[0,0],[1e155,0],[0,1e155]]", "--level", "4"),
+         "squared diameter overflows"),
     ]
     for argv, flag in cases:
         code, out, err = run(capsys, *argv)

@@ -21,7 +21,6 @@ from trispec.fem import (
     rayleigh_data,
     richardson,
     solve_extrapolated,
-    solve_family,
     solve_family_pair,
     solve_lowest,
     solve_pair,
@@ -213,9 +212,11 @@ def test_stencil_forms_match_element_assembly(orientation):
                 np.testing.assert_allclose(
                     got.toarray(), want, rtol=1e-13,
                     atol=1e-13 * np.abs(full).max(), err_msg=name)
-            np.testing.assert_allclose(forms.lumped_mass,
-                                       ref["mass"].sum(axis=1)[idx],
-                                       rtol=1e-13)
+            # the family's residual bound reads the stencil's lumped mass
+            element_area = t.area / 4 ** mesh.level
+            np.testing.assert_allclose(
+                element_area * (fem._stencil(3, edges).lumped / 6.0),
+                ref["mass"].sum(axis=1)[idx], rtol=1e-13)
             u = np.random.default_rng(r).normal(size=(idx.size, 2))
             energies = fem._energies(mesh, edges, u)
             for f, name in enumerate(("stiffness", "stiffness_yy")):
@@ -378,8 +379,7 @@ def test_assembly_equals_the_float_stencil_build(level):
                 np.testing.assert_array_equal(got.data, data)
             # the full-mesh row sums of the mass are diag(sum_d L_d) / 6
             np.testing.assert_array_equal(
-                forms.lumped_mass,
-                element_area * (csc(laplacians.sum(axis=0)).diagonal() / 6.0))
+                stencil.lumped, csc(laplacians.sum(axis=0)).diagonal())
             u = np.random.default_rng(r).normal(size=(n, 3))
             quad = [np.sum(u * (csc(lap) @ u), axis=0) for lap in laplacians]
             np.testing.assert_array_equal(fem._energies(mesh, edges, u),
@@ -466,6 +466,12 @@ def test_reversed_vertex_order_keeps_eigenvalues():
         np.testing.assert_allclose(b.values, a.values, rtol=1e-12)
 
 
+def residual_norms(forms, res):
+    """Mass-inverse norm sqrt(r^T M^-1 r) of r = K v - lambda M v, per mode."""
+    r = forms.stiffness @ res.vectors - (forms.mass @ res.vectors) * res.values
+    return np.sqrt(np.sum(r * splu(forms.mass).solve(r), axis=0))
+
+
 def test_eigsh_path_matches_dense():
     half = half_triangle(1.2)
     mesh = mesh_triangle(half, 5)
@@ -475,7 +481,7 @@ def test_eigsh_path_matches_dense():
     dense = eigh(forms.stiffness.toarray(), forms.mass.toarray(),
                  eigvals_only=True, subset_by_index=(0, 4))
     np.testing.assert_allclose(res.values, dense, rtol=1e-10)
-    assert np.all(res.residuals < 1e-10)
+    assert np.all(residual_norms(forms, res) < 1e-10)
 
 
 def test_right_isosceles_tones():
@@ -533,22 +539,21 @@ def test_orthonormality_and_residuals():
     assert res.vectors.shape == (forms.free.size, 4)
     gram = res.vectors.T @ (forms.mass @ res.vectors)
     np.testing.assert_allclose(gram, np.eye(4), atol=1e-10)
-    assert np.all(res.residuals < 1e-10)
+    assert np.all(residual_norms(forms, res) < 1e-10)
 
 
-def test_residuals_bound_the_mass_inverse_norm():
-    # the lumped-mass residual is a guaranteed upper bound, at most 2x off
-    mesh = mesh_triangle(fan_triangle(2.5), 5)
-    res = solve_lowest(mesh, 4)
-    forms = assemble(mesh, (0, 1, 2))
-    kk = forms.stiffness
-    mm = forms.mass
-    mlu = splu(mm)
-    for j in range(4):
-        v = res.vectors[:, j]
-        r = kk @ v - res.values[j] * (mm @ v)
-        exact = math.sqrt(float(r @ mlu.solve(r)))
-        assert exact <= res.residuals[j] <= 2.0 * exact
+def test_lumped_mass_brackets_the_consistent_mass():
+    # L/4 <= M <= L on the free vertices, L the stencil's lumped mass: so
+    # twice a residual's lumped dual norm, the family's gate, bounds its
+    # mass-inverse norm from above and is at most twice that norm
+    for level in (2, 3, 4, 5):
+        for edges in ((0, 1, 2), (1, 2), ()):
+            stencil = fem._stencil(level, edges)
+            mass = fem._csc(stencil, stencil.mass / 12.0).toarray()
+            ratios = eigh(mass, np.diag(stencil.lumped / 6.0),
+                          eigvals_only=True)
+            assert ratios.min() >= 0.25 * (1 - 1e-12), (level, edges)
+            assert ratios.max() <= 1 + 1e-12, (level, edges)
 
 
 def test_solve_validation():
@@ -675,10 +680,8 @@ def test_energies_are_computed_only_where_gamma_is_read(monkeypatch):
         theorem1_verify(b, 6, 5)
     # one rayleigh_data per apex: each level's energies once
     assert calls == [4, 5, 4, 5]
-    assert fem.EigenResult._fields == ("level", "values", "vectors",
-                                       "residuals")
-    assert fem.FemForms._fields == ("free", "stiffness", "mass",
-                                    "lumped_mass")
+    assert fem.EigenResult._fields == ("level", "values", "vectors")
+    assert fem.FemForms._fields == ("free", "stiffness", "mass")
 
 
 # Half triangles of an aperture grid: the Dirichlet half carries the
@@ -688,6 +691,13 @@ HALF_PROBLEMS = (((0, 1, 2), 1), ((1, 2), 2))
 
 def halves(alphas):
     return [half_triangle(a) for a in alphas]
+
+
+def family_values(triangles, k, level, edges):
+    """One level of a family from its Chebyshev members, by the engine."""
+    meshes = [mesh_triangle(t, level) for t in triangles]
+    return fem._solve_family(meshes, k, edges, *fem._family_weights(triangles),
+                             None)[0]
 
 
 @pytest.mark.parametrize("level", [5, 6])
@@ -736,7 +746,7 @@ def test_solve_family_matches_direct_solves(level):
     for lo, hi in windows:
         family = halves(np.linspace(lo, hi, 21))
         for edges, k in HALF_PROBLEMS:
-            values = solve_family(family, k, level, edges)
+            values = family_values(family, k, level, edges)
             direct = np.array([solve_lowest(mesh_triangle(t, level), k,
                                             edges).values for t in family])
             np.testing.assert_allclose(values, direct, rtol=1e-10)
@@ -749,7 +759,7 @@ def test_only_family_snapshots_stop_early_on_a_short_basis(monkeypatch):
     family = halves(np.linspace(math.pi / 6.0, 2.0 * math.pi / 3.0, 21))
     for edges, k in HALF_PROBLEMS:
         del calls[:]
-        solve_family(family, k, 5, edges)
+        family_values(family, k, 5, edges)
         assert len(calls) >= fem.FAMILY_SNAPSHOTS
         for call in calls:
             assert call["k"] == k + 1
@@ -765,8 +775,8 @@ def test_only_family_snapshots_stop_early_on_a_short_basis(monkeypatch):
 
 
 def test_family_reads_snapshots_as_basis_directions_only(monkeypatch):
-    # an rtol solve stops at sorted values: no sign convention, no
-    # residuals, on the dense path (level 4) and on Lanczos's (level 6)
+    # an rtol solve stops at sorted values: no sign convention, on the
+    # dense path (level 4) and on Lanczos's (level 6)
     t = half_triangle(1.0)
     for edges, k in HALF_PROBLEMS:
         for level in (4, 6):
@@ -774,7 +784,6 @@ def test_family_reads_snapshots_as_basis_directions_only(monkeypatch):
             snapshot = solve_lowest(mesh, k + 1, edges,
                                     rtol=fem.SNAPSHOT_RTOL)
             full = solve_lowest(mesh, k + 1, edges)
-            assert snapshot.residuals is None
             assert np.all(np.diff(snapshot.values) > 0)
             assert np.max(subspace_angles(snapshot.vectors,
                                           full.vectors)) < 1e-6
@@ -790,9 +799,9 @@ def test_family_reads_snapshots_as_basis_directions_only(monkeypatch):
                             * (-2.5) ** np.arange(1, k + 1))
 
     for edges, k in HALF_PROBLEMS:
-        values = solve_family(family, k, 6, edges)
+        values = family_values(family, k, 6, edges)
         monkeypatch.setattr(fem, "solve_lowest", solve)
-        np.testing.assert_allclose(solve_family(family, k, 6, edges), values,
+        np.testing.assert_allclose(family_values(family, k, 6, edges), values,
                                    rtol=1e-10)
         monkeypatch.undo()
 
@@ -817,10 +826,10 @@ def test_families_skip_the_directions_no_member_weights(monkeypatch):
     monkeypatch.setattr(fem, "_laplacian_matrices", laplacians)
     for family, edges, k, used in ((right, (0, 1, 2), 2, 3),
                                    (half, (1, 2), 2, 2)):
-        weights = fem._family_weights([mesh_triangle(t, 5) for t in family])
+        weights, _ = fem._family_weights(family)
         assert np.count_nonzero(np.any(weights > 0, axis=0)) == used
         del built[:]
-        values = solve_family(family, k, 5, edges)
+        values = family_values(family, k, 5, edges)
         assert built == [used]
         direct = np.array([solve_lowest(mesh_triangle(t, 5), k,
                                         edges).values for t in family])
@@ -846,7 +855,7 @@ def test_warm_started_family_keeps_its_snapshots(monkeypatch):
 
             monkeypatch.setattr(fem, "solve_lowest", solve)
             del calls[:]
-            values = solve_family(family, k, 6, edges)
+            values = family_values(family, k, 6, edges)
             runs[warm] = (values, starts, sum(c["steps"] for c in calls))
         (values, starts, steps), (_, cold_starts, cold_steps) = \
             runs[True], runs[False]
@@ -861,19 +870,20 @@ def test_warm_started_family_keeps_its_snapshots(monkeypatch):
 
 
 def test_gate_refuses_ritz_values_that_skip_the_fundamental():
-    meshes = [mesh_triangle(t, 5) for t in halves([0.8, 1.0, 1.2])]
-    family = (fem._family_weights(meshes),
-              np.array([mesh.triangle.area for mesh in meshes]))
+    triangles = halves([0.8, 1.0, 1.2])
+    meshes = [mesh_triangle(t, 5) for t in triangles]
+    family = fem._family_weights(triangles)
     for edges, k in HALF_PROBLEMS:
-        solved = [solve_lowest(mesh, k + 2, edges) for mesh in meshes]
+        solved = [(res, residual_norms(assemble(mesh, edges), res))
+                  for mesh in meshes
+                  for res in [solve_lowest(mesh, k + 2, edges)]]
 
         def claims(first_skipping):
             # from this member on, modes 2..k+1 pose as the k lowest
             top, above = [], []
-            for i, res in enumerate(solved):
+            for i, (res, resid) in enumerate(solved):
                 j = int(i >= first_skipping)
-                top.append(np.max(res.values[j:j + k]
-                                  + res.residuals[j:j + k]))
+                top.append(np.max(res.values[j:j + k] + resid[j:j + k]))
                 above.append(res.values[j + k])
             return np.array(top), np.array(above)
 
@@ -912,7 +922,7 @@ def test_gate_covers_the_family_with_fewer_counts(monkeypatch):
 
         monkeypatch.setattr(fem, "inertia", inertia)
         monkeypatch.setattr(fem, "_first_unproven", gate)
-        solve_family(family, k, 5, edges)
+        family_values(family, k, 5, edges)
         (_, _, _, top, above, *_), result = gated[-1]
         assert result is None
         # every member is carried by an anchor whose count is k
@@ -960,7 +970,7 @@ def test_ritz_block_size_changes_no_decision(size, monkeypatch):
 
             monkeypatch.setattr(fem, "solve_lowest", solve)
             monkeypatch.setattr(fem, "_RITZ_BLOCK", block)
-            runs.append((solve_family(family, k, 5, edges), calls))
+            runs.append((family_values(family, k, 5, edges), calls))
         (values, calls), others = runs[0], runs[1:]
         for other_values, other_calls in others:
             assert [i for i, _ in other_calls] == [i for i, _ in calls]
@@ -987,14 +997,14 @@ def test_refuted_member_becomes_a_snapshot(monkeypatch):
 
     monkeypatch.setattr(fem, "solve_lowest", solve)
     monkeypatch.setattr(fem, "_first_unproven", gate)
-    values = solve_family(family, 1, 5, (0, 1, 2))
+    values = family_values(family, 1, 5, (0, 1, 2))
     assert solved.count(family[10]) == 1 and len(gated) == 2
     direct = [original_solve(mesh_triangle(t, 5), 1).values for t in family]
     np.testing.assert_allclose(values, direct, rtol=1e-10)
     # a snapshot the gate refutes is not solved again
     monkeypatch.setattr(fem, "_first_unproven", lambda *args: 0)
     with pytest.raises(RuntimeError, match="not proven"):
-        solve_family(family, 1, 5, (0, 1, 2))
+        family_values(family, 1, 5, (0, 1, 2))
 
 
 @pytest.mark.parametrize("window", [
@@ -1073,7 +1083,7 @@ def test_fine_family_needs_fewer_ritz_passes(monkeypatch):
         solve_family_pair(family, k, 6, edges)
         warm = blocks[6]
         blocks.clear()
-        solve_family(family, k, 6, edges)
+        family_values(family, k, 6, edges)
         assert 0 < warm < blocks[6]
 
 
@@ -1123,9 +1133,14 @@ def test_solve_family_pair_validation(monkeypatch):
         solve_family_pair(family, 1, MAX_LEVEL + 1, (0, 1, 2))
 
 
-def test_solve_family_validation():
+def test_solve_family_validation(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("solve_lowest called")
+
+    # both refused before any snapshot is solved
+    monkeypatch.setattr(fem, "solve_lowest", refuse)
     with pytest.raises(ValueError, match="obtuse"):
-        solve_family([Triangle([(0, 0), (1, 0), (-0.2, 0.5)])], 1, 4,
-                     (0, 1, 2))
+        solve_family_pair([Triangle([(0, 0), (1, 0), (-0.2, 0.5)])], 1, 4,
+                          (0, 1, 2))
     with pytest.raises(ValueError, match="k must"):
-        solve_family(halves([1.0]), 0, 4, (0, 1, 2))
+        solve_family_pair(halves([1.0]), 0, 4, (0, 1, 2))

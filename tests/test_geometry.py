@@ -15,6 +15,7 @@ from trispec.geometry import (
     subequilateral_hull,
     triangle_from_json,
 )
+from trispec.fem import mesh_triangle, solve_lowest
 from trispec.isosceles import scale_factor
 
 from _sweeps import aperture_triangle
@@ -52,6 +53,24 @@ def test_degenerate_rejected():
         Triangle([(0, 0), (1, 0), (0.5, 1e-16)])
     with pytest.raises(ValueError):
         Triangle([(0, 0), (1, 0)])
+
+
+def test_overflowing_triangles_rejected():
+    # the squared diameter of these overflows, and with it every form a
+    # solve builds; the check itself raises no overflow warning
+    for big in (1e155, 1.3e154, 1e300):
+        with pytest.raises(ValueError, match="squared diameter overflows"):
+            Triangle([(0, 0), (big, 0), (0, big)])
+    with pytest.raises(ValueError, match="squared diameter overflows"):
+        Triangle([(-1e308, 0), (1e308, 0), (0, 1)])
+    # 1e150 still solves, to the unit triangle's values scaled by 1e-300
+    t = Triangle([(0, 0), (1e150, 0), (0, 1e150)])
+    assert t.area == pytest.approx(0.5e300)
+    assert t.diameter == pytest.approx(math.sqrt(2) * 1e150)
+    unit = Triangle([(0, 0), (1, 0), (0, 1)])
+    values = [solve_lowest(mesh_triangle(s, 4), 2).values
+              for s in (t, unit)]
+    np.testing.assert_allclose(values[0] * 1e300, values[1], rtol=1e-10)
 
 
 def test_functionals_rigid_motion_invariant():

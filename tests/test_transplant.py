@@ -287,6 +287,19 @@ def test_theorem2_interpolation_branch():
     assert all(c["verdict"] == "pass" for c in nested)
 
 
+def test_theorem2_tone_order_follows_the_fem_error_policy():
+    # at level 3 the extrapolated tones of T(0, 30) swap inside their
+    # error bars: lhs 3.677 > rhs 3.658 with fem error 4.2, which is no
+    # evidence either way, not a failed order
+    r = theorem2_verify(30.0, 3)
+    order = r["checks"][1]
+    assert order["claim"] == "FEM tones are ordered"
+    assert order["lhs"] > order["rhs"]
+    assert order["fem_error"] > 3.0 * (order["lhs"] - order["rhs"])
+    assert order["verdict"] == "inconclusive"
+    assert r["verdict"] != "fail"
+
+
 def test_theorem2_equilateral_endpoint():
     r = theorem2_verify(SQ3, 6)
     assert r["verdict"] in ("pass", "inconclusive")
