@@ -28,13 +28,19 @@ level 2 is the coarsest mesh with an interior vertex; sweep, monotonicity
 and observation take [6, 10], the levels a sweep accepts.  Exit codes: 0 all
 checks pass, 1 any check fails, 2 inconclusive (margin inside the FEM
 error bar), 64 usage error (also a flag out of range, or one the
-subcommand does not read).  Identical invocations produce
+subcommand does not read, and a triangle whose squared diameter overflows
+a float, or whose eigenvalues do).  FEM values scale exactly with the
+triangle, whatever its size.  Identical invocations produce
 byte-identical output on any core count; there is no environment-variable
 configuration.  Each subcommand runs with every OpenBLAS in the process
 (numpy's and scipy's) at one thread, and the caller's thread counts come
 back afterwards: every dense product trispec forms is too small to gain from
 a second thread, and a threaded BLAS sums in an order that depends on the
-thread count, which moved the last digits of level-8 output.
+thread count, which moved the last digits of level-8 output.  Each library
+also stops the worker threads it started at load, which would otherwise
+spin idle through the request; it starts them again on its next threaded
+call.  The thread counts are process-wide, so a dispatch must not race the
+caller's own BLAS calls on another thread.
 """
 
 import argparse
@@ -88,8 +94,10 @@ _BLAS_THREAD_SYMBOLS = (
 
 
 def _openblas_thread_controls():
-    """(get, set) thread-count functions of each OpenBLAS loaded in this
-    process; empty without OpenBLAS or without /proc."""
+    """(get, set, shutdown) functions of each OpenBLAS loaded in this
+    process; empty without OpenBLAS or without /proc.  shutdown stops the
+    library's worker threads, and is None where the build does not export
+    it."""
     try:
         with open("/proc/self/maps") as fh:
             # only a mapping's path, its sixth field, can hold "openblas"
@@ -108,24 +116,36 @@ def _openblas_thread_controls():
                 get, set_ = getattr(lib, get_name), getattr(lib, set_name)
                 get.argtypes, get.restype = [], ctypes.c_int
                 set_.argtypes, set_.restype = [ctypes.c_int], None
-                controls.append((get, set_))
+                # what OpenBLAS's own fork handler calls; the next
+                # threaded call, or thread-count call, starts the pool again
+                shutdown = getattr(lib, "blas_thread_shutdown_", None)
+                if shutdown is not None:
+                    shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+                controls.append((get, set_, shutdown))
                 break
     return controls
 
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Run the body with every loaded OpenBLAS at one thread, then give the
-    caller's thread counts back, also when the body raises."""
+    """Run the body with every loaded OpenBLAS at one thread and its idle
+    worker threads stopped, then give the caller's thread counts back, also
+    when the body raises."""
     controls = _openblas_thread_controls()
-    saved = [get() for get, _ in controls]
-    for _, set_ in controls:
-        set_(1)
+    saved = [get() for get, _, _ in controls]
+
+    def set_threads(counts):
+        # setting a count restarts a stopped pool, so stop it after each
+        for (_, set_, shutdown), count in zip(controls, counts):
+            set_(count)
+            if shutdown is not None:
+                shutdown()
+
+    set_threads([1] * len(controls))
     try:
         yield
     finally:
-        for (_, set_), count in zip(controls, saved):
-            set_(count)
+        set_threads(saved)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -85,6 +85,8 @@ from scipy.linalg import eigh, get_lapack_funcs
 from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
                                  splu)
 
+from .geometry import Triangle
+
 __all__ = [
     "Mesh",
     "FemForms",
@@ -398,10 +400,22 @@ def solve_lowest(mesh, k, dirichlet_edges=(0, 1, 2), start=None, rtol=None):
     and stops at that tolerance; the dense path solves as always.  Either
     path then returns the values sorted and the vectors as Lanczos or eigh
     leaves them: M-orthonormal to the solver's accuracy, signs arbitrary.
+
+    The pencil solved is that of the triangle scaled by 2^-e into
+    diameters [1/2, 1), e the binary exponent of its diameter: the
+    stiffness does not depend on scale and the mass scales by 4^-e, so
+    values come back times 4^-e and vectors times 2^-e (a start goes in
+    times 2^e), and the result is the same to the bit as at unit scale, on
+    a triangle of any size.
+    Raises ValueError where a value overflows (a triangle that small has
+    no eigenvalue below the largest float) or fewer than k come back.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    forms = assemble(mesh, dirichlet_edges)
+    # scaling by a power of two is exact, short of overflow and underflow
+    e = math.frexp(mesh.triangle.diameter)[1]
+    forms = assemble(mesh._replace(triangle=Triangle(
+        np.ldexp(mesh.triangle.vertices, -e))), dirichlet_edges)
     nfree = forms.free.size
     if k >= nfree:
         raise ValueError(f"k={k} too large for {nfree} free vertices")
@@ -415,8 +429,11 @@ def solve_lowest(mesh, k, dirichlet_edges=(0, 1, 2), start=None, rtol=None):
         # K is symmetric positive definite; its factor serves every
         # shift-invert step at shift 0.
         lu = _factor(kk)
-        if start is None:
-            start = np.full(nfree, 1.0 / math.sqrt(nfree))
+        # scaled after the factorization: a copy made before it fragments
+        # the heap, which then keeps a few MB the next large solve does not
+        # reuse
+        start = (np.full(nfree, 1.0 / math.sqrt(nfree)) if start is None
+                 else np.ldexp(start, e))
         # eigsh's defaults (ncv = max(2k + 1, 20), tol = 0) unless a
         # tolerance asks for a short basis.
         short = ({} if rtol is None
@@ -448,6 +465,13 @@ def solve_lowest(mesh, k, dirichlet_edges=(0, 1, 2), start=None, rtol=None):
             pivot = int(np.argmax(np.abs(vecs[:, col])))
             if vecs[pivot, col] < 0:
                 vecs[:, col] = -vecs[:, col]
+    with np.errstate(over="ignore"):
+        np.ldexp(vals, -2 * e, out=vals)
+    if vals.size < k or not np.all(np.isfinite(vals)):
+        raise ValueError(
+            f"{k} eigenvalues of {mesh.triangle} at level {mesh.level} do "
+            "not fit in a float: the triangle is too small")
+    np.ldexp(vecs, -e, out=vecs)
     return EigenResult(mesh.level, vals, vecs)
 
 

@@ -12,6 +12,7 @@ C_funcs, rectangle spectra) that the verification routines compare against.
 
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -33,6 +34,16 @@ EQUILATERAL_APEX = math.sqrt(3.0)
 
 # |signed area| below this multiple of diameter^2 counts as degenerate.
 DEGENERACY_RTOL = 1e-14
+
+
+def _signed_area(v):
+    (x1, y1), (x2, y2), (x3, y3) = v
+    return 0.5 * ((x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1))
+
+
+def _diameter(v):
+    return max(float(np.linalg.norm(v[i] - v[j]))
+               for i, j in ((0, 1), (1, 2), (2, 0)))
 
 
 class Triangle:
@@ -61,9 +72,17 @@ class Triangle:
             raise ValueError("triangle too large: its squared diameter "
                              "overflows")
         self.vertices = v
-        d = self.diameter
-        if d == 0.0 or abs(self.signed_area) < DEGENERACY_RTOL * d * d:
+        # The shape is judged on the copy scaled by a power of two into
+        # diameters [1/2, 1), which is exact, so that no product underflows.
+        unit = np.ldexp(v, -math.frexp(longest)[1])
+        d = _diameter(unit)
+        if d == 0.0 or abs(_signed_area(unit)) < DEGENERACY_RTOL * d * d:
             raise ValueError("degenerate triangle: area too small relative to diameter^2")
+        # By Faber-Krahn lambda_1 >= pi j_{0,1}^2 / area, about 18.17 / area,
+        # which overflows below the smallest normal area.
+        if self.area < sys.float_info.min:
+            raise ValueError("triangle too small: its area underflows, and "
+                             "its eigenvalues overflow")
 
     def __repr__(self):
         return f"Triangle({self.vertices.tolist()})"
@@ -71,8 +90,7 @@ class Triangle:
     @property
     def signed_area(self):
         """Half the cross product of two edge vectors; sign gives orientation."""
-        (x1, y1), (x2, y2), (x3, y3) = self.vertices
-        return 0.5 * ((x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1))
+        return _signed_area(self.vertices)
 
     @property
     def area(self):
@@ -91,11 +109,7 @@ class Triangle:
     @property
     def diameter(self):
         """Largest pairwise vertex distance (the longest side)."""
-        v = self.vertices
-        return max(
-            float(np.linalg.norm(v[i] - v[j]))
-            for i, j in ((0, 1), (1, 2), (2, 0))
-        )
+        return _diameter(self.vertices)
 
     @property
     def angles(self):

@@ -3,6 +3,7 @@
 import ctypes
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -116,6 +117,11 @@ def test_bad_flag_value(capsys):
         # a triangle whose squared diameter overflows
         (("fem", "[[0,0],[1e155,0],[0,1e155]]", "--level", "4"),
          "squared diameter overflows"),
+        # its sixth value overflows, which printed "values": [] under exit 0
+        (("fem", "[[0,0],[1e-153,0],[0,1e-153]]", "--n", "6", "--level",
+          "4"), "too small"),
+        # a right triangle whose area underflows, once called degenerate
+        (("fem", "[[0,0],[1e-162,0],[0,1e-162]]"), "too small"),
     ]
     for argv, flag in cases:
         code, out, err = run(capsys, *argv)
@@ -532,6 +538,59 @@ def test_output_does_not_depend_on_blas_threads(capsys, blas):
     two = run(capsys, *argv)
     assert one[0] == 0
     assert one == two
+
+
+@pytest.mark.parametrize("side", ["1e90", "1e-60"])
+def test_fem_values_scale_with_the_triangle(capsys, side):
+    # 1e90 printed lambda s^2 = 3777 and 1e-60 raised ArpackError
+    def values(leg):
+        code, out, err = run(capsys, "fem", f"[[0,0],[{leg},0],[0,{leg}]]",
+                             "--n", "2", "--level", "6")
+        assert (code, err) == (0, "")
+        return np.array(json.loads(out)["values"])
+
+    s = float(side)
+    np.testing.assert_allclose(values(side) * s * s, values("1"), rtol=1e-12)
+
+
+ONE_THREAD_SCRIPT = """
+import contextlib, io, json, os
+import numpy as np
+from scipy.linalg import blas
+from trispec import cli
+controls = cli._openblas_thread_controls()
+if not controls or any(shutdown is None for _, _, shutdown in controls):
+    print(json.dumps(None))
+    raise SystemExit
+for _, set_, _ in controls:
+    set_(2)
+caller = [get() for get, _, _ in controls]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.dispatch(["spectrum", "--n", "3"])
+threads = len(os.listdir("/proc/self/task"))
+after = [get() for get, _, _ in controls]
+a = np.random.default_rng(0).random((400, 400))
+gap = float(np.max(np.abs(a @ a - blas.dgemm(1.0, a, a))))
+print(json.dumps({"code": code, "threads": threads, "caller": caller,
+                  "after": after, "gap": gap}))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc")
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU")
+def test_dispatch_stops_the_idle_blas_threads():
+    # numpy's and scipy's OpenBLAS each start worker threads at load, which
+    # spun idle through every request
+    proc = fresh_python("-c", ONE_THREAD_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    if seen is None:
+        pytest.skip("no OpenBLAS with blas_thread_shutdown_ loaded")
+    assert seen["code"] == 0
+    assert seen["threads"] == 1
+    assert seen["after"] == seen["caller"] == [2] * len(seen["caller"])
+    # the stopped pools start again for a threaded product
+    assert seen["gap"] < 1e-9
 
 
 def test_module_entry_point():

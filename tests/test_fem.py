@@ -531,6 +531,26 @@ def test_scale_covariance():
     np.testing.assert_allclose(scaled.values * 2.5**2, res.values, rtol=1e-10)
 
 
+@pytest.mark.parametrize("level", [4, 6])  # dense, and shift-invert Lanczos
+def test_power_of_two_scales_are_exact(level):
+    t = Triangle([(0, 0), (1.1, 0.1), (0.3, 0.8)])
+    big = Triangle(np.ldexp(t.vertices, 300))
+    for unit, large in zip(solve_pair(t, 3, level), solve_pair(big, 3, level)):
+        np.testing.assert_array_equal(np.ldexp(large.values, 600),
+                                      unit.values)
+        np.testing.assert_array_equal(np.ldexp(large.vectors, 300),
+                                      unit.vectors)
+
+
+def test_values_that_overflow_are_refused():
+    # at unit scale the values are near 49.3 and 98.7: only the first fits
+    # below the largest float on legs of 1e-153
+    tiny = Triangle([(0, 0), (1e-153, 0), (0, 1e-153)])
+    assert solve_lowest(mesh_triangle(tiny, 4), 1).values[0] < math.inf
+    with pytest.raises(ValueError, match="too small"):
+        solve_lowest(mesh_triangle(tiny, 4), 6)
+
+
 def test_orthonormality_and_residuals():
     mesh = mesh_triangle(unit_equilateral(), 5)
     res = solve_lowest(mesh, 4)

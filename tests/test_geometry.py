@@ -55,6 +55,19 @@ def test_degenerate_rejected():
         Triangle([(0, 0), (1, 0)])
 
 
+def test_triangles_whose_area_underflows_rejected():
+    # well shaped, but lambda_1 >= 18.17 / area overflows
+    for small in (1e-162, 1e-200, 5e-324):
+        with pytest.raises(ValueError, match="too small"):
+            Triangle([(0, 0), (small, 0), (0, small)])
+    # the shape test is scale-free: a flat one is degenerate at any size
+    for scale in (1e-160, 1.0, 1e150):
+        with pytest.raises(ValueError, match="degenerate"):
+            Triangle(np.array([(0, 0), (1, 0), (0.5, 1e-16)]) * scale)
+    assert Triangle([(0, 0), (3e-154, 0), (0, 3e-154)]).area == (
+        pytest.approx(4.5e-308))
+
+
 def test_overflowing_triangles_rejected():
     # the squared diameter of these overflows, and with it every form a
     # solve builds; the check itself raises no overflow warning
