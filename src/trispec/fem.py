@@ -36,21 +36,20 @@ a direct solve's are.  Each pass over the members works on blocks of them:
 the k+1 lowest eigenpairs of each reduced pencil, and the residuals of all
 the block's Ritz vectors from a few sparse products with many columns.
 That no mode was skipped is proven by Sylvester inertia counts of
-K - sigma M (inertia), carried from member to member by the Loewner order
-of their stiffnesses; the counts go to the anchors that carry the longest
-runs of members.  So a snapshot needs only the accuracy of a basis
-direction, not of an eigenpair: the Ritz values are upper bounds whatever
-the basis, a basis too poor for a member shows in that member's Ritz
-residual, and the inertia cover proves completeness.  Snapshots are
-therefore solved to SNAPSHOT_RTOL with a short Krylov basis, every other
-solve to machine precision, and a snapshot solve returns its sorted values
-and vectors as Lanczos (or the dense eigh) leaves them: no mass
-re-orthonormalization and no sign convention, since the family
-re-orthonormalizes every snapshot against its basis and gates its own
-Ritz residuals.  A family assembles its reduced forms only from the
-direction Laplacians some member weights: a right angle leaves its
-hypotenuse's direction unweighted, so a family of half triangles needs two
-of the three.
+K - sigma M (inertia) on the pencils the family holds, carried from member
+to member by the Loewner order of their stiffnesses; the counts go to the
+anchors that carry the longest runs of members.  So a snapshot needs only
+the accuracy of a basis direction, not of an eigenpair: the Ritz values
+are upper bounds whatever the basis, a basis too poor for a member shows
+in that member's Ritz residual, and the inertia cover proves completeness.
+Snapshots are therefore solved to SNAPSHOT_RTOL with a short Krylov basis,
+every other solve to machine precision.  Every solve returns its values
+ascending and its vectors as Lanczos (or the dense eigh) leaves them, with
+no sign convention: the family re-orthonormalizes every snapshot against
+its basis, and gamma reads modes only through ratios of their energies.
+A family assembles its reduced forms only from the direction Laplacians
+some member weights: a right angle leaves its hypotenuse's direction
+unweighted, so a family of half triangles needs two of the three.
 
 Lanczos starts from the constant vector unless the caller holds a close
 guess of the wanted modes.  Uniform refinement nests the P1 spaces, so a
@@ -335,12 +334,7 @@ def assemble(mesh, dirichlet_edges):
 
 # Lowest-k discrete eigenpairs of one problem at one mesh level.  values
 # ascend; vectors are coefficient columns on the free vertices (assemble's
-# forms.free), mass-orthonormal.  Both are per mode, and the leading modes
-# do not depend on how many trailing ones were solved with them (the
-# Cholesky re-orthonormalization is triangular and signs are fixed per
-# column), so one k-mode solve serves every k' < k.  A family snapshot's
-# result (solve_lowest with rtol) is the one exception: its vectors have
-# no sign convention and only the solver's orthonormality.
+# forms.free), mass-orthonormal to the solver's accuracy, signs arbitrary.
 EigenResult = collections.namedtuple("EigenResult", "level values vectors")
 
 
@@ -390,16 +384,16 @@ def solve_lowest(mesh, k, dirichlet_edges=(0, 1, 2), start=None, rtol=None):
     path (small problems) ignores it.  A start close to the span of the
     wanted modes saves shift-invert steps.  Deterministic: the start
     vector is fixed by the arguments and ARPACK's restart generator by
-    ARPACK_SEED; values ascend, vectors are M-orthonormalized and each
-    sign is fixed by the largest component.
+    ARPACK_SEED.  Returns the values ascending and the vectors as Lanczos
+    or eigh leaves them: M-orthonormal to the solver's accuracy, signs
+    arbitrary.
 
-    rtol None converges Lanczos to machine precision with eigsh's default
-    Krylov basis.  A solve whose modes only span a basis (a family's
-    snapshots) passes a relative tolerance instead, and Lanczos then keeps
-    a basis of 2k + 1 vectors, eigsh's default without its floor of 20,
-    and stops at that tolerance; the dense path solves as always.  Either
-    path then returns the values sorted and the vectors as Lanczos or eigh
-    leaves them: M-orthonormal to the solver's accuracy, signs arbitrary.
+    rtol sets only where Lanczos stops and how large a basis it keeps.
+    None converges to machine precision with eigsh's default Krylov basis.
+    A solve whose modes only span a basis (a family's snapshots) passes a
+    relative tolerance instead, and Lanczos then keeps a basis of 2k + 1
+    vectors, eigsh's default without its floor of 20, and stops at that
+    tolerance; the dense path solves as always.
 
     The pencil solved is that of the triangle scaled by 2^-e into
     diameters [1/2, 1), e the binary exponent of its diameter: the
@@ -446,25 +440,18 @@ def solve_lowest(mesh, k, dirichlet_edges=(0, 1, 2), start=None, rtol=None):
                 OPinv=LinearOperator(kk.shape, matvec=lu.solve,
                                      dtype=kk.dtype), **short)
         except ArpackNoConvergence as err:
+            # chained without its traceback: eigsh's frames hold the LU,
+            # which must be freed before the heap is trimmed
             raise RuntimeError(
                 f"eigensolver did not converge within {ARPACK_MAXITER} "
-                f"iterations at level {mesh.level}") from err
-        del lu
-        _release_heap()
+                f"iterations at level {mesh.level}"
+            ) from err.with_traceback(None)
+        finally:
+            del lu
+            _release_heap()
     order = np.argsort(vals)
     vals = np.ascontiguousarray(vals[order])
     vecs = np.ascontiguousarray(vecs[:, order])
-    if rtol is None:
-        # Re-orthonormalize in the mass inner product; ARPACK is close
-        # already, a Cholesky of the small Gram matrix tightens it to
-        # machine precision.
-        gram = vecs.T @ (mm @ vecs)
-        chol = np.linalg.cholesky((gram + gram.T) / 2.0)
-        vecs = np.linalg.solve(chol, vecs.T).T
-        for col in range(vecs.shape[1]):
-            pivot = int(np.argmax(np.abs(vecs[:, col])))
-            if vecs[pivot, col] < 0:
-                vecs[:, col] = -vecs[:, col]
     with np.errstate(over="ignore"):
         np.ldexp(vals, -2 * e, out=vals)
     if vals.size < k or not np.all(np.isfinite(vals)):
@@ -486,13 +473,14 @@ def inertia(K, M, sigma):
     inertia.
     """
     lu = _factor(sparse.csc_matrix(K - sigma * M))
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise RuntimeError("the factorization pivoted off the diagonal; "
-                           "inertia unknown")
-    count = int(np.count_nonzero(lu.U.diagonal() < 0))
-    del lu
-    _release_heap()
-    return count
+    try:
+        if not np.array_equal(lu.perm_r, lu.perm_c):
+            raise RuntimeError("the factorization pivoted off the diagonal; "
+                               "inertia unknown")
+        return int(np.count_nonzero(lu.U.diagonal() < 0))
+    finally:
+        del lu
+        _release_heap()
 
 
 def _family_weights(triangles):
@@ -507,14 +495,15 @@ def _family_weights(triangles):
     return weights, np.array([t.area for t in triangles])
 
 
-def _first_unproven(meshes, dirichlet_edges, k, top, above, weights, areas):
+def _first_unproven(count, k, top, above, weights, areas):
     """First member where the k lowest eigenvalues are not proven < top.
 
-    top[i] bounds the k claimed eigenvalues of member i from above and
-    above[i] > top[i] is where its next one is expected.  Member i is
-    proven when lambda_{k+1}(i) > top[i].  An inertia count k at an anchor
-    a with shift s (ANCHOR_SHIFT of the way from top[a] to above[a])
-    proves lambda_{k+1}(a) >= s.  Since K(i) >= m K(a) in the Loewner
+    count(a, sigma) is the number of eigenvalues of member a below sigma
+    (an inertia count).  top[i] bounds the k claimed eigenvalues of member
+    i from above and above[i] > top[i] is where its next one is expected.
+    Member i is proven when lambda_{k+1}(i) > top[i].  A count k at an
+    anchor a with shift s (ANCHOR_SHIFT of the way from top[a] to
+    above[a]) proves lambda_{k+1}(a) >= s.  Since K(i) >= m K(a) in the Loewner
     order, m the least ratio w_d(i) / w_d(a) over the weights w_d(a) > 0,
     and the masses scale by the element areas e,
     lambda_{k+1}(i) >= m e(a) / e(i) s: the anchor carries member i when
@@ -531,17 +520,16 @@ def _first_unproven(meshes, dirichlet_edges, k, top, above, weights, areas):
     shift = top + ANCHOR_SHIFT * (above - top)
     # ratio[a, i, d] = w_d(i) / w_d(a), infinite where w_d(a) = 0.
     ratio = np.divide(weights[None, :, :], weights[:, None, :],
-                      out=np.full((len(meshes),) + weights.shape, np.inf),
+                      out=np.full((len(top),) + weights.shape, np.inf),
                       where=weights[:, None, :] > 0)
     carries = (above > top)[:, None] & (
         ratio.min(axis=2) * areas[:, None] / areas[None, :] * shift[:, None]
         > top[None, :])
 
     def proves(a):
-        forms = assemble(meshes[a], dirichlet_edges)
-        return inertia(forms.stiffness, forms.mass, shift[a]) == k
+        return count(a, shift[a]) == k
 
-    proven = np.zeros(len(meshes), dtype=bool)
+    proven = np.zeros(len(top), dtype=bool)
     while not proven.all():
         i = int(np.argmin(proven))
         anchors = np.flatnonzero(carries[:, i])
@@ -626,17 +614,16 @@ def solve_family_pair(triangles, k, level, dirichlet_edges):
     edges = tuple(sorted(dirichlet_edges))
     fine_meshes = [mesh_triangle(t, level) for t in triangles]
     weights, areas = _family_weights(triangles)
-    coarse, (taken, basis, ritz_sums) = _solve_family(
+    coarse, starts = _solve_family(
         [mesh_triangle(t, level - 1) for t in triangles], k, edges,
         weights, areas, None)
-    first = [(i, _prolong(level, edges, basis @ ritz_sums[i])) for i in taken]
-    del taken, basis, ritz_sums
+    first = [(i, _prolong(level, edges, start)) for i, start in starts]
     return coarse, _solve_family(fine_meshes, k, edges, weights, areas,
                                  first)[0]
 
 
 def _solve_family(meshes, k, dirichlet_edges, weights, areas, first):
-    """Lowest k P1 eigenvalues of each mesh of one level, and the record.
+    """Lowest k P1 eigenvalues of each mesh of one level, and the starts.
 
     weights and areas are the family's (_family_weights).  The basis starts
     from direct solve_lowest solves of k+1 modes: at the (member, start
@@ -670,7 +657,9 @@ def _solve_family(meshes, k, dirichlet_edges, weights, areas, first):
     every weight.
 
     No mode may be skipped: _first_unproven certifies every member with
-    inertia counts transported in the Loewner order.  A member it refutes
+    inertia counts transported in the Loewner order, each on the member's
+    pencil sum_d w_d L_d - sigma e M_ref built from the used direction
+    Laplacians and the reference mass held here.  A member it refutes
     becomes a snapshot; a snapshot it refutes raises RuntimeError.
 
     A snapshot's modes only span basis directions.  Whatever the basis, the
@@ -678,16 +667,14 @@ def _solve_family(meshes, k, dirichlet_edges, weights, areas, first):
     Ritz pairs themselves and the inertia cover proves that none was
     skipped; so each snapshot is solved to SNAPSHOT_RTOL, well inside
     FAMILY_RTOL, with a short Krylov basis (solve_lowest's rtol), not to
-    machine precision, and returns before the re-orthonormalization and
-    sign fixing of a direct solve, which the family never reads.
-    Snapshots enter the basis through _orthonormal_extension, which
-    normalizes them itself, so their signs and scale do not matter; the
-    start they give the next snapshot changes only its step count.
+    machine precision.  Snapshots enter the basis through
+    _orthonormal_extension, which normalizes them itself, so their signs
+    and scale do not matter; the start they give the next snapshot changes
+    only its step count.
 
-    Returns the values (len(meshes), k) and the record (taken, basis,
-    ritz_sums): the snapshot members in the order taken, the final basis,
-    and per member the basis coefficients of its final k+1 Ritz vectors
-    summed.
+    Returns the values (len(meshes), k) and the starts: per snapshot
+    member, in the order taken, (member, the sum of its final k+1 Ritz
+    vectors), where a solve of it would start.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -700,6 +687,11 @@ def _solve_family(meshes, k, dirichlet_edges, weights, areas, first):
     used_weights = weights[:, used]
     mass = _csc(stencil, stencil.mass / 12.0)
     lumped = stencil.lumped / 6.0
+
+    def count(a, sigma):
+        stiffness = sum(w * lap for w, lap in zip(used_weights[a], laplacians))
+        return inertia(stiffness, scale[a] * mass, sigma)
+
     basis = np.zeros((stencil.free.size, 0))
     values = np.empty((len(meshes), k + 1))
     resid = np.empty((len(meshes), k))
@@ -746,11 +738,12 @@ def _solve_family(meshes, k, dirichlet_edges, weights, areas, first):
                     f"level {level}")
             todo = [(worst, basis @ ritz_sums[worst])]
             continue
-        bad = _first_unproven(meshes, edges, k,
+        bad = _first_unproven(count, k,
                               np.max(values[:, :k] + resid, axis=1),
                               values[:, k], weights, areas)
         if bad is None:
-            return values[:, :k].copy(), (taken, basis, ritz_sums)
+            return values[:, :k].copy(), [(i, basis @ ritz_sums[i])
+                                          for i in taken]
         if bad in taken:
             raise RuntimeError(
                 f"mode completeness not proven for family member {bad} at "

@@ -92,18 +92,9 @@ def combine(claim, checks, branch=None, **extra):
     return rep
 
 
-def _json_default(x):
-    if hasattr(x, "item"):
-        return x.item()
-    if hasattr(x, "tolist"):
-        return x.tolist()
-    raise TypeError(f"not JSON serializable: {type(x)}")
-
-
 def to_json(report):
     """Serialize a report (or any nested dict) deterministically.
 
     NaN and infinities are refused (ValueError): JSON has no such numbers.
     """
-    return json.dumps(report, indent=2, default=_json_default,
-                      sort_keys=False, allow_nan=False)
+    return json.dumps(report, indent=2, sort_keys=False, allow_nan=False)

@@ -4,12 +4,13 @@ import json
 import math
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.linalg import eigh, subspace_angles
-from scipy.sparse.linalg import LinearOperator, splu
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, splu
 
 from trispec import fem
 from trispec.equilateral import SIGMA_COEFF
@@ -734,13 +735,56 @@ def test_inertia_counts_eigenvalues_below_the_shift(level):
             assert inertia(forms.stiffness, forms.mass, shift) == j
 
 
-def test_inertia_refuses_a_factorization_that_left_the_diagonal():
+def test_inertia_refuses_a_factorization_that_left_the_diagonal(monkeypatch):
     # K - M has a zero diagonal block, so no diagonal pivot exists there
     K = sparse.csc_matrix([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
     M = sparse.identity(3, format="csc")
+    releases, release = [], fem._release_heap
+    monkeypatch.setattr(fem, "_release_heap",
+                        lambda: releases.append(release()))
     with pytest.raises(RuntimeError, match="off the diagonal"):
         inertia(K, M, 1.0)
+    # the refused factorization's heap goes back too
+    assert len(releases) == 1
     assert [inertia(K, M, s) for s in (-2.0, 0.5, 3.5)] == [0, 1, 3]
+    assert len(releases) == 4
+
+
+def test_a_solve_that_does_not_converge_gives_its_heap_back(monkeypatch):
+    class Factor:
+        """A factorization that can be watched by weak reference."""
+
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, x):
+            return self.lu.solve(x)
+
+    factors, freed = [], []
+    factor, release = fem._factor, fem._release_heap
+
+    def watched(A):
+        lu = Factor(factor(A))
+        factors.append(weakref.ref(lu))
+        return lu
+
+    def eigsh(*args, **kwargs):
+        # the operator stays in this frame, as in ARPACK's own
+        raise ArpackNoConvergence("no convergence", np.empty(0),
+                                  np.empty((0, 0)))
+
+    def watched_release():
+        freed.append(factors[-1]() is None)
+        release()
+
+    monkeypatch.setattr(fem, "_factor", watched)
+    monkeypatch.setattr(fem, "eigsh", eigsh)
+    monkeypatch.setattr(fem, "_release_heap", watched_release)
+    mesh = mesh_triangle(fan_triangle(2.5), 6)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        solve_lowest(mesh, 3)
+    # one release, after the LU is gone
+    assert freed == [True]
 
 
 def test_loewner_transport_bounds_neighbouring_apertures():
@@ -795,8 +839,8 @@ def test_only_family_snapshots_stop_early_on_a_short_basis(monkeypatch):
 
 
 def test_family_reads_snapshots_as_basis_directions_only(monkeypatch):
-    # an rtol solve stops at sorted values: no sign convention, on the
-    # dense path (level 4) and on Lanczos's (level 6)
+    # a snapshot solve spans the modes of a full solve to well inside the
+    # family's gate, on the dense path (level 4) and on Lanczos's (level 6)
     t = half_triangle(1.0)
     for edges, k in HALF_PROBLEMS:
         for level in (4, 6):
@@ -898,6 +942,10 @@ def test_gate_refuses_ritz_values_that_skip_the_fundamental():
                   for mesh in meshes
                   for res in [solve_lowest(mesh, k + 2, edges)]]
 
+        def count(a, sigma, edges=edges):
+            forms = assemble(meshes[a], edges)
+            return inertia(forms.stiffness, forms.mass, sigma)
+
         def claims(first_skipping):
             # from this member on, modes 2..k+1 pose as the k lowest
             top, above = [], []
@@ -907,12 +955,11 @@ def test_gate_refuses_ritz_values_that_skip_the_fundamental():
                 above.append(res.values[j + k])
             return np.array(top), np.array(above)
 
-        assert fem._first_unproven(meshes, edges, k, *claims(3),
-                                   *family) is None
+        assert fem._first_unproven(count, k, *claims(3), *family) is None
         # refused where the skip starts, also past an anchor whose count
         # is carried over
         for first in (0, 2):
-            assert fem._first_unproven(meshes, edges, k, *claims(first),
+            assert fem._first_unproven(count, k, *claims(first),
                                        *family) == first
 
 
@@ -943,7 +990,7 @@ def test_gate_covers_the_family_with_fewer_counts(monkeypatch):
         monkeypatch.setattr(fem, "inertia", inertia)
         monkeypatch.setattr(fem, "_first_unproven", gate)
         family_values(family, k, 5, edges)
-        (_, _, _, top, above, *_), result = gated[-1]
+        (_, _, top, above, *_), result = gated[-1]
         assert result is None
         # every member is carried by an anchor whose count is k
         shift = top + fem.ANCHOR_SHIFT * (above - top)
@@ -958,6 +1005,30 @@ def test_gate_covers_the_family_with_fewer_counts(monkeypatch):
             if anchor is None or not carries(family, top, above, anchor, i):
                 scan, anchor = scan + 1, i
         assert len(counts) < scan
+
+
+def test_family_counts_on_the_pencils_it_holds(monkeypatch):
+    # only the snapshot solves assemble forms; every inertia count is made
+    # on the family's own direction Laplacians and reference mass
+    family = halves(np.linspace(math.pi / 6.0, 2.0 * math.pi / 3.0, 21))
+    assembled, counted = [], []
+    original_assemble, original_inertia = fem.assemble, fem.inertia
+
+    def assemble(*args):
+        assembled.append(args)
+        return original_assemble(*args)
+
+    def inertia(*args):
+        counted.append(args)
+        return original_inertia(*args)
+
+    monkeypatch.setattr(fem, "assemble", assemble)
+    monkeypatch.setattr(fem, "inertia", inertia)
+    solved = recording_solves(monkeypatch, family)
+    for edges, k in HALF_PROBLEMS:
+        family_values(family, k, 5, edges)
+    assert counted
+    assert len(assembled) == len(solved)
 
 
 def test_lowest_eigenpairs_match_the_full_eigh():
@@ -999,6 +1070,14 @@ def test_ritz_block_size_changes_no_decision(size, monkeypatch):
                 if start is not None:
                     np.testing.assert_array_equal(other_start, start)
             np.testing.assert_allclose(other_values, values, rtol=1e-13)
+
+
+def test_a_stalled_basis_is_refused(monkeypatch):
+    # with no residual allowed, the worst member of a family whose members
+    # are all snapshots cannot join the basis again
+    monkeypatch.setattr(fem, "FAMILY_RTOL", 0.0)
+    with pytest.raises(RuntimeError, match="stalled"):
+        family_values(halves([0.8, 1.0, 1.2]), 1, 5, (0, 1, 2))
 
 
 def test_refuted_member_becomes_a_snapshot(monkeypatch):
@@ -1113,12 +1192,14 @@ def test_refuted_fine_member_becomes_a_snapshot(monkeypatch):
     original_gate = fem._first_unproven
     calls = recording_solves(monkeypatch, family)
 
-    def gate(meshes, *args):
-        # member 10 is a snapshot at neither level here
-        first_fine = meshes[0].level == 6 and not gated
-        if meshes[0].level == 6:
+    def gate(*args):
+        # member 10 is a snapshot at neither level here; a gate follows the
+        # snapshot solves of its own level
+        fine = calls[-1][0] == 6
+        first_fine = fine and not gated
+        if fine:
             gated.append(args)
-        return 10 if first_fine else original_gate(meshes, *args)
+        return 10 if first_fine else original_gate(*args)
 
     monkeypatch.setattr(fem, "_first_unproven", gate)
     pair = solve_family_pair(family, 1, 6, (0, 1, 2))
@@ -1132,11 +1213,11 @@ def test_refuted_fine_member_becomes_a_snapshot(monkeypatch):
         np.testing.assert_allclose(values, direct, rtol=1e-10)
     # the fine family took the coarse snapshots, so a refuted one is not
     # solved again
+    calls = recording_solves(monkeypatch, family)
     monkeypatch.setattr(
         fem, "_first_unproven",
-        lambda meshes, *args: 0 if meshes[0].level == 6
-        else original_gate(meshes, *args))
-    with pytest.raises(RuntimeError, match="not proven"):
+        lambda *args: 0 if calls[-1][0] == 6 else original_gate(*args))
+    with pytest.raises(RuntimeError, match="not proven .* at level 6"):
         solve_family_pair(family, 1, 6, (0, 1, 2))
 
 
